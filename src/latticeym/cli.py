@@ -21,16 +21,17 @@ from .errors import ConfigInvalid, LatticeYMError, SuiteFailed
 from .factorized import normalized_free_energy, plaquette_moment
 from .groups import GroupSpec, haar_sample_batch, quadratic_bound_scan, unitarity_defect
 from .lattice import build_geometry
-from .mc import SourceSpec, estimate_generating_function, generating_function_ceiling, verify_stability
+from .mc import (
+    SourceSpec,
+    generating_function_ceiling,
+    generating_function_from_samples,
+    sample_source_fields,
+    verify_stability,
+)
 from .quadrature import ensemble_constants, i_beta, weyl_integrate
 from .reporting import SUITE_NAMES, ReportRecord, RunConfig, write_reports
 from .scalar import ScalarSpec, derivative_correlation, fit_decay_rate, mass_gap
-from .single_bond import (
-    CouplingSpec,
-    bound_constants,
-    z_lower_normalized,
-    z_upper_normalized,
-)
+from .single_bond import CouplingSpec, bound_constants, z_lower, z_upper
 
 __all__ = ["main", "run_suite", "build_parser"]
 
@@ -74,28 +75,35 @@ def _suite_group_check(config: RunConfig):
     return records
 
 
+def _require_coupling_ceiling(config: RunConfig):
+    if any(g2 > config.g0_sq for g2 in config.g2_values):
+        raise ConfigInvalid("g0_sq: must be >= every coupling in the g2 grid")
+
+
+def _log_with_error(value_and_error, factor):
+    """log(factor * z) and the two-resolution error |fine - coarse| / z carried to it."""
+    value, error = value_and_error
+    return float(np.log(factor * value)), float(error / value)
+
+
 def _suite_weyl_check(config: RunConfig):
     """Weyl normalization and the two ensemble-constant oracles."""
     records = []
     for n in config.n_values:
         group = GroupSpec(n)
-        one = weyl_integrate(lambda lam: np.ones(lam.shape[0]), group, config.quadrature)
-        values = {"haar_volume": one}
+        one, one_error = weyl_integrate(np.ones_like, group, config.quadrature,
+                                        return_error=True)
+        consts = ensemble_constants(group)
+        gue_ratio = i_beta(2, np.inf, group, config.quadrature) / consts.gue
+        gse_ratio = i_beta(4, np.inf, group, config.quadrature) / consts.gse
         deviation = abs(one - 1.0)
-        passed = deviation <= 1e-9
-        if n <= 2:
-            consts = ensemble_constants(group)
-            gue_ratio = i_beta(2, np.inf, group, config.quadrature) / consts.gue
-            gse_ratio = i_beta(4, np.inf, group, config.quadrature) / consts.gse
-            values["gue_ratio"] = gue_ratio
-            values["gse_ratio"] = gse_ratio
-            passed = passed and abs(gue_ratio - 1) < 1e-6 and abs(gse_ratio - 1) < 1e-6
+        passed = deviation <= 1e-9 and abs(gue_ratio - 1) < 1e-6 and abs(gse_ratio - 1) < 1e-6
         records.append(
             _record(
                 config,
                 inputs={"n": n},
-                values=values,
-                errors={},
+                values={"haar_volume": one, "gue_ratio": gue_ratio, "gse_ratio": gse_ratio},
+                errors={"haar_volume": one_error},
                 lhs=deviation,
                 rhs=1e-9,
                 passed=passed,
@@ -106,8 +114,7 @@ def _suite_weyl_check(config: RunConfig):
 
 def _suite_single_bond(config: RunConfig):
     """Normalized single-bond integrals against their closed-form sandwich."""
-    if any(g2 > config.g0_sq for g2 in config.g2_values):
-        raise ConfigInvalid("g0_sq: must be >= every coupling in the g2 grid")
+    _require_coupling_ceiling(config)
     records = []
     for n in config.n_values:
         group = GroupSpec(n)
@@ -115,8 +122,11 @@ def _suite_single_bond(config: RunConfig):
             for g2 in config.g2_values:
                 coupling = CouplingSpec(d=config.d, a=a, g2=g2, g0_sq=config.g0_sq)
                 constants = bound_constants(coupling, group, config.quadrature)
-                log_zu = float(np.log(z_upper_normalized(coupling, group, config.quadrature)))
-                log_zl = float(np.log(z_lower_normalized(coupling, group, config.quadrature)))
+                extracted = coupling.beta ** (group.dim / 2.0)
+                log_zu, err_zu = _log_with_error(
+                    z_upper(coupling, group, config.quadrature, return_error=True), extracted)
+                log_zl, err_zl = _log_with_error(
+                    z_lower(coupling, group, config.quadrature, return_error=True), extracted)
                 upper_ok = log_zu <= constants.c_upper + _TINY
                 lower_ok = log_zl >= constants.c_lower - _TINY
                 records.append(
@@ -130,7 +140,7 @@ def _suite_single_bond(config: RunConfig):
                             "c_upper": constants.c_upper,
                             "c_lower": constants.c_lower,
                         },
-                        errors={},
+                        errors={"log_z_upper": err_zu, "log_z_lower": err_zl},
                         lhs=log_zu,
                         rhs=constants.c_upper,
                         passed=upper_ok and lower_ok,
@@ -141,6 +151,7 @@ def _suite_single_bond(config: RunConfig):
 
 def _suite_approx(config: RunConfig):
     """Exactly solvable model: free energy and coincident second moment."""
+    _require_coupling_ceiling(config)
     records = []
     n = config.n_values[0]
     group = GroupSpec(n)
@@ -148,9 +159,12 @@ def _suite_approx(config: RunConfig):
         for g2 in config.g2_values:
             coupling = CouplingSpec(d=config.d, a=a, g2=g2, g0_sq=config.g0_sq)
             constants = bound_constants(coupling, group, config.quadrature)
-            log_z = float(np.log(z_upper_normalized(coupling, group, config.quadrature)))
+            log_z, err_z = _log_with_error(
+                z_upper(coupling, group, config.quadrature, return_error=True),
+                coupling.beta ** (group.dim / 2.0))
             free_energy = normalized_free_energy(coupling, group, config.quadrature)
-            m2 = plaquette_moment(2, coupling, group, config.quadrature)
+            m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
+                                          return_error=True)
             sandwich_ok = constants.c_lower - _TINY <= log_z <= constants.c_upper + _TINY
             moment_ok = 0.0 < m2 <= 0.5 * n + _TINY
             records.append(
@@ -163,7 +177,7 @@ def _suite_approx(config: RunConfig):
                         "free_energy": free_energy,
                         "m2": m2,
                     },
-                    errors={},
+                    errors={"log_z_bond": err_z, "m2": err_m2},
                     lhs=m2,
                     rhs=0.5 * n,
                     passed=sandwich_ok and moment_ok,
@@ -174,6 +188,7 @@ def _suite_approx(config: RunConfig):
 
 def _suite_stability(config: RunConfig):
     """Monte Carlo log-partition against the two-sided product bound."""
+    _require_coupling_ceiling(config)
     records = []
     n = config.n_values[0]
     group = GroupSpec(n)
@@ -211,6 +226,7 @@ def _suite_stability(config: RunConfig):
 
 def _suite_genfun(config: RunConfig):
     """Sampled generating function against the product-bound ceiling."""
+    _require_coupling_ceiling(config)
     records = []
     n = config.n_values[0]
     group = GroupSpec(n)
@@ -219,9 +235,11 @@ def _suite_genfun(config: RunConfig):
     )
     geom = build_geometry(config.d, config.L, config.boundary)
     plaquette = geom.n_plaquettes // 2
+    # One set of chains serves every source strength.
+    chains = sample_source_fields(geom, coupling, group, (plaquette,), config.mc)
     for strength in (0.1, 0.5):
         sources = SourceSpec(plaquettes=(plaquette,), strengths=(strength,))
-        value, error = estimate_generating_function(geom, coupling, group, sources, config.mc)
+        value, error = generating_function_from_samples(chains, sources.strengths)
         ceiling = generating_function_ceiling(config.L, coupling, group, sources, config.quadrature)
         abs_g = abs(value)
         passed = abs_g <= ceiling + 3.0 * error

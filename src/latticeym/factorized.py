@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidLattice
 from .groups import GroupSpec
-from .quadrature import QuadratureSpec, weyl_integrate
+from .quadrature import QuadratureSpec, weyl_moments
 from .single_bond import (CouplingSpec, _wilson_scale, wilson_weight,
                           z_upper_normalized)
 
@@ -128,28 +128,28 @@ def free_energy_limit(d: int, g2: float, group: GroupSpec, quad: QuadratureSpec,
 
 
 def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
-                     quad: QuadratureSpec) -> float:
+                     quad: QuadratureSpec, return_error: bool = False):
     """<(tr M)^alpha>: coincident-point moment of the scaled plaquette field.
 
     Single-bond ratio
         int [sqrt(beta) sum_j sin lam_j]^alpha exp(-2 beta sum_j (1-cos lam_j)) rho
-      / int exp(-2 beta sum_j (1-cos lam_j)) rho.
-    Odd moments vanish by lam -> -lam symmetry (the quadrature returns the
-    rounding-level remnant rather than short-circuiting).
+      / int exp(-2 beta sum_j (1-cos lam_j)) rho,
+    read off the Taylor series of the source integral in its strength (see
+    `weyl_moments`).  Odd moments vanish by lam -> -lam symmetry (the series
+    returns the rounding-level remnant rather than short-circuiting).  With
+    return_error, also the two-resolution difference |fine - coarse|.
     """
     if alpha < 1:
         raise ValueError(f"moment order must be >= 1, got {alpha}")
     beta = coupling.beta
     scale, cutoff = _wilson_scale(beta)
     root_beta = np.sqrt(beta)
-    weight = wilson_weight(beta)
-
-    def numerator(lam):
-        return (root_beta * np.sum(np.sin(lam), axis=-1)) ** alpha * weight(lam)
-
-    num = weyl_integrate(numerator, group, quad, scale=scale, cutoff=cutoff)
-    den = weyl_integrate(weight, group, quad, scale=scale, cutoff=cutoff)
-    return float(num / den)
+    moments, errors = weyl_moments(wilson_weight(beta),
+                                   lambda lam: root_beta * np.sin(lam), alpha,
+                                   group, quad, scale=scale, cutoff=cutoff,
+                                   return_error=True)
+    value = float(moments[alpha])
+    return (value, float(errors[alpha])) if return_error else value
 
 
 def physical_coincident_moment(alpha: int, coupling: CouplingSpec,

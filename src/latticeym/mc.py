@@ -304,7 +304,7 @@ def sample_source_fields(geom: LatticeGeometry, coupling: CouplingSpec,
     return chains
 
 
-def _genfun_from_samples(chains, strengths):
+def generating_function_from_samples(chains, strengths):
     """Mean and blocked error of exp(sum_j J_j t_j) over stored samples."""
     strengths = np.asarray(strengths, dtype=np.complex128)
     values, errs = [], []
@@ -330,7 +330,7 @@ def estimate_generating_function(geom: LatticeGeometry, coupling: CouplingSpec,
     sources.validate_against(geom)
     chains = sample_source_fields(geom, coupling, group, sources.plaquettes,
                                   params)
-    return _genfun_from_samples(chains, sources.strengths)
+    return generating_function_from_samples(chains, sources.strengths)
 
 
 @dataclass(frozen=True)

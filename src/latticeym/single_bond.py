@@ -63,22 +63,26 @@ class CouplingSpec:
 
 
 def wilson_weight(beta: float):
-    """exp(-2 beta sum_j (1 - cos lam_j)), in cancellation-free sin^2 form."""
+    """One-angle Wilson weight exp(-2 beta (1 - cos lam)), in sin^2 form.
 
-    def f(lam):
-        return np.exp(-4.0 * beta * np.sum(np.sin(0.5 * lam) ** 2, axis=-1))
+    Cancellation-free for small angles; its product over the eigenvalue
+    angles is the single-bond Wilson weight.
+    """
 
-    return f
+    def w(lam):
+        return np.exp(-4.0 * beta * np.sin(0.5 * lam) ** 2)
+
+    return w
 
 
 def quadratic_weight(beta: float, d: int, group: GroupSpec):
-    """exp(-2 C^2 (d-1) beta sum_j lam_j^2) with C^2 = 4n."""
+    """One-angle quadratic weight exp(-2 C^2 (d-1) beta lam^2) with C^2 = 4n."""
     rate = 2.0 * group.c_squared * (d - 1) * beta
 
-    def f(lam):
-        return np.exp(-rate * np.sum(lam * lam, axis=-1))
+    def w(lam):
+        return np.exp(-rate * lam * lam)
 
-    return f
+    return w
 
 
 def _wilson_scale(beta: float) -> tuple[float, float | None]:
@@ -94,18 +98,24 @@ def _quadratic_scale(beta: float, d: int, group: GroupSpec) -> tuple[float, floa
     return np.sqrt(rate), _QUADRATIC_CUTOFF
 
 
-def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec) -> float:
-    """Single-bond partition function with the Wilson weight."""
+def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec,
+            return_error: bool = False):
+    """Single-bond partition function with the Wilson weight.
+
+    With return_error, also the two-resolution difference |fine - coarse|.
+    """
     scale, cutoff = _wilson_scale(coupling.beta)
     return weyl_integrate(wilson_weight(coupling.beta), group, quad,
-                          scale=scale, cutoff=cutoff)
+                          scale=scale, cutoff=cutoff, return_error=return_error)
 
 
-def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec) -> float:
+def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec,
+            return_error: bool = False):
     """Single-bond partition function with the quadratic weight."""
     scale, cutoff = _quadratic_scale(coupling.beta, coupling.d, group)
     return weyl_integrate(quadratic_weight(coupling.beta, coupling.d, group),
-                          group, quad, scale=scale, cutoff=cutoff)
+                          group, quad, scale=scale, cutoff=cutoff,
+                          return_error=return_error)
 
 
 def z_upper_normalized(coupling, group, quad) -> float:
@@ -132,12 +142,10 @@ def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
         cutoff = cutoff + abs(j)
     root_beta = np.sqrt(beta)
 
-    def f(lam):
-        source = j * root_beta * np.sum(np.sin(lam), axis=-1)
-        action = 4.0 * beta * np.sum(np.sin(0.5 * lam) ** 2, axis=-1)
-        return np.exp(source - action)
+    def w(lam):
+        return np.exp(j * root_beta * np.sin(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
 
-    value = weyl_integrate(f, group, quad, scale=scale, cutoff=cutoff)
+    value = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff)
     return complex(value)
 
 
@@ -147,7 +155,7 @@ def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec
 
     This is the quantity the generating-function bound actually controls; it
     dominates |z_upper_source(j)| by the triangle inequality.  The integrand
-    has a kink on each hyperplane lam_j = 0, so the grid is split there.
+    has a kink at lam = 0 in each angle, so the rule is split there.
     """
     beta = coupling.beta
     mod_j = abs(complex(j))
@@ -156,12 +164,11 @@ def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec
         cutoff = cutoff + mod_j
     root_beta = np.sqrt(beta)
 
-    def f(lam):
-        source = mod_j * root_beta * np.sum(np.abs(np.sin(lam)), axis=-1)
-        action = 4.0 * beta * np.sum(np.sin(0.5 * lam) ** 2, axis=-1)
-        return np.exp(source - action)
+    def w(lam):
+        return np.exp(mod_j * root_beta * np.abs(np.sin(lam))
+                      - 4.0 * beta * np.sin(0.5 * lam) ** 2)
 
-    return float(weyl_integrate(f, group, quad, scale=scale, cutoff=cutoff,
+    return float(weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff,
                                 split_origin=True))
 
 

@@ -1,7 +1,79 @@
+"""Shared fixtures, and a tensor-grid oracle for the Weyl-reduced integrals.
+
+The package evaluates product class functions through n x n Heine
+determinants.  The oracle sums the same composite Gauss-Legendre rule over
+the full N-angle tensor grid instead: points^N evaluations of the integrand
+times the Vandermonde density, so it is only practical for N <= 3, but it
+accepts any class function, product or not.  By Andreief's identity both
+routes give the same number up to rounding.
+"""
+
 import numpy as np
 import pytest
 
-from latticeym.quadrature import QuadratureSpec
+from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
+                                  flat_vandermonde, vandermonde_density)
+from latticeym.groups import GroupSpec
+
+_CHUNK = 1 << 19
+ORACLE_MAX_RANK = 3
+
+
+def _iter_tensor(x1, w1, ndim):
+    """Yield (coords, weights) chunks of the full tensor-product grid."""
+    m = len(x1) ** ndim
+    for start in range(0, m, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, m))
+        coords = np.empty((len(idx), ndim))
+        weights = np.ones(len(idx))
+        rem = idx
+        for axis in range(ndim - 1, -1, -1):
+            rem, j = np.divmod(rem, len(x1))
+            coords[:, axis] = x1[j]
+            weights *= w1[j]
+        yield coords, weights
+
+
+def tensor_weyl(f, n, points=96, scale=1.0, cutoff=None, split_origin=False):
+    """Haar average of the class function f(angles), f taking (M, n) arrays."""
+    assert n <= ORACLE_MAX_RANK, "the tensor grid grows as points**n"
+    half = np.pi * scale
+    if cutoff is not None:
+        half = min(half, cutoff)
+    panels = (-half, 0.0, half) if split_origin else (-half, half)
+    x1, w1 = _panel_nodes(points, panels)
+    total = 0.0 + 0.0j
+    complex_seen = False
+    for coords, weights in _iter_tensor(x1, w1, n):
+        lam = coords / scale
+        vals = np.asarray(f(lam))
+        complex_seen = complex_seen or np.iscomplexobj(vals)
+        total += np.sum(weights * vals * vandermonde_density(lam))
+    total /= scale**n * ensemble_constants(GroupSpec(n)).cue
+    return total if complex_seen else total.real
+
+
+def product_of(w):
+    """The class function prod_j w(lam_j) of a one-angle weight w."""
+    return lambda lam: np.prod(w(lam), axis=-1)
+
+
+# Integration boxes for the improper ensemble integrals: beyond these the
+# Gaussian factor alone is < 1e-43 and the polynomial density cannot recover.
+_INF_CUTOFF = {2: 10.0, 4: 7.5}
+
+
+def tensor_ensemble(beta, u, n, points=96):
+    """I_beta(u) = int over (-u, u)^n of exp(-(beta/2)|y|^2) |Delta(y)|^beta."""
+    assert n <= ORACLE_MAX_RANK, "the tensor grid grows as points**n"
+    half = min(float(u), _INF_CUTOFF[beta])
+    x1, w1 = _panel_nodes(points, (-half, half))
+    total = 0.0
+    for coords, weights in _iter_tensor(x1, w1, n):
+        dens = flat_vandermonde(coords) ** (beta // 2)
+        total += float(np.sum(weights * np.exp(-0.5 * beta * np.sum(coords**2, axis=-1))
+                              * dens))
+    return total
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ from latticeym.groups import (GroupSpec, angular_eigenvalues, generator_basis,
                               plaquette_action, plaquette_product,
                               quadratic_bound_check, quadratic_bound_scan,
                               unitary_from_coefficients, unitarity_defect)
-from latticeym.quadrature import QuadratureSpec, weyl_integrate
+
+from conftest import tensor_weyl
 
 
 def test_haar_sample_deterministic():
@@ -28,12 +29,12 @@ def test_haar_sample_unitary(n, rng):
 
 def test_haar_moments_match_weyl_oracle(rng):
     # Empirical Tr U and |Tr U|^2 against the same class functions integrated
-    # by quadrature (0 and 1 by character orthogonality).
+    # on the tensor-grid oracle (0 and 1 by character orthogonality); neither
+    # is a product over the angles, so the Heine route does not apply.
     g = GroupSpec(2)
-    quad = QuadratureSpec()
-    expect_tr = weyl_integrate(lambda lam: np.sum(np.exp(1j * lam), axis=-1), g, quad)
-    expect_tr2 = weyl_integrate(
-        lambda lam: np.abs(np.sum(np.exp(1j * lam), axis=-1)) ** 2, g, quad)
+    expect_tr = tensor_weyl(lambda lam: np.sum(np.exp(1j * lam), axis=-1), 2)
+    expect_tr2 = tensor_weyl(
+        lambda lam: np.abs(np.sum(np.exp(1j * lam), axis=-1)) ** 2, 2)
     assert abs(expect_tr) < 1e-12
     assert expect_tr2 == pytest.approx(1.0, abs=1e-10)
 

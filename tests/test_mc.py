@@ -18,7 +18,7 @@ from latticeym.errors import InvalidLattice, StepTooLarge, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import GroupSpec
 from latticeym.lattice import build_geometry, cold_start
-from latticeym.mc import (MCParams, SourceSpec, _genfun_from_samples,
+from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
                           generating_function_ceiling, verify_stability)
@@ -220,4 +220,4 @@ def test_unconverged_chains_detected():
     # Synthetic disagreement: two chains with disjoint support.
     chains = [np.zeros((200, 1)), np.full((200, 1), 2.0)]
     with pytest.raises(UnconvergedChain):
-        _genfun_from_samples(chains, [1.0])
+        generating_function_from_samples(chains, [1.0])

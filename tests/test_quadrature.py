@@ -7,7 +7,10 @@ from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import (EnsembleConstants, QuadratureSpec,
                                   ensemble_constants, flat_vandermonde,
-                                  i_beta, vandermonde_density, weyl_integrate)
+                                  i_beta, vandermonde_density, weyl_integrate,
+                                  weyl_moments)
+
+from conftest import tensor_weyl
 
 
 def mehta_integral(n, beta):
@@ -35,7 +38,7 @@ def test_ensemble_constants_small_rank_values():
     assert c2.gue == pytest.approx(np.pi, rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_ensemble_constants_match_gamma_oracle(n):
     c = ensemble_constants(GroupSpec(n))
     assert c.gue == pytest.approx(mehta_integral(n, 2), rel=1e-12)
@@ -44,10 +47,12 @@ def test_ensemble_constants_match_gamma_oracle(n):
     assert min(c.cue, c.gue, c.gse) > 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_improper_ensemble_integrals(n, quad):
     g = GroupSpec(n)
     c = ensemble_constants(g)
+    assert i_beta(2, np.inf, g, quad) == pytest.approx(mehta_integral(n, 2), rel=1e-10)
+    assert i_beta(4, np.inf, g, quad) == pytest.approx(mehta_integral(n, 4), rel=1e-10)
     assert i_beta(2, np.inf, g, quad) == pytest.approx(c.gue, rel=1e-10)
     assert i_beta(4, np.inf, g, quad) == pytest.approx(c.gse, rel=1e-10)
 
@@ -80,53 +85,66 @@ def test_vandermonde_small_angle_limit():
 
 
 def test_cue_character_moments(quad):
-    # First two moments of Tr U under Haar: 0 and 1 for every rank.
+    # First two moments of Tr U under Haar: 0 and 1 for every rank.  Tr U is
+    # not a product over the angles: the tensor-grid oracle takes ranks <= 3,
+    # and the moment route (source s = e^{i lam}, flat weight) every rank.
     for n in (1, 2, 3):
-        g = GroupSpec(n)
-        m1 = weyl_integrate(lambda lam: np.sum(np.exp(1j * lam), axis=-1), g, quad)
-        m2 = weyl_integrate(lambda lam: np.abs(np.sum(np.exp(1j * lam), axis=-1)) ** 2,
-                            g, quad)
+        m1 = tensor_weyl(lambda lam: np.sum(np.exp(1j * lam), axis=-1), n)
+        m2 = tensor_weyl(lambda lam: np.abs(np.sum(np.exp(1j * lam), axis=-1)) ** 2, n)
         assert abs(m1) < 1e-12
         assert m2 == pytest.approx(1.0, abs=1e-10)
+    for n in range(1, 9):
+        # <(Tr U)^k> vanishes for k >= 1: Haar is invariant under U -> e^{i t} U.
+        moments = weyl_moments(np.ones_like, lambda lam: np.exp(1j * lam), 3,
+                               GroupSpec(n), quad)
+        assert moments[0] == pytest.approx(1.0, abs=1e-13)
+        assert np.max(np.abs(moments[1:])) < 1e-12
+        # <(2 Re Tr U)^2> = <(Tr U)^2> + 2 <|Tr U|^2> + <(Tr U^dag)^2> = 2.
+        m2 = weyl_moments(np.ones_like, lambda lam: 2.0 * np.cos(lam), 2,
+                          GroupSpec(n), quad)[2]
+        assert m2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_monte_carlo_agrees_with_tensor(quad):
+    # Haar average of exp(Re Tr U) = prod_j e^{cos lam_j}.
     g = GroupSpec(2)
-
-    def f(lam):
-        return np.cos(lam).sum(axis=-1) ** 2
-
-    exact = weyl_integrate(f, g, quad)
+    exact = weyl_integrate(lambda lam: np.exp(np.cos(lam)), g, quad)
+    assert exact == pytest.approx(
+        tensor_weyl(lambda lam: np.exp(np.cos(lam).sum(axis=-1)), 2), rel=1e-12)
     mc = QuadratureSpec(method="monte-carlo", samples=200_000, seed=5)
-    value, se = weyl_integrate(f, g, mc, return_error=True)
+    value, se = weyl_integrate(lambda lam: np.exp(np.cos(lam)), g, mc, return_error=True)
     assert abs(value - exact) < 5 * se
 
 
 def test_sobol_agrees_with_tensor(quad):
     g = GroupSpec(2)
 
-    def f(lam):
-        return np.exp(-np.sum(lam**2, axis=-1))
+    def w(lam):
+        return np.exp(-lam**2)
 
-    exact = weyl_integrate(f, g, quad)
+    exact = weyl_integrate(w, g, quad)
     qmc = QuadratureSpec(method="sobol", samples=60_000, seed=3)
-    value, err = weyl_integrate(f, g, qmc, return_error=True)
+    value, err = weyl_integrate(w, g, qmc, return_error=True)
     assert value == pytest.approx(exact, rel=5e-3)
     assert err < 5e-3
 
 
 def test_resolution_check_fires():
-    # A Gaussian of width ~0.15 is visible on the 16-point grid but not
+    # A Gaussian of width ~0.15 is visible on the 16-point rule but not
     # converged against the 10-point companion.
     g = GroupSpec(1)
     spiky = QuadratureSpec(points=16, rtol=1e-10, atol=1e-30)
     with pytest.raises(ResolutionTooLow):
-        weyl_integrate(lambda lam: np.exp(-50.0 * np.sum(lam**2, axis=-1)), g, spiky)
+        weyl_integrate(lambda lam: np.exp(-50.0 * lam**2), g, spiky)
+    with pytest.raises(ResolutionTooLow):
+        weyl_moments(lambda lam: np.exp(-50.0 * lam**2), np.sin, 2, g, spiky)
 
 
-def test_tensor_rank_limit(quad):
-    with pytest.raises(ValueError):
-        weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(5), quad)
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_ranks_five_to_eight_run(n, quad):
+    # The Heine route has no rank cap below the schema's maximum of 8.
+    value = weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(n), quad)
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_spec_validation():
@@ -142,9 +160,9 @@ def test_scaled_coordinates_match_plain(quad):
     # The same smooth integrand through scale=1 and a concentrated rewrite.
     g = GroupSpec(2)
 
-    def f(lam):
-        return np.exp(-40.0 * np.sum(np.sin(0.5 * lam) ** 2, axis=-1))
+    def w(lam):
+        return np.exp(-40.0 * np.sin(0.5 * lam) ** 2)
 
-    plain = weyl_integrate(f, g, quad)
-    scaled = weyl_integrate(f, g, quad, scale=np.sqrt(10.0), cutoff=10.0)
+    plain = weyl_integrate(w, g, quad)
+    scaled = weyl_integrate(w, g, quad, scale=np.sqrt(10.0), cutoff=10.0)
     assert scaled == pytest.approx(plain, rel=1e-12)

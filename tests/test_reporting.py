@@ -172,6 +172,35 @@ class TestCLI:
         assert code == 2
         assert "L" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["single-bond", "approx", "stability", "genfun"])
+    def test_coupling_above_ceiling_exit_two(self, suite, tmp_path, capsys):
+        # The default g0_sq is 4; every coupling suite rejects g2 above it
+        # before computing anything.
+        code = main([suite, "--g2", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "g0_sq" in capsys.readouterr().err
+
+    def test_weyl_check_rank_five_exit_zero(self, tmp_path):
+        assert main(["weyl-check", "--N", "5", "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "weyl-check.jsonl").read_text())
+        assert abs(record["values"]["gse_ratio"] - 1.0) < 1e-10
+
+    def test_approx_rank_five_runs_in_seconds(self, tmp_path):
+        import time
+
+        started = time.perf_counter()
+        assert main(["approx", "--N", "5", "--d", "3", "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - started < 10.0
+
+    def test_quadrature_errors_reported(self, tmp_path):
+        assert main(["single-bond", "--N", "2", "--a", "1,0.1", "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "single-bond-summary.csv").read_text().splitlines()[0]
+        assert header.endswith("err_log_z_lower,err_log_z_upper")
+        for line in (tmp_path / "single-bond.jsonl").read_text().splitlines():
+            errors = json.loads(line)["errors"]
+            assert set(errors) == {"log_z_upper", "log_z_lower"}
+            assert all(0.0 <= v < 1e-6 for v in errors.values())
+
     def test_config_file_with_overrides(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"suite": "weyl-check", "n": [2]}))
