@@ -112,40 +112,45 @@ def _suite_weyl_check(config: RunConfig):
     return records
 
 
+def _grid(config: RunConfig):
+    """Every (group, coupling) pair of the configured (N, a, g2) grid."""
+    for n in config.n_values:
+        for a in config.a_values:
+            for g2 in config.g2_values:
+                yield GroupSpec(n), CouplingSpec(d=config.d, a=a, g2=g2, g0_sq=config.g0_sq)
+
+
 def _suite_single_bond(config: RunConfig):
     """Normalized single-bond integrals against their closed-form sandwich."""
     _require_coupling_ceiling(config)
     records = []
-    for n in config.n_values:
-        group = GroupSpec(n)
-        for a in config.a_values:
-            for g2 in config.g2_values:
-                coupling = CouplingSpec(d=config.d, a=a, g2=g2, g0_sq=config.g0_sq)
-                constants = bound_constants(coupling, group, config.quadrature)
-                extracted = coupling.beta ** (group.dim / 2.0)
-                log_zu, err_zu = _log_with_error(
-                    z_upper(coupling, group, config.quadrature, return_error=True), extracted)
-                log_zl, err_zl = _log_with_error(
-                    z_lower(coupling, group, config.quadrature, return_error=True), extracted)
-                upper_ok = log_zu <= constants.c_upper + _TINY
-                lower_ok = log_zl >= constants.c_lower - _TINY
-                records.append(
-                    _record(
-                        config,
-                        inputs={"n": n, "d": config.d, "a": a, "g2": g2, "g0_sq": config.g0_sq},
-                        values={
-                            "beta": coupling.beta,
-                            "log_z_upper": log_zu,
-                            "log_z_lower": log_zl,
-                            "c_upper": constants.c_upper,
-                            "c_lower": constants.c_lower,
-                        },
-                        errors={"log_z_upper": err_zu, "log_z_lower": err_zl},
-                        lhs=log_zu,
-                        rhs=constants.c_upper,
-                        passed=upper_ok and lower_ok,
-                    )
-                )
+    for group, coupling in _grid(config):
+        constants = bound_constants(coupling, group, config.quadrature)
+        extracted = coupling.beta ** (group.dim / 2.0)
+        log_zu, err_zu = _log_with_error(
+            z_upper(coupling, group, config.quadrature, return_error=True), extracted)
+        log_zl, err_zl = _log_with_error(
+            z_lower(coupling, group, config.quadrature, return_error=True), extracted)
+        upper_ok = log_zu <= constants.c_upper + _TINY
+        lower_ok = log_zl >= constants.c_lower - _TINY
+        records.append(
+            _record(
+                config,
+                inputs={"n": group.n, "d": config.d, "a": coupling.a, "g2": coupling.g2,
+                        "g0_sq": config.g0_sq},
+                values={
+                    "beta": coupling.beta,
+                    "log_z_upper": log_zu,
+                    "log_z_lower": log_zl,
+                    "c_upper": constants.c_upper,
+                    "c_lower": constants.c_lower,
+                },
+                errors={"log_z_upper": err_zu, "log_z_lower": err_zl},
+                lhs=log_zu,
+                rhs=constants.c_upper,
+                passed=upper_ok and lower_ok,
+            )
+        )
     return records
 
 
@@ -153,36 +158,33 @@ def _suite_approx(config: RunConfig):
     """Exactly solvable model: free energy and coincident second moment."""
     _require_coupling_ceiling(config)
     records = []
-    n = config.n_values[0]
-    group = GroupSpec(n)
-    for a in config.a_values:
-        for g2 in config.g2_values:
-            coupling = CouplingSpec(d=config.d, a=a, g2=g2, g0_sq=config.g0_sq)
-            constants = bound_constants(coupling, group, config.quadrature)
-            log_z, err_z = _log_with_error(
-                z_upper(coupling, group, config.quadrature, return_error=True),
-                coupling.beta ** (group.dim / 2.0))
-            free_energy = normalized_free_energy(coupling, group, config.quadrature)
-            m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
-                                          return_error=True)
-            sandwich_ok = constants.c_lower - _TINY <= log_z <= constants.c_upper + _TINY
-            moment_ok = 0.0 < m2 <= 0.5 * n + _TINY
-            records.append(
-                _record(
-                    config,
-                    inputs={"n": n, "d": config.d, "a": a, "g2": g2},
-                    values={
-                        "beta": coupling.beta,
-                        "log_z_bond": log_z,
-                        "free_energy": free_energy,
-                        "m2": m2,
-                    },
-                    errors={"log_z_bond": err_z, "m2": err_m2},
-                    lhs=m2,
-                    rhs=0.5 * n,
-                    passed=sandwich_ok and moment_ok,
-                )
+    for group, coupling in _grid(config):
+        n = group.n
+        constants = bound_constants(coupling, group, config.quadrature)
+        log_z, err_z = _log_with_error(
+            z_upper(coupling, group, config.quadrature, return_error=True),
+            coupling.beta ** (group.dim / 2.0))
+        free_energy = normalized_free_energy(coupling, group, config.quadrature)
+        m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
+                                      return_error=True)
+        sandwich_ok = constants.c_lower - _TINY <= log_z <= constants.c_upper + _TINY
+        moment_ok = 0.0 < m2 <= 0.5 * n + _TINY
+        records.append(
+            _record(
+                config,
+                inputs={"n": n, "d": config.d, "a": coupling.a, "g2": coupling.g2},
+                values={
+                    "beta": coupling.beta,
+                    "log_z_bond": log_z,
+                    "free_energy": free_energy,
+                    "m2": m2,
+                },
+                errors={"log_z_bond": err_z, "m2": err_m2},
+                lhs=m2,
+                rhs=0.5 * n,
+                passed=sandwich_ok and moment_ok,
             )
+        )
     return records
 
 
@@ -190,37 +192,35 @@ def _suite_stability(config: RunConfig):
     """Monte Carlo log-partition against the two-sided product bound."""
     _require_coupling_ceiling(config)
     records = []
-    n = config.n_values[0]
-    group = GroupSpec(n)
-    coupling = CouplingSpec(
-        d=config.d, a=config.a_values[0], g2=config.g2_values[0], g0_sq=config.g0_sq
-    )
-    report = verify_stability(
-        config.L, config.boundary, coupling, group, config.mc, config.quadrature
-    )
-    records.append(
-        _record(
-            config,
-            inputs={
-                "n": n,
-                "d": config.d,
-                "L": config.L,
-                "boundary": config.boundary,
-                "beta": report.beta,
-            },
-            values={
-                "log_z_mc": report.mc_value,
-                "lower": report.lower,
-                "upper": report.upper,
-                "lower_exponent": float(report.lower_exponent),
-                "upper_exponent": float(report.upper_exponent),
-            },
-            errors={"log_z_mc": report.mc_error},
-            lhs=report.lower,
-            rhs=report.upper,
-            passed=report.passed,
+    for group, coupling in _grid(config):
+        report = verify_stability(
+            config.L, config.boundary, coupling, group, config.mc, config.quadrature
         )
-    )
+        records.append(
+            _record(
+                config,
+                inputs={
+                    "n": group.n,
+                    "d": config.d,
+                    "L": config.L,
+                    "boundary": config.boundary,
+                    "beta": report.beta,
+                },
+                values={
+                    "log_z_mc": report.mc_value,
+                    "lower": report.lower,
+                    "upper": report.upper,
+                    "lower_exponent": float(report.lower_exponent),
+                    "upper_exponent": float(report.upper_exponent),
+                    "accept_min": report.accept_min,
+                    "unitarity_defect": report.unitarity_defect,
+                },
+                errors={"log_z_mc": report.mc_error},
+                lhs=report.lower,
+                rhs=report.upper,
+                passed=report.passed,
+            )
+        )
     return records
 
 
@@ -228,40 +228,42 @@ def _suite_genfun(config: RunConfig):
     """Sampled generating function against the product-bound ceiling."""
     _require_coupling_ceiling(config)
     records = []
-    n = config.n_values[0]
-    group = GroupSpec(n)
-    coupling = CouplingSpec(
-        d=config.d, a=config.a_values[0], g2=config.g2_values[0], g0_sq=config.g0_sq
-    )
     geom = build_geometry(config.d, config.L, config.boundary)
     plaquette = geom.n_plaquettes // 2
-    # One set of chains serves every source strength.
-    chains = sample_source_fields(geom, coupling, group, (plaquette,), config.mc)
-    for strength in (0.1, 0.5):
-        sources = SourceSpec(plaquettes=(plaquette,), strengths=(strength,))
-        value, error = generating_function_from_samples(chains, sources.strengths)
-        ceiling = generating_function_ceiling(config.L, coupling, group, sources, config.quadrature)
-        abs_g = abs(value)
-        passed = abs_g <= ceiling + 3.0 * error
-        records.append(
-            _record(
-                config,
-                inputs={
-                    "n": n,
-                    "d": config.d,
-                    "L": config.L,
-                    "boundary": config.boundary,
-                    "beta": coupling.beta,
-                    "strength": strength,
-                    "plaquette": plaquette,
-                },
-                values={"abs_g": abs_g, "ceiling": ceiling},
-                errors={"abs_g": error},
-                lhs=abs_g,
-                rhs=ceiling,
-                passed=passed,
+    for group, coupling in _grid(config):
+        # One set of chains serves every source strength.
+        samples = sample_source_fields(geom, coupling, group, (plaquette,), config.mc)
+        for strength in (0.1, 0.5):
+            sources = SourceSpec(plaquettes=(plaquette,), strengths=(strength,))
+            value, error = generating_function_from_samples(samples.series, sources.strengths)
+            ceiling = generating_function_ceiling(
+                config.L, coupling, group, sources, config.quadrature)
+            abs_g = abs(value)
+            passed = abs_g <= ceiling + 3.0 * error
+            records.append(
+                _record(
+                    config,
+                    inputs={
+                        "n": group.n,
+                        "d": config.d,
+                        "L": config.L,
+                        "boundary": config.boundary,
+                        "beta": coupling.beta,
+                        "strength": strength,
+                        "plaquette": plaquette,
+                    },
+                    values={
+                        "abs_g": abs_g,
+                        "ceiling": ceiling,
+                        "accept_min": samples.accept_min,
+                        "unitarity_defect": samples.unitarity_defect,
+                    },
+                    errors={"abs_g": error},
+                    lhs=abs_g,
+                    rhs=ceiling,
+                    passed=passed,
+                )
             )
-        )
     return records
 
 

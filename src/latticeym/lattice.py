@@ -16,11 +16,15 @@ boundary slab until the fixed set is a maximal tree (L^d - 1 bonds).  The
 builder verifies the tree property with a union-find pass rather than
 trusting the counting.
 
-For Metropolis updates the builder also precomputes, per retained bond, the
-three-leg staples of every containing plaquette (arranged so that
-A_p = 2n - 2 Re tr(U_b M_p)) and a greedy conflict coloring that groups
-retained bonds into classes with no shared plaquette, enabling vectorized
-simultaneous updates within a class.
+For Metropolis updates the builder also groups the retained bonds into
+checkerboard classes keyed by (direction mu, parity of sum(x) at the origin).
+Two bonds of one plaquette either point in different directions or sit at x
+and x + e_nu, whose parities differ for even L (a periodic wrap moves x_nu
+by L - 1, which is odd), so no class holds two bonds of one plaquette and a
+whole class can be updated at once.  Per class the builder precomputes the
+three-leg staples of every containing plaquette, arranged so that
+A_p = 2n - 2 Re tr(U_b M_p), as rows into the stacked table
+[U, U^dag, 0] of `dagger_table`.
 """
 
 from dataclasses import dataclass, field
@@ -30,19 +34,13 @@ import numpy as np
 from .errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from .groups import unitarity_defect
 
-_DAG_PATTERN = np.array([False, False, True, True])
-
 # Staple leg recipe: for a bond sitting at position l of a plaquette, the
 # matrix M with Re tr(U_b M) = Re tr(U_p) is the ordered product of the other
-# three legs, each entry (leg position, dagger flag).  Positions 2 and 3
-# enter the plaquette daggered, which flips their staples via
-# Re tr(U^dag S) = Re tr(U S^dag).
-_STAPLE_RECIPE = {
-    0: ((1, False), (2, True), (3, True)),
-    1: ((2, True), (3, True), (0, False)),
-    2: ((1, True), (0, True), (3, False)),
-    3: ((2, False), (1, True), (0, True)),
-}
+# three legs (row l: leg positions, and 1 where the leg enters daggered).
+# Positions 2 and 3 enter the plaquette daggered, which flips their staples
+# via Re tr(U^dag S) = Re tr(U S^dag).
+_STAPLE_LEGS = np.array([[1, 2, 3], [2, 3, 0], [1, 0, 3], [2, 1, 0]])
+_STAPLE_DAGS = np.array([[0, 1, 1], [1, 1, 0], [1, 1, 0], [0, 1, 1]])
 
 
 class _UnionFind:
@@ -82,9 +80,7 @@ class LatticeGeometry:
     plaq_legs: np.ndarray       # (n_plaquettes, 4) bond indices
     fixed_mask: np.ndarray      # (n_bonds,) bool
     classes: list = field(default_factory=list)        # arrays of bond idx
-    staple_legs: list = field(default_factory=list)    # (n_c, P, 3) per class
-    staple_dags: list = field(default_factory=list)
-    staple_mask: list = field(default_factory=list)
+    staple_legs: list = field(default_factory=list)    # (n_c, P, 3) table rows
 
     @property
     def n_sites(self):
@@ -222,76 +218,67 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
 
 
 def _attach_update_tables(geom: LatticeGeometry) -> None:
-    """Greedy conflict coloring plus per-class padded staple tables."""
-    retained = geom.retained
-    n_plq = geom.n_plaquettes
+    """Checkerboard classes plus per-class padded staple tables.
 
-    # bond -> (plaquette, leg position) incidences for retained bonds only
-    incid = {int(b): [] for b in retained}
-    for p in range(n_plq):
-        for pos in range(4):
-            b = int(geom.plaq_legs[p, pos])
-            if b in incid:
-                incid[b].append((p, pos))
+    Staple legs are rows of the table [U, U^dag, 0] (`dagger_table`): leg
+    b enters as row b, or as row b + n_bonds when daggered.  Bonds in fewer
+    plaquettes than the class maximum are padded with the zero row
+    2 n_bonds, whose staples vanish.
+    """
+    n_b = geom.n_bonds
+    parity = geom.coords[geom.bond_site].sum(axis=1) % 2
+    key = np.where(geom.fixed_mask, -1, 2 * geom.bond_dir + parity)
+    leg_key = key[geom.plaq_legs]
+    clash = (leg_key[:, :, None] == leg_key[:, None, :]) & (leg_key[:, :, None] >= 0)
+    if np.any(clash & ~np.eye(4, dtype=bool)):
+        raise InvalidLattice("a checkerboard class holds two bonds of one plaquette")
 
-    # conflict graph: retained bonds sharing any plaquette
-    neighbours = {int(b): set() for b in retained}
-    retained_set = set(int(b) for b in retained)
-    for p in range(n_plq):
-        members = [int(b) for b in geom.plaq_legs[p] if int(b) in retained_set]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                neighbours[members[i]].add(members[j])
-                neighbours[members[j]].add(members[i])
+    # Retained (bond, staple) incidences in plaquette order, grouped by bond.
+    pos = np.tile(np.arange(4), geom.n_plaquettes)
+    plaq = np.repeat(np.arange(geom.n_plaquettes), 4)
+    bond = geom.plaq_legs.ravel()
+    keep = key[bond] >= 0
+    pos, plaq, bond = pos[keep], plaq[keep], bond[keep]
+    staples = geom.plaq_legs[plaq[:, None], _STAPLE_LEGS[pos]] + n_b * _STAPLE_DAGS[pos]
+    order = np.argsort(bond, kind="stable")
+    bond, staples = bond[order], staples[order]
+    slot = np.arange(bond.size) - np.searchsorted(bond, bond)
 
-    colour = {}
-    for b in retained:
-        b = int(b)
-        used = {colour[m] for m in neighbours[b] if m in colour}
-        c = 0
-        while c in used:
-            c += 1
-        colour[b] = c
-    n_colours = max(colour.values()) + 1 if colour else 0
-
-    for c in range(n_colours):
-        members = np.array([b for b in retained if colour[int(b)] == c])
-        max_p = max(len(incid[int(b)]) for b in members)
-        legs = np.zeros((members.size, max_p, 3), dtype=np.int64)
-        dags = np.zeros((members.size, max_p, 3), dtype=bool)
-        mask = np.zeros((members.size, max_p), dtype=bool)
-        for i, b in enumerate(members):
-            for k, (p, pos) in enumerate(incid[int(b)]):
-                recipe = _STAPLE_RECIPE[pos]
-                legs[i, k] = [geom.plaq_legs[p, leg] for leg, _ in recipe]
-                dags[i, k] = [dag for _, dag in recipe]
-                mask[i, k] = True
+    row = np.empty(n_b, dtype=np.int64)
+    for k in np.unique(key[key >= 0]):
+        members = np.flatnonzero(key == k)
+        row[members] = np.arange(members.size)
+        sel = key[bond] == k
+        legs = np.full((members.size, slot[sel].max() + 1, 3), 2 * n_b, dtype=np.int64)
+        legs[row[bond[sel]], slot[sel]] = staples[sel]
         geom.classes.append(members)
         geom.staple_legs.append(legs)
-        geom.staple_dags.append(dags)
-        geom.staple_mask.append(mask)
 
 
 class GaugeConfig:
-    """A full set of bond matrices, shape (n_bonds, n, n) complex."""
+    """Bond matrices of one configuration, shape (n_bonds, n, n) complex, or
+    of a batch of R replicas, shape (R, n_bonds, n, n)."""
 
     __slots__ = ("u",)
 
     def __init__(self, u: np.ndarray):
         u = np.asarray(u, dtype=np.complex128)
-        if u.ndim != 3 or u.shape[1] != u.shape[2]:
-            raise ShapeMismatch(f"expected (n_bonds, n, n) array, got {u.shape}")
+        if u.ndim not in (3, 4) or u.shape[-1] != u.shape[-2]:
+            raise ShapeMismatch(
+                f"expected (n_bonds, n, n) or (R, n_bonds, n, n) array, got {u.shape}")
         self.u = u
 
     @property
     def n(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
     def copy(self) -> "GaugeConfig":
         return GaugeConfig(self.u.copy())
 
     def unitarity_defect(self) -> float:
-        return max(unitarity_defect(m) for m in self.u)
+        """Largest Hilbert-Schmidt norm of U^dag U - 1 over all bond matrices."""
+        gram = matmul(dagger(self.u), self.u) - np.eye(self.n)
+        return float(np.sqrt(np.max(np.sum(np.abs(gram) ** 2, axis=(-2, -1)))))
 
     def require_unitary(self, tol: float = 1e-10) -> None:
         defect = self.unitarity_defect()
@@ -305,56 +292,79 @@ def cold_start(geom: LatticeGeometry, n: int) -> GaugeConfig:
     return GaugeConfig(u)
 
 
-def _gather_legs(u, legs, dags):
-    m = u[legs]
-    md = np.conj(np.swapaxes(m, -1, -2))
-    return np.where(dags[..., None, None], md, m)
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product a @ b, summed component-wise over the inner index.
+
+    For the 1x1 to 3x3 matrices of a lattice this is several times faster
+    than np.matmul, which dispatches one small product per matrix.
+    """
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def dagger_table(u: np.ndarray) -> np.ndarray:
+    """Stacked [U, U^dag, 0] along the bond axis: shape (..., 2 n_bonds + 1, n, n).
+
+    Row b holds U_b, row b + n_bonds holds U_b^dag and the last row is zero;
+    the staple tables of `LatticeGeometry` index these rows.
+    """
+    zero = np.zeros(u.shape[:-3] + (1,) + u.shape[-2:], dtype=u.dtype)
+    return np.concatenate([u, dagger(u), zero], axis=-3)
+
+
+def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:
+    if config.u.shape[-3] != geom.n_bonds:
+        raise ShapeMismatch(
+            f"config has {config.u.shape[-3]} bonds, geometry has {geom.n_bonds}")
+
+
+def _leg_products(u, legs):
+    """U_1 U_2 and U_4 U_3 for plaquette leg rows `legs`, so U_p = A B^dag."""
+    g = u[..., legs, :, :]
+    return (matmul(g[..., 0, :, :], g[..., 1, :, :]),
+            matmul(g[..., 3, :, :], g[..., 2, :, :]))
+
+
+def plaquette_traces(u: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """tr U_p for the plaquettes with leg rows `legs` (P, 4), shape (..., P).
+
+    u holds bond matrices (..., n_bonds, n, n), one configuration or a batch.
+    tr(A B^dag) is summed entry by entry, without forming U_p.
+    """
+    a, b = _leg_products(u, legs)
+    return np.sum(a * np.conj(b), axis=(-2, -1))
 
 
 def plaquette_products(config: GaugeConfig, geom: LatticeGeometry) -> np.ndarray:
-    """U_p for every plaquette, shape (n_plaquettes, n, n)."""
-    if config.u.shape[0] != geom.n_bonds:
-        raise ShapeMismatch(
-            f"config has {config.u.shape[0]} bonds, geometry has {geom.n_bonds}")
-    g = _gather_legs(config.u, geom.plaq_legs, _DAG_PATTERN[None, :])
-    return g[:, 0] @ g[:, 1] @ g[:, 2] @ g[:, 3]
+    """U_p for every plaquette, shape (..., n_plaquettes, n, n)."""
+    _check_bonds(config, geom)
+    a, b = _leg_products(config.u, geom.plaq_legs)
+    return matmul(a, dagger(b))
 
 
-def wilson_action(config: GaugeConfig, geom: LatticeGeometry) -> float:
-    """Sum over plaquettes of 2 Re tr(1 - U_p); nonnegative."""
-    up = plaquette_products(config, geom)
-    traces = np.trace(up, axis1=-2, axis2=-1)
-    return float(2.0 * (config.n * geom.n_plaquettes - np.sum(traces.real)))
+def wilson_action(config: GaugeConfig, geom: LatticeGeometry):
+    """Sum over plaquettes of 2 Re tr(1 - U_p); nonnegative.
 
-
-def plaquette_field(config, geom, index, coupling, variant="M"):
-    """Scalar field observable of one plaquette.
-
-    variant "M": sqrt(beta) Im tr U_p (scaled field),
-    variant "F": a^(-d/2) M (physical normalization),
-    variant "S": a^(d-4) A_p / g (action density; nonnegative).
+    A float for one configuration, an (R,) array for a batch.
     """
-    up = plaquette_products(config, geom)[index]
-    tr = np.trace(up)
-    beta = coupling.beta
-    if variant == "M":
-        return float(np.sqrt(beta) * tr.imag)
-    if variant == "F":
-        return float(coupling.a ** (-coupling.d / 2.0) * np.sqrt(beta) * tr.imag)
-    if variant == "S":
-        a_p = 2.0 * (config.n - tr.real)
-        return float(coupling.a ** (coupling.d - 4) * a_p / np.sqrt(coupling.g2))
-    raise ValueError(f"unknown variant {variant!r}")
+    _check_bonds(config, geom)
+    traces = plaquette_traces(config.u, geom.plaq_legs)
+    action = 2.0 * (config.n * geom.n_plaquettes - np.sum(traces.real, axis=-1))
+    return float(action) if action.ndim == 0 else action
 
 
 def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
                         coupling, indices) -> np.ndarray:
-    """sqrt(beta) Im tr U_p over the given plaquette indices (vectorized)."""
-    indices = np.asarray(indices)
-    g = _gather_legs(config.u, geom.plaq_legs[indices], _DAG_PATTERN[None, :])
-    up = g[:, 0] @ g[:, 1] @ g[:, 2] @ g[:, 3]
-    traces = np.trace(up, axis1=-2, axis2=-1)
-    return np.sqrt(coupling.beta) * traces.imag
+    """sqrt(beta) Im tr U_p over the given plaquette indices, shape (..., r)."""
+    _check_bonds(config, geom)
+    legs = geom.plaq_legs[np.asarray(indices)]
+    return np.sqrt(coupling.beta) * plaquette_traces(config.u, legs).imag
 
 
 def gauge_transform(config: GaugeConfig, geom: LatticeGeometry, site: int,

@@ -14,13 +14,21 @@ step halving for derivatives).  The stability and generating-function
 verdicts compare these estimates against the single-bond quadrature bounds
 with 3 sigma cushions.
 
-Updates are vectorized over conflict-free bond classes: within a class no
-two bonds share a plaquette, so simultaneous Metropolis decisions with
-staples gathered from the pre-update configuration are equivalent to a
-sequential scan.  Proposals multiply a bond by exp(i eps u H) with H a
-Gaussian-direction Lie-algebra element of unit Hilbert-Schmidt norm and u
-drawn uniformly from [0.5, 1.5); the direction law is sign-symmetric, so the
-proposal kernel is symmetric and the acceptance is min(1, e^{-beta dA}).
+One sampler drives every chain: the state of R replicas (every beta point
+and chain of a thermodynamic integration, or the chains of one estimate) is
+a single (R, n_bonds, n, n) array, kept as its stacked [U, U^dag, 0] table.
+Each replica has its own beta, its own tuned step size and its own random
+generator, which it calls a fixed number of times per sweep, so a
+replica's trajectory does not depend on which replicas share its batch.
+
+Updates are vectorized over the checkerboard classes of the geometry:
+within a class no two bonds share a plaquette, so simultaneous Metropolis
+decisions with staples gathered from the pre-update configuration are
+equivalent to a sequential scan.  Proposals multiply a bond by
+exp(i eps u H) with H a Gaussian-direction Lie-algebra element of unit
+Hilbert-Schmidt norm and u drawn uniformly from [0.5, 1.5); the direction
+law is sign-symmetric, so the proposal kernel is symmetric and the
+acceptance is min(1, e^{-beta dA}).
 """
 
 from dataclasses import dataclass
@@ -31,8 +39,8 @@ from .errors import (InvalidLattice, ShapeMismatch, StepTooLarge,
                      UnconvergedChain)
 from .factorized import lattice_counts
 from .groups import GroupSpec, generator_basis
-from .lattice import (GaugeConfig, LatticeGeometry, _gather_legs,
-                      build_geometry, cold_start, scaled_field_traces,
+from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
+                      dagger, dagger_table, matmul, scaled_field_traces,
                       wilson_action)
 from .quadrature import QuadratureSpec
 from .single_bond import (CouplingSpec, z_lower, z_upper,
@@ -53,8 +61,8 @@ class MCParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= np.pi:
             raise ValueError(f"epsilon must lie in (0, pi], got {self.epsilon}")
-        if self.sweeps < self.thermalization:
-            raise ValueError("sweeps must be >= thermalization")
+        if self.sweeps <= self.thermalization:
+            raise ValueError("sweeps must exceed thermalization (no measurement sweeps)")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.beta_grid_points < 3 or self.beta_grid_points % 2 == 0:
@@ -62,68 +70,129 @@ class MCParams:
             raise ValueError("beta_grid_points must be odd and >= 3")
 
 
-def _proposals(count, group, epsilon, rng):
-    """Batch of symmetric unitary proposal factors exp(i eps u H)."""
-    n = group.n
-    amps = epsilon * rng.uniform(0.5, 1.5, size=count)
+def _proposals(theta, x, n):
+    """Symmetric unitary proposal factors exp(i theta H), shape theta.shape + (n, n).
+
+    H = sum_a x_a T_a / |x| in the basis T_a of `generator_basis(n)`; for
+    n = 1, x is a uniform draw whose side of 1/2 picks the sign of H.
+    """
     if n == 1:
-        signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-        return np.exp(1j * amps * signs)[:, None, None]
-    basis = generator_basis(n)
-    x = rng.standard_normal((count, n * n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    h = np.einsum("ca,aij->cij", x, basis)
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * amps[:, None] * w)
-    return np.einsum("cik,ck,cjk->cij", v, phases, np.conj(v))
+        return np.exp(1j * theta * np.where(x < 0.5, 1.0, -1.0))[..., None, None]
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    if n == 2:
+        # T_a = (sigma_1, sigma_2, sigma_3, 1) / sqrt(2), so exp(i theta H) =
+        # e^{i h x_3} (cos(h r) + i sin(h r) x_vec.sigma / r), h = theta / sqrt(2).
+        h = theta / np.sqrt(2.0)
+        r = np.linalg.norm(x[..., :3], axis=-1)
+        c = np.cos(h * r)
+        s = h * np.sinc(h * r / np.pi)  # sin(h r) / r, finite at r = 0
+        out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+        out[..., 0, 0] = c + 1j * s * x[..., 2]
+        out[..., 0, 1] = s * (x[..., 1] + 1j * x[..., 0])
+        out[..., 1, 0] = s * (-x[..., 1] + 1j * x[..., 0])
+        out[..., 1, 1] = c - 1j * s * x[..., 2]
+        return np.exp(1j * h * x[..., 3])[..., None, None] * out
+    # No closed form beyond U(2): diagonalize H.
+    w, v = np.linalg.eigh(np.einsum("...a,aij->...ij", x, generator_basis(n)))
+    return matmul(v * np.exp(1j * theta[..., None] * w)[..., None, :], dagger(v))
+
+
+def _draws(rng, count, n):
+    """One sweep's random numbers for one replica, in three generator calls."""
+    amplitudes = rng.uniform(0.5, 1.5, size=count)
+    directions = rng.random(count) if n == 1 else rng.standard_normal((count, n * n))
+    return amplitudes, directions, rng.random(count)
+
+
+def _sweep(table, geom, group, beta, epsilon, rngs):
+    """One update pass over all retained bonds of every replica.
+
+    `table` is the (R, 2 n_bonds + 1, n, n) stacked [U, U^dag, 0] state,
+    updated in place; beta and epsilon are (R,) arrays and rngs holds one
+    generator per replica.  Returns the acceptance rate of each replica.
+    """
+    n_b = geom.n_bonds
+    count = geom.retained.size  # the classes partition the retained bonds
+    amplitudes, directions, thresholds = (
+        np.stack(parts) for parts in zip(*(_draws(rng, count, group.n) for rng in rngs)))
+    factors = _proposals(epsilon[:, None] * amplitudes, directions, group.n)
+    accepted = np.zeros(len(rngs))
+    start = 0
+    for members, legs in zip(geom.classes, geom.staple_legs):
+        stop = start + members.size
+        g = table[:, legs]
+        staples = matmul(matmul(g[..., 0, :, :], g[..., 1, :, :]), g[..., 2, :, :])
+        t = staples.sum(axis=2)
+        u_old = table[:, members]
+        u_new = matmul(factors[:, start:stop], u_old)
+        delta_a = -2.0 * np.sum(((u_new - u_old) * np.swapaxes(t, -1, -2)).real,
+                                axis=(-2, -1))
+        accept = thresholds[:, start:stop] < np.exp(
+            np.minimum(0.0, -beta[:, None] * delta_a))
+        u = np.where(accept[..., None, None], u_new, u_old)
+        table[:, members] = u
+        table[:, members + n_b] = dagger(u)
+        accepted += accept.sum(axis=1)
+        start = stop
+    return accepted / count
 
 
 def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
                      epsilon: float, rng, group: GroupSpec) -> float:
     """One full update pass over all retained bonds; returns acceptance rate."""
-    if config.u.shape[0] != geom.n_bonds or config.n != group.n:
+    if config.u.shape != (geom.n_bonds, group.n, group.n):
         raise ShapeMismatch("configuration does not match geometry/group")
-    u = config.u
-    accepted = 0
-    total = 0
-    for members, legs, dags, mask in zip(geom.classes, geom.staple_legs,
-                                         geom.staple_dags, geom.staple_mask):
-        g = _gather_legs(u, legs, dags)
-        staples = g[..., 0, :, :] @ g[..., 1, :, :] @ g[..., 2, :, :]
-        t = (staples * mask[..., None, None]).sum(axis=1)
-        u_old = u[members]
-        u_new = _proposals(members.size, group, epsilon, rng) @ u_old
-        delta_a = -2.0 * np.real(
-            np.einsum("bij,bji->b", u_new - u_old, t))
-        accept = rng.random(members.size) < np.exp(
-            np.minimum(0.0, -beta * delta_a))
-        u[members[accept]] = u_new[accept]
-        accepted += int(accept.sum())
-        total += members.size
-    return accepted / total
+    table = dagger_table(config.u)[None]
+    rate = _sweep(table, geom, group, np.array([beta]), np.array([epsilon]), [rng])
+    config.u[...] = table[0, :geom.n_bonds]
+    return float(rate[0])
 
 
-def _run_chain(geom, group, beta, params, seed, measure):
-    """Thermalize (with epsilon autotuning), then measure once per sweep."""
-    rng = np.random.default_rng(seed)
-    config = cold_start(geom, group.n)
-    epsilon = params.epsilon
-    window = []
-    for sweep in range(params.thermalization):
-        window.append(metropolis_sweep(config, geom, beta, epsilon, rng, group))
-        if len(window) == 10:
-            rate = np.mean(window)
-            if rate > 0.6:
-                epsilon = min(np.pi, epsilon * 1.2)
-            elif rate < 0.4:
-                epsilon = epsilon / 1.2
-            window = []
+@dataclass(frozen=True)
+class ChainSamples:
+    """Measurement series of a replica batch and its sampler diagnostics.
+
+    series: (R, measurements, ...) array, one row per replica;
+    accept_min: lowest measurement-phase acceptance rate over replicas;
+    unitarity_defect: largest end-of-chain ||U^dag U - 1|| over replicas.
+    """
+
+    series: np.ndarray
+    accept_min: float
+    unitarity_defect: float
+
+
+def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
+    """Thermalize R replicas from a cold start, tuning each step size, then
+    measure once per sweep.
+
+    Every 10 thermalization sweeps a replica's step size grows by 1.2 (at
+    most pi) if its acceptance exceeded 0.6 and shrinks by 1.2 if it fell
+    below 0.4.  `measure` maps the (R, n_bonds, n, n) batch GaugeConfig to
+    one row per replica.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    betas = np.asarray(betas, dtype=np.float64)
+    table = np.repeat(dagger_table(cold_start(geom, group.n).u)[None], len(rngs), axis=0)
+    batch = GaugeConfig(table[:, :geom.n_bonds])
+    epsilon = np.full(len(rngs), params.epsilon)
+    window = np.zeros(len(rngs))
+    for sweep in range(1, params.thermalization + 1):
+        window += _sweep(table, geom, group, betas, epsilon, rngs)
+        if sweep % 10 == 0:
+            rate = window / 10
+            epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
+                               np.where(rate < 0.4, epsilon / 1.2, epsilon))
+            window[:] = 0.0
     n_meas = params.sweeps - params.thermalization
+    accepted = np.zeros(len(rngs))
     samples = []
-    for sweep in range(n_meas):
-        metropolis_sweep(config, geom, beta, epsilon, rng, group)
-        samples.append(measure(config))
-    return np.array(samples)
+    for _ in range(n_meas):
+        accepted += _sweep(table, geom, group, betas, epsilon, rngs)
+        samples.append(measure(batch))
+    return ChainSamples(series=np.stack(samples, axis=1),
+                        accept_min=float(np.min(accepted) / n_meas),
+                        unitarity_defect=batch.unitarity_defect())
 
 
 def _block_means(series, n_blocks=20):
@@ -143,28 +212,38 @@ def _chain_seeds(params, salt):
     return root.spawn(params.chains)
 
 
-def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
-                         params: MCParams, salt: int = 0):
-    """<A^B> at inverse coupling beta, with a blocked standard error.
+def _action_series(geom, group, betas, seeds, params) -> ChainSamples:
+    return _run_replicas(geom, group, betas, seeds, params,
+                         lambda batch: wilson_action(batch, geom))
+
+
+def _chain_mean(series):
+    """Mean over chains of per-chain means, with a blocked standard error.
 
     Chains are compared pairwise; a discrepancy beyond 5 sigma raises
     UnconvergedChain rather than silently averaging over a stuck chain.
     """
-    means, ses = [], []
-    for seed in _chain_seeds(params, salt):
-        series = _run_chain(geom, group, beta, params, seed,
-                            lambda cfg: wilson_action(cfg, geom))
-        means.append(float(series.mean()))
-        ses.append(_blocked_se(series))
-    means = np.array(means)
-    ses = np.array(ses)
-    if params.chains > 1:
+    means = series.mean(axis=1)
+    ses = np.array([_blocked_se(chain) for chain in series])
+    if means.size > 1:
         spread = np.abs(means[:, None] - means[None, :])
         tol = 5.0 * np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
         if np.any(spread > tol):
             raise UnconvergedChain(
                 f"chain means {means} disagree beyond 5 sigma (se {ses})")
     return float(means.mean()), float(np.sqrt(np.sum(ses**2)) / len(ses))
+
+
+def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
+                         params: MCParams, salt: int = 0):
+    """<A^B> at inverse coupling beta, with a blocked standard error.
+
+    The chains run as one replica batch; see `_chain_mean` for the
+    cross-chain check.
+    """
+    samples = _action_series(geom, group, [beta] * params.chains,
+                             _chain_seeds(params, salt), params)
+    return _chain_mean(samples.series)
 
 
 @dataclass(frozen=True)
@@ -176,6 +255,8 @@ class LogZEstimate:
     grid: tuple
     action_means: tuple
     action_errors: tuple
+    accept_min: float
+    unitarity_defect: float
 
 
 def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
@@ -184,14 +265,20 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
 
     The beta = 0 point is exact: with Haar normalization <A>_0 = 2n per
     plaquette.  The reported error combines the statistical term with a
-    grid-refinement delta |T_h - T_2h| / 3.
+    grid-refinement delta |T_h - T_2h| / 3.  Every (beta point i, chain c)
+    pair is one replica of a single batch, seeded from
+    `_chain_seeds(params, salt=i)[c]`.
     """
     beta = coupling.beta
     grid = np.linspace(0.0, beta, params.beta_grid_points)
+    betas = np.repeat(grid[1:], params.chains)
+    seeds = [seed for i in range(1, grid.size) for seed in _chain_seeds(params, salt=i)]
+    samples = _action_series(geom, group, betas, seeds, params)
+    per_point = samples.series.reshape(grid.size - 1, params.chains, -1)
     means = [2.0 * group.n * geom.n_plaquettes]
     errors = [0.0]
-    for i, b in enumerate(grid[1:], start=1):
-        m, e = estimate_mean_action(geom, group, float(b), params, salt=i)
+    for series in per_point:
+        m, e = _chain_mean(series)
         means.append(m)
         errors.append(e)
     means = np.array(means)
@@ -206,7 +293,8 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
     return LogZEstimate(value=value, error=float(np.hypot(stat, grid_err)),
                         stat_error=stat, grid_error=grid_err,
                         grid=tuple(grid), action_means=tuple(means),
-                        action_errors=tuple(errors))
+                        action_errors=tuple(errors), accept_min=samples.accept_min,
+                        unitarity_defect=samples.unitarity_defect)
 
 
 @dataclass(frozen=True)
@@ -224,6 +312,8 @@ class StabilityReport:
     upper: float
     lower_exponent: int
     upper_exponent: int
+    accept_min: float
+    unitarity_defect: float
 
     @property
     def lower_margin_sigma(self) -> float:
@@ -261,7 +351,8 @@ def verify_stability(L: int, boundary: str, coupling: CouplingSpec,
         mc_value=est.value, mc_error=est.error,
         lower=lower_exp * float(np.log(zl)),
         upper=upper_exp * float(np.log(zu)),
-        lower_exponent=lower_exp, upper_exponent=upper_exp)
+        lower_exponent=lower_exp, upper_exponent=upper_exp,
+        accept_min=est.accept_min, unitarity_defect=est.unitarity_defect)
 
 
 @dataclass(frozen=True)
@@ -288,20 +379,16 @@ class SourceSpec:
 
 
 def sample_source_fields(geom: LatticeGeometry, coupling: CouplingSpec,
-                         group: GroupSpec, plaquettes, params: MCParams):
-    """Per-chain series of tr M over the given plaquettes, shape (meas, r).
+                         group: GroupSpec, plaquettes, params: MCParams) -> ChainSamples:
+    """Samples of tr M over the given plaquettes: series of shape (chains, meas, r).
 
     Sampling once and reusing the draws for every source strength keeps the
     finite-difference derivatives on common random numbers.
     """
     indices = np.asarray(plaquettes)
-    chains = []
-    for seed in _chain_seeds(params, salt=101):
-        series = _run_chain(
-            geom, group, coupling.beta, params, seed,
-            lambda cfg: scaled_field_traces(cfg, geom, coupling, indices))
-        chains.append(series)
-    return chains
+    return _run_replicas(
+        geom, group, [coupling.beta] * params.chains, _chain_seeds(params, salt=101),
+        params, lambda batch: scaled_field_traces(batch, geom, coupling, indices))
 
 
 def generating_function_from_samples(chains, strengths):
@@ -328,9 +415,9 @@ def estimate_generating_function(geom: LatticeGeometry, coupling: CouplingSpec,
                                  params: MCParams):
     """G(J) = <exp(sum_j J_j tr M(p_j))> with statistical error."""
     sources.validate_against(geom)
-    chains = sample_source_fields(geom, coupling, group, sources.plaquettes,
-                                  params)
-    return generating_function_from_samples(chains, sources.strengths)
+    samples = sample_source_fields(geom, coupling, group, sources.plaquettes,
+                                   params)
+    return generating_function_from_samples(samples.series, sources.strengths)
 
 
 @dataclass(frozen=True)
@@ -366,7 +453,7 @@ def correlation_from_generating(geom: LatticeGeometry, coupling: CouplingSpec,
     r = len(plaquettes)
     if r not in (1, 2):
         raise ValueError("finite-difference correlations implemented for r <= 2")
-    chains = sample_source_fields(geom, coupling, group, plaquettes, params)
+    chains = sample_source_fields(geom, coupling, group, plaquettes, params).series
     if r == 1:
         patterns = [(1.0,), (-1.0,)]
         coeffs = [0.5, -0.5]

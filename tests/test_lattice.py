@@ -1,4 +1,5 @@
-"""Geometry tests: counts, spanning tree, gauge invariance, field variants."""
+"""Geometry tests: counts, spanning tree, checkerboard classes, gauge
+invariance, field variants."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from latticeym.errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from latticeym.factorized import lattice_counts
 from latticeym.groups import GroupSpec, haar_sample
 from latticeym.lattice import (GaugeConfig, build_geometry, cold_start,
-                               gauge_transform, plaquette_field,
+                               dagger_table, gauge_transform, matmul,
                                plaquette_products, scaled_field_traces,
                                wilson_action)
 from latticeym.single_bond import CouplingSpec
@@ -97,6 +98,44 @@ def test_d2_plaquette_bond_bijection():
     assert np.all(geom.fixed_mask[geom.plaq_legs[:, 0]])
     assert np.all(geom.fixed_mask[geom.plaq_legs[:, 2]])
     assert sorted(leg1) == sorted(geom.retained)
+
+
+@pytest.mark.parametrize("d,L", GRID)
+@pytest.mark.parametrize("boundary", ["free", "periodic"])
+def test_checkerboard_classes_partition_and_conflict_free(d, L, boundary):
+    geom = build_geometry(d, L, boundary)
+    members = np.concatenate(geom.classes)
+    assert np.array_equal(np.sort(members), geom.retained)  # each bond once
+    assert len(geom.classes) <= 2 * d
+    for cls in geom.classes:
+        inside = set(int(b) for b in cls)
+        for legs in geom.plaq_legs:
+            assert len(inside.intersection(int(b) for b in legs)) <= 1
+        # keyed by (direction, parity of the origin's coordinate sum)
+        assert np.unique(geom.bond_dir[cls]).size == 1
+        assert np.unique(geom.coords[geom.bond_site[cls]].sum(axis=1) % 2).size == 1
+
+
+@pytest.mark.parametrize("boundary", ["free", "periodic"])
+def test_staple_tables_reproduce_plaquette_traces(boundary, rng):
+    # Re tr(U_b sum of staples) is the sum of Re tr U_p over the plaquettes
+    # containing b, for every retained bond.
+    geom = build_geometry(3, 4, boundary)
+    cfg = random_config(geom, 2, rng, include_fixed=True)
+    table = dagger_table(cfg.u)
+    re_tr = np.trace(plaquette_products(cfg, geom), axis1=-2, axis2=-1).real
+    for members, legs in zip(geom.classes, geom.staple_legs):
+        g = table[legs]
+        t = matmul(matmul(g[..., 0, :, :], g[..., 1, :, :]), g[..., 2, :, :]).sum(axis=1)
+        got = np.trace(matmul(cfg.u[members], t), axis1=-2, axis2=-1).real
+        want = [re_tr[np.any(geom.plaq_legs == b, axis=1)].sum() for b in members]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_class_counts_d3_l4():
+    # Free: no direction-0 bond is retained, so two directions x two parities.
+    assert len(build_geometry(3, 4, "free").classes) == 4
+    assert len(build_geometry(3, 4, "periodic").classes) == 6
 
 
 @pytest.mark.parametrize("d,L,boundary", [(5, 4, "free"), (2, 3, "free"),
@@ -190,28 +229,39 @@ def test_require_unitary_flags_drift():
 # ---------------------------------------------------------------------------
 # plaquette field variants
 # ---------------------------------------------------------------------------
+#
+# M = sqrt(beta) Im tr U_p (scaled field), F = a^(-d/2) M (physical
+# normalization), S = a^(d-4) A_p / g with A_p = 2 (n - Re tr U_p) (action
+# density; nonnegative).
+
+
+def field_variants(cfg, geom, cp):
+    m = scaled_field_traces(cfg, geom, cp, np.arange(geom.n_plaquettes))
+    f = cp.a ** (-cp.d / 2.0) * m
+    tr = np.trace(plaquette_products(cfg, geom), axis1=-2, axis2=-1)
+    s = cp.a ** (cp.d - 4) * 2.0 * (cfg.n - tr.real) / np.sqrt(cp.g2)
+    return m, f, s, tr
 
 
 def test_field_variants_identity_config():
     geom = build_geometry(2, 4, "free")
     cfg = cold_start(geom, 1)
     cp = CouplingSpec(d=2, a=0.5, g2=1.0)
-    for variant in ("M", "F", "S"):
-        assert plaquette_field(cfg, geom, 0, cp, variant) == 0.0
+    for variant in field_variants(cfg, geom, cp)[:3]:
+        assert np.all(variant == 0.0)
 
 
 def test_field_scaling_identities(rng):
     geom = build_geometry(3, 2, "free")
     cfg = random_config(geom, 2, rng)
     cp = CouplingSpec(d=3, a=0.5, g2=0.8)
-    for p in range(0, geom.n_plaquettes, 3):
-        m = plaquette_field(cfg, geom, p, cp, "M")
-        f = plaquette_field(cfg, geom, p, cp, "F")
-        s = plaquette_field(cfg, geom, p, cp, "S")
-        assert m == pytest.approx(cp.a ** (cp.d / 2) * f, rel=1e-12)
-        assert s >= 0.0
-    with pytest.raises(ValueError):
-        plaquette_field(cfg, geom, 0, cp, "Q")
+    m, f, s, tr = field_variants(cfg, geom, cp)
+    assert np.allclose(m, np.sqrt(cp.beta) * tr.imag, rtol=1e-12, atol=1e-14)
+    assert np.allclose(m, cp.a ** (cp.d / 2) * f, rtol=1e-12, atol=0)
+    assert np.all(s >= 0.0)
+    # the action densities add up to the Wilson action
+    assert np.sum(s) * np.sqrt(cp.g2) * cp.a ** (4 - cp.d) == pytest.approx(
+        wilson_action(cfg, geom), rel=1e-12)
 
 
 def test_abelian_field_is_root_beta_sine():
@@ -221,5 +271,19 @@ def test_abelian_field_is_root_beta_sine():
     cfg.u[int(geom.retained[0])] = np.exp(1j * theta)
     cp = CouplingSpec(d=2, a=0.5, g2=0.9)
     expected = np.sqrt(cp.beta) * np.sin(theta)
-    assert plaquette_field(cfg, geom, 0, cp, "M") == pytest.approx(
-        expected, rel=1e-13)
+    assert scaled_field_traces(cfg, geom, cp, [0])[0] == pytest.approx(expected, rel=1e-13)
+
+
+def test_batched_config_matches_each_replica(rng):
+    geom = build_geometry(3, 2, "periodic")
+    cfgs = [random_config(geom, 2, rng, include_fixed=True) for _ in range(3)]
+    batch = GaugeConfig(np.stack([c.u for c in cfgs]))
+    cp = CouplingSpec(d=3, a=1.0, g2=1.0)
+    actions = wilson_action(batch, geom)
+    traces = scaled_field_traces(batch, geom, cp, [0, 5])
+    assert actions.shape == (3,) and traces.shape == (3, 2)
+    for r, cfg in enumerate(cfgs):
+        assert actions[r] == pytest.approx(wilson_action(cfg, geom), rel=1e-14)
+        assert np.allclose(traces[r], scaled_field_traces(cfg, geom, cp, [0, 5]),
+                           rtol=1e-14, atol=0)
+    assert batch.unitarity_defect() < 1e-12

@@ -12,16 +12,19 @@ deterministic in practice.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import chi2
 
 from latticeym.errors import InvalidLattice, StepTooLarge, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
-from latticeym.groups import GroupSpec
-from latticeym.lattice import build_geometry, cold_start
+from latticeym.groups import GroupSpec, generator_basis, unitarity_defect
+from latticeym.lattice import build_geometry, cold_start, wilson_action
 from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
-                          generating_function_ceiling, verify_stability)
+                          generating_function_ceiling, sample_source_fields,
+                          verify_stability, _chain_seeds, _proposals, _run_replicas)
+from latticeym.quadrature import QuadratureSpec, weyl_integrate
 from latticeym.single_bond import CouplingSpec, z_lower, z_upper
 
 # ln z(1) for N = 1, d = 2 (beta = 1), from the Bessel series oracle in
@@ -39,6 +42,8 @@ def test_mcparams_validation():
         MCParams(epsilon=4.0)
     with pytest.raises(ValueError):
         MCParams(sweeps=10, thermalization=20)
+    with pytest.raises(ValueError):
+        MCParams(sweeps=20, thermalization=20)  # no measurement sweeps
     with pytest.raises(ValueError):
         MCParams(chains=0)
     with pytest.raises(ValueError):
@@ -103,6 +108,72 @@ def test_detailed_balance_chi_square():
     expected = np.diff(np.interp(edges, theta, cdf)) * angles.size
     stat = np.sum((observed - expected) ** 2 / expected)
     assert stat < chi2.ppf(0.99, df=edges.size - 2)
+
+
+def test_replica_independent_of_its_batch():
+    # Each replica draws from its own generator a fixed number of times per
+    # sweep, so its series must not depend on which replicas run beside it.
+    geom = build_geometry(3, 2, "periodic")
+    params = MCParams(sweeps=50, thermalization=30, seed=4, chains=4)
+    seeds = _chain_seeds(params, salt=1)
+    betas = [0.3, 0.9, 1.4, 2.0]
+    for n in (1, 2):
+        def run(which):
+            return _run_replicas(geom, GroupSpec(n), [betas[i] for i in which],
+                                 [seeds[i] for i in which], params,
+                                 lambda batch: wilson_action(batch, geom)).series
+        batch = run([0, 1, 2, 3])
+        for i in (0, 2):
+            alone = run([i])
+            np.testing.assert_allclose(alone[0], batch[i], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_proposal_matches_expm(n):
+    # n = 2 is the closed form, n = 3 the eigh route.
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, np.pi, size=200)
+    x = rng.standard_normal((200, n * n))
+    x[0, :-1] = 0.0  # pure phase: identity direction only
+    x[1, -1] = 0.0  # traceless direction
+    got = _proposals(theta, x, n)
+    h = np.einsum("ca,aij->cij", x / np.linalg.norm(x, axis=1, keepdims=True),
+                  generator_basis(n))
+    for k in range(theta.size):
+        assert np.max(np.abs(got[k] - expm(1j * theta[k] * h[k]))) < 1e-13
+        assert unitarity_defect(got[k]) < 1e-13
+
+
+def test_u2_single_plaquette_matches_heine_oracle():
+    # d = 2, L = 2, free: one retained bond U driving one plaquette U_p = U,
+    # so <Re tr U_p> is the Haar average of sum_j cos(lam_j) under
+    # prod_j exp(2 beta cos lam_j), d/dt log Z(2 beta + t) at t = 0.
+    geom = build_geometry(2, 2, "free")
+    assert geom.retained.size == 1 and geom.n_plaquettes == 1
+    beta, group = 1.0, GroupSpec(2)
+    params = MCParams(sweeps=4000, thermalization=300, seed=8, chains=2)
+    mean_action, se = estimate_mean_action(geom, group, beta, params)
+    quad, t = QuadratureSpec(), 1e-4
+
+    def z(c):
+        return weyl_integrate(lambda lam: np.exp(c * np.cos(lam)), group, quad)
+
+    oracle = (z(2 * beta + t) - z(2 * beta - t)) / (2 * t * z(2 * beta))
+    sampled = group.n - mean_action / 2.0
+    assert abs(sampled - oracle) < 4 * se / 2.0
+
+
+def test_u3_chain_unitary_and_reproducible():
+    geom = build_geometry(3, 2, "periodic")
+    cp = CouplingSpec(d=3, a=1.0, g2=1.0)
+    params = MCParams(sweeps=40, thermalization=20, seed=6, chains=2)
+    first = sample_source_fields(geom, cp, GroupSpec(3), (0, 4), params)
+    second = sample_source_fields(geom, cp, GroupSpec(3), (0, 4), params)
+    assert first.series.shape == (2, 20, 2)
+    assert np.array_equal(first.series, second.series)
+    assert first.unitarity_defect == second.unitarity_defect < 1e-12
+    assert 0.0 < first.accept_min <= 1.0
+    assert np.any(first.series != 0.0)
 
 
 def test_log_z_d2_exactness(quad):

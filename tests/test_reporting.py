@@ -1,5 +1,6 @@
 """Tests for run configuration, report serialization, and the CLI."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -200,6 +201,28 @@ class TestCLI:
             errors = json.loads(line)["errors"]
             assert set(errors) == {"log_z_upper", "log_z_lower"}
             assert all(0.0 <= v < 1e-6 for v in errors.values())
+
+    def test_approx_covers_full_grid(self, tmp_path):
+        args = ["approx", "--N", "1,2", "--a", "1,0.5", "--g2", "0.5,1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        lines = (tmp_path / "approx.jsonl").read_text().splitlines()
+        grid = {(r["n"], r["a"], r["g2"]) for r in (json.loads(l)["inputs"] for l in lines)}
+        assert len(lines) == 8
+        assert grid == set(itertools.product((1, 2), (1.0, 0.5), (0.5, 1.0)))
+
+    @pytest.mark.parametrize("suite,per_point", [("stability", 1), ("genfun", 2)])
+    def test_mc_suites_cover_grid_with_diagnostics(self, suite, per_point, tmp_path):
+        args = [suite, "--L", "2", "--N", "1,2", "--g2", "2,4", "--seed", "2",
+                "--out", str(tmp_path)]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 200, "thermalization": 50}}))
+        assert main(args + ["--config", str(config)]) == 0
+        records = [json.loads(l) for l in (tmp_path / f"{suite}.jsonl").read_text().splitlines()]
+        assert len(records) == 4 * per_point
+        assert {r["inputs"]["n"] for r in records} == {1, 2}
+        for record in records:
+            assert 0.0 < record["values"]["accept_min"] <= 1.0
+            assert 0.0 <= record["values"]["unitarity_defect"] < 1e-12
 
     def test_config_file_with_overrides(self, tmp_path):
         config_path = tmp_path / "run.json"
