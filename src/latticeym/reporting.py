@@ -139,6 +139,16 @@ class RunConfig:
             first = errors[0]
             location = ".".join(str(p) for p in first.path) or "<root>"
             raise ConfigInvalid(f"{location}: {first.message}")
+        # JSON Schema bounds let NaN through, and +inf where no maximum is set.
+        numbers = [
+            (f"{key}.{i}", value)
+            for key in ("a", "g2")
+            for i, value in enumerate(data.get(key, ()))
+        ]
+        numbers += [("g0_sq", data["g0_sq"])] if "g0_sq" in data else []
+        for location, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigInvalid(f"{location}: {value!r} is not a finite number")
         mc_kwargs = dict(data.get("mc", {}))
         mc_kwargs.setdefault("seed", int(data.get("seed", 0)))
         quad_kwargs = dict(data.get("quadrature", {}))

@@ -20,11 +20,13 @@ exactly gives the equivalent Laplace representation
     C(n) = int_0^inf exp(-t r kappa^2) prod_mu ive(|n_mu|, 2 kappa^2 t) dt,
 
 where ``ive`` is the exponentially scaled modified Bessel function.  The
-momentum form is evaluated by tensor Gauss-Legendre quadrature and is the
-primary route for massive specs; the Laplace form is exact for every mass
-(including m_u = 0, d >= 3, where the momentum integrand has an integrable
-singularity that defeats fixed-order quadrature) and serves as the fallback
-whenever the two-resolution consistency check fails.
+Laplace form is the only route: it is exact for every mass (including
+m_u = 0, d >= 3, where the momentum integrand has an integrable singularity
+that defeats fixed-order quadrature), and every propagator, derivative
+correlation, coincident constant and decay-fit window is one adaptive
+integral of a Bessel product on [0, inf) whose convergence is checked.
+The tensor Gauss-Legendre evaluation of the momentum form is kept only as
+an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InfraredDivergent, RangeTooNoisy
+from .errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 
 __all__ = [
     "ScalarSpec",
-    "scaling_factor",
-    "kappa2",
     "scaled_propagator",
     "unscaled_propagator",
     "coincident_bound_constant",
@@ -54,14 +54,6 @@ __all__ = [
     "generating_function_bound",
 ]
 
-# Gauss-Legendre points per momentum axis for the full d-dimensional
-# integral, and for the (d-1)-dimensional transverse integral used by the
-# one-dimensional decay representation.
-_GL_POINTS = {2: 128, 3: 128, 4: 48}
-_GL_POINTS_REDUCED = {2: 192, 3: 192, 4: 64}
-
-_MOMENTUM_RTOL = 1e-6
-_MOMENTUM_ATOL = 1e-13
 _DECAY_FLOOR = 1e-14
 
 
@@ -110,22 +102,13 @@ class ScalarSpec:
 
     @property
     def s(self) -> float:
+        """Field rescaling s with phi_scaled = s * phi_unscaled."""
         return math.sqrt(self.s2)
 
     @property
     def kappa2(self) -> float:
         """Scaled hopping weight kappa^2 = 1 / (2 d + r); note 1 - 2 d kappa^2 = r kappa^2."""
         return 1.0 / (2.0 * self.d + self.r)
-
-
-def scaling_factor(spec: ScalarSpec) -> float:
-    """Field rescaling s with phi_scaled = s * phi_unscaled."""
-    return spec.s
-
-
-def kappa2(spec: ScalarSpec) -> float:
-    """Scaled hopping weight of the covariance kernel."""
-    return spec.kappa2
 
 
 def _separation(spec: ScalarSpec, x, y=None) -> tuple:
@@ -154,7 +137,11 @@ def _gl_rule(points: int):
 
 
 def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
-    """Tensor Gauss-Legendre evaluation of the scaled momentum integral."""
+    """Tensor Gauss-Legendre evaluation of the scaled momentum integral.
+
+    No package route calls this; it is the tests' independent oracle for
+    the Laplace-Bessel values at positive mass.
+    """
     d = len(n)
     q, w = _gl_rule(points)
     cos_q = np.cos(q)
@@ -183,39 +170,58 @@ def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
     return float(total / (2.0 * np.pi) ** d)
 
 
-def _laplace_value(spec: ScalarSpec, n: tuple) -> float:
-    """Laplace-Bessel evaluation of the scaled covariance; exact for all m_u >= 0."""
-    k2 = spec.kappa2
-    decay = spec.r * k2  # = 1 - 2 d kappa^2
-    orders = [abs(int(v)) for v in n]
+def _bessel_integrand(kappa_sq: float, decay: float, terms):
+    """t -> e^{-decay t} sum_c coefficient_c prod_mu ive(order_{c,mu}, 2 kappa^2 t).
+
+    ``terms`` holds (orders, coefficient) pairs with non-negative orders; an
+    order may be an array, which makes the integrand vector-valued.
+    """
 
     def integrand(t):
-        value = np.exp(-decay * t)
-        z = 2.0 * k2 * t
-        for order in orders:
-            value = value * special.ive(order, z)
-        return value
+        z = 2.0 * kappa_sq * t
+        total = 0.0
+        for orders, coefficient in terms:
+            term = coefficient
+            for order in orders:
+                term = term * special.ive(order, z)
+            total = total + term
+        return np.exp(-decay * t) * total
 
-    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+    return integrand
+
+
+def _laplace_quad(integrand, quantity: str, d: int, a, n, epsrel: float = 1e-11) -> float:
+    """Integrate a scalar Laplace-Bessel integrand over [0, inf) with QUADPACK.
+
+    Raises
+    ------
+    ResolutionTooLow
+        If QUADPACK reports no convergence or the value is not finite.
+    """
+    value, _, _, *failure = integrate.quad(
+        integrand, 0.0, np.inf, epsabs=1e-13, epsrel=epsrel, limit=400, full_output=1
+    )
+    if failure or not math.isfinite(value):
+        reason = failure[0] if failure else f"non-finite value {value}"
+        raise ResolutionTooLow(
+            f"{quantity} at d={d}, a={a}, separation {tuple(n)} did not converge: {reason}"
+        )
     return float(value)
+
+
+def _laplace_value(spec: ScalarSpec, n: tuple) -> float:
+    """Laplace-Bessel evaluation of the scaled covariance; exact for all m_u >= 0."""
+    orders = tuple(abs(int(v)) for v in n)
+    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
+    return _laplace_quad(integrand, "scaled propagator", spec.d, spec.a, n)
 
 
 @lru_cache(maxsize=4096)
 def _scaled_propagator_cached(spec: ScalarSpec, n: tuple) -> float:
-    if spec.m_u == 0.0:
-        if spec.d == 2:
-            raise InfraredDivergent(
-                "massless scaled propagator diverges logarithmically in two dimensions"
-            )
-        return _laplace_value(spec, n)
-    points = _GL_POINTS[spec.d]
-    coarse = max(8, (2 * points) // 3)
-    fine_value = _momentum_value(spec.kappa2, n, points)
-    coarse_value = _momentum_value(spec.kappa2, n, coarse)
-    if abs(fine_value - coarse_value) <= max(_MOMENTUM_ATOL, _MOMENTUM_RTOL * abs(fine_value)):
-        return fine_value
-    # Small r puts the integrand's peak near the quadrature resolution
-    # limit; switch to the Laplace representation, which has no such scale.
+    if spec.m_u == 0.0 and spec.d == 2:
+        raise InfraredDivergent(
+            "massless scaled propagator diverges logarithmically in two dimensions"
+        )
     return _laplace_value(spec, n)
 
 
@@ -233,6 +239,8 @@ def scaled_propagator(spec: ScalarSpec, x, y=None) -> float:
     ------
     InfraredDivergent
         For d = 2 with m_u = 0, where the integral diverges.
+    ResolutionTooLow
+        If the Laplace-Bessel integral does not converge.
     """
     n = _separation(spec, x, y)
     # The kernel is even in each component and symmetric under axis
@@ -259,10 +267,8 @@ def coincident_bound_constant(d: int) -> float:
         raise InfraredDivergent("massless coincident covariance diverges in two dimensions")
     if d not in (3, 4):
         raise ValueError(f"dimension must be 2, 3 or 4, got {d}")
-    value, _ = integrate.quad(
-        lambda t: special.ive(0.0, t / d) ** d, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400
-    )
-    return float(value)
+    integrand = _bessel_integrand(1.0 / (2 * d), 0.0, [((0,) * d, 1.0)])
+    return _laplace_quad(integrand, "massless coincident covariance", d, "any", (0,) * d, 1e-12)
 
 
 def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> float:
@@ -278,33 +284,20 @@ def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> flo
     if not (0 <= mu < d and 0 <= nu < d):
         raise ValueError(f"direction indices must lie in [0, {d}), got {mu}, {nu}")
     n = _separation(spec, x, y)
-    k2 = spec.kappa2
-    decay = spec.r * k2
 
     def shifted(base, axis, step):
         out = list(base)
         out[axis] += step
         return tuple(out)
 
+    vectors = [shifted(shifted(n, mu, 1), nu, -1), shifted(n, mu, 1), shifted(n, nu, -1), n]
     terms = [
-        (shifted(shifted(n, mu, 1), nu, -1), 1.0),
-        (shifted(n, mu, 1), -1.0),
-        (shifted(n, nu, -1), -1.0),
-        (n, 1.0),
+        (tuple(abs(v) for v in vector), coefficient)
+        for vector, coefficient in zip(vectors, (1.0, -1.0, -1.0, 1.0))
     ]
-
-    def integrand(t):
-        z = 2.0 * k2 * t
-        total = 0.0
-        for vector, coefficient in terms:
-            term = coefficient
-            for component in vector:
-                term = term * special.ive(abs(int(component)), z)
-            total += term
-        return np.exp(-decay * t) * total
-
-    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return float(value) / (spec.a**2 * spec.s2)
+    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, terms)
+    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", d, spec.a, n)
+    return value / (spec.a**2 * spec.s2)
 
 
 def mass_gap_formula(a, m_u, kappa_u):
@@ -321,39 +314,33 @@ def mass_gap(spec: ScalarSpec) -> float:
     return float(mass_gap_formula(spec.a, spec.m_u, spec.kappa_u))
 
 
-def _reduced_decay_values(spec: ScalarSpec, separations) -> np.ndarray:
-    """On-axis covariances C(n e_0) via the transverse-momentum representation.
+def _on_axis_values(spec: ScalarSpec, separations) -> np.ndarray:
+    """On-axis covariances C(n e_0) for a window of separations, in one integral.
 
-    Integrating out the longitudinal momentum by residues gives
+    The Laplace integrand ive(n, z) ive(0, z)^{d-1} e^{-r kappa^2 t} is
+    vector-valued in n, so one adaptive ``quad_vec`` call covers the window.
+    Its error target is relative to the largest covariance, but the
+    Gauss-Kronrod error of each component scales with that component: over
+    windows spanning up to 16 decades, every value measured within 5e-12
+    relative of a run at epsrel = 1e-14.
 
-        C(n e_0) = (2 pi)^{-(d-1)} int omega(q)^n / sqrt(A^2 - 4 kappa^4) d^{d-1} q,
-
-    A(q) = 1 - 2 kappa^2 sum_j cos q_j over the transverse components and
-    omega = (A - sqrt(A^2 - 4 kappa^4)) / (2 kappa^2) in (0, 1).  For m_u > 0
-    one has A > 2 kappa^2 pointwise, so the square root never vanishes and
-    tensor Gauss-Legendre converges at machine precision; powers of omega
-    handle arbitrarily large n without oscillatory integrals.
+    Raises
+    ------
+    RangeTooNoisy
+        If the integral does not converge or a value is not finite.
     """
-    k2 = spec.kappa2
-    d = spec.d
-    points = _GL_POINTS_REDUCED[d]
-    q, w = _gl_rule(points)
-    cos_q = np.cos(q)
-    dim = d - 1
-    cos_sum = np.zeros([points] * dim)
-    weight = np.ones([points] * dim)
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = points
-        shape = tuple(shape)
-        cos_sum = cos_sum + cos_q.reshape(shape)
-        weight = weight * w.reshape(shape)
-    big_a = 1.0 - 2.0 * k2 * cos_sum
-    disc = np.sqrt(big_a * big_a - 4.0 * k2 * k2)
-    omega = (big_a - disc) / (2.0 * k2)
-    kernel = weight / disc
-    values = [np.sum(kernel * omega ** int(n)) for n in separations]
-    return np.asarray(values) / (2.0 * np.pi) ** dim
+    ns = np.asarray(separations, dtype=float)
+    orders = (ns,) + (0,) * (spec.d - 1)
+    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
+    values, _, info = integrate.quad_vec(
+        integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, norm="max", full_output=True
+    )
+    if not info.success or not np.all(np.isfinite(values)):
+        raise RangeTooNoisy(
+            f"on-axis covariances at d={spec.d}, a={spec.a} in window "
+            f"[{ns[0]:g}, {ns[-1]:g}] did not converge: {info.message}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -407,7 +394,7 @@ def fit_decay_rate(
         raise ValueError(f"direction must lie in [0, {spec.d}), got {direction}")
 
     def attempt(ns: np.ndarray) -> DecayFit:
-        values = _reduced_decay_values(spec, ns)
+        values = _on_axis_values(spec, ns)
         if np.any(values < _DECAY_FLOOR):
             raise RangeTooNoisy(
                 f"covariance below {_DECAY_FLOOR:g} in window [{ns[0]}, {ns[-1]}]"

@@ -59,6 +59,21 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             RunConfig.from_mapping(mapping)
 
+    @pytest.mark.parametrize(
+        "mapping,location",
+        [
+            ({"a": [float("nan")]}, "a.0"),
+            ({"a": [0.5, float("nan")]}, "a.1"),
+            ({"g2": [float("nan")]}, "g2.0"),
+            ({"g2": [1.0, float("inf")]}, "g2.1"),
+            ({"g0_sq": float("nan")}, "g0_sq"),
+            ({"g0_sq": float("inf")}, "g0_sq"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, mapping, location):
+        with pytest.raises(ConfigInvalid, match=rf"^{location}: "):
+            RunConfig.from_mapping({"suite": "approx", **mapping})
+
     def test_mc_validation_is_routed(self):
         # schema-valid but rejected by the MC parameter invariants
         with pytest.raises(ConfigInvalid, match="beta_grid_points"):
@@ -180,6 +195,32 @@ class TestCLI:
         code = main([suite, "--g2", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "g0_sq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,location",
+        [
+            (["scalar", "--d", "3", "--a", "nan"], "a.0"),
+            (["approx", "--a", "nan"], "a.0"),
+            (["single-bond", "--g2", "nan"], "g2.0"),
+            (["single-bond", "--g2", "1,inf"], "g2.1"),
+        ],
+    )
+    def test_non_finite_number_exit_two(self, args, location, tmp_path, capsys):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert f"{location}: " in capsys.readouterr().err
+        assert not (tmp_path / f"{args[0]}.jsonl").exists()
+
+    def test_non_finite_ceiling_in_config_file_exit_two(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"suite": "single-bond", "g0_sq": float("nan")}))
+        assert main(["single-bond", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert "g0_sq: " in capsys.readouterr().err
+
+    def test_scalar_small_spacings_exit_zero(self, tmp_path):
+        # at d=4, a = 0.25 and 0.1 a fixed transverse momentum grid misses the 1% gate
+        assert main(["scalar", "--d", "4", "--a", "1,0.5,0.25,0.1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "scalar.jsonl").read_text().splitlines()
+        assert [json.loads(line)["verdict"] for line in lines] == ["pass"] * 4
 
     def test_weyl_check_rank_five_exit_zero(self, tmp_path):
         assert main(["weyl-check", "--N", "5", "--out", str(tmp_path)]) == 0

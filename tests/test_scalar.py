@@ -1,29 +1,31 @@
 """Tests for the free scalar field: propagators, derivatives, decay rates."""
 
 import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from latticeym.errors import InfraredDivergent, RangeTooNoisy
+from latticeym import scalar
+from latticeym.errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 from latticeym.scalar import (
     DecayFit,
     ScalarSpec,
+    _laplace_quad,
     _momentum_value,
-    _reduced_decay_values,
+    _on_axis_values,
     coincident_bound_constant,
     derivative_correlation,
     fit_decay_rate,
     gaussian_generating_function,
     generating_function_bound,
-    kappa2,
     mass_gap,
     mass_gap_formula,
     scaled_propagator,
-    scaling_factor,
     unscaled_propagator,
 )
 
@@ -37,6 +39,28 @@ COINCIDENT_D4 = 1.2394671218484816
 
 def spec_d3():
     return ScalarSpec(d=3, a=0.5, m_u=1.0, kappa_u=1.0)
+
+
+def mpmath_propagator(spec, n):
+    """Scaled covariance from mpmath quadrature of the Bessel product.
+
+    Uses besseli(n, z) e^{-z} at 20 digits, with a breakpoint per decade so
+    the slow massless tail is resolved.
+    """
+    with mpmath.workdps(20):
+        k2 = 1 / (2 * spec.d + mpmath.mpf(spec.r))
+        decay = mpmath.mpf(spec.r) * k2
+
+        def integrand(t):
+            z = 2 * k2 * t
+            scaled = {k: mpmath.besseli(k, z) * mpmath.exp(-z) for k in {abs(c) for c in n}}
+            value = mpmath.exp(-decay * t)
+            for component in n:
+                value *= scaled[abs(component)]
+            return value
+
+        breakpoints = [0] + [mpmath.mpf(10) ** k for k in range(9)] + [mpmath.inf]
+        return float(mpmath.quad(integrand, breakpoints))
 
 
 class TestSpecValidation:
@@ -59,12 +83,12 @@ class TestSpecValidation:
         # a^{d-2} (m_u^2 a^2 + 2 d kappa_u^2) at d=3, a=1/2, m_u=kappa_u=1
         spec = spec_d3()
         assert spec.s2 == pytest.approx(3.125, rel=1e-15)
-        assert scaling_factor(spec) == pytest.approx(math.sqrt(3.125), rel=1e-15)
+        assert spec.s == pytest.approx(math.sqrt(3.125), rel=1e-15)
 
     def test_hopping_weight_massless(self):
         for d in (2, 3, 4):
             spec = ScalarSpec(d=d, a=1.0, m_u=0.0, kappa_u=2.0)
-            assert kappa2(spec) == pytest.approx(1.0 / (2 * d), rel=1e-15)
+            assert spec.kappa2 == pytest.approx(1.0 / (2 * d), rel=1e-15)
 
     def test_hopping_weight_unit_ratio(self):
         spec = ScalarSpec(d=4, a=1.0, m_u=1.0, kappa_u=1.0)
@@ -180,6 +204,14 @@ class TestPropagator:
 
             lap, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-13, epsrel=1e-11)
             assert gl == pytest.approx(lap, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("m_u", [0.0, 1.0])
+    def test_matches_mpmath_bessel_oracle(self, d, m_u):
+        spec = ScalarSpec(d=d, a=0.5, m_u=m_u, kappa_u=1.0)
+        for n in [(0,) * d, (1,) + (0,) * (d - 1), (3, 2, 1) + (0,) * (d - 3)]:
+            expected = mpmath_propagator(spec, n)
+            assert scaled_propagator(spec, n) == pytest.approx(expected, rel=1e-10)
 
     def test_massless_coincident_d3_closed_form(self):
         # two independent routes: Laplace-Bessel integral and the classical
@@ -305,6 +337,15 @@ class TestDecayRate:
         assert fit.residual <= 1e-3
         assert fit.rate == pytest.approx(mass_gap(spec), rel=0.01)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("a", [0.25, 0.1, 0.05, 0.01])
+    def test_fitted_rate_matches_gap_small_spacing(self, d, a):
+        # d=4, a=0.25 is where a fixed transverse momentum grid was 1.33% off
+        spec = ScalarSpec(d=d, a=a, m_u=1.0, kappa_u=1.0)
+        fit = fit_decay_rate(spec)
+        assert fit.residual <= 1e-3
+        assert fit.rate == pytest.approx(mass_gap(spec), rel=0.01)
+
     def test_unit_parameters_frozen_rate(self):
         fit = fit_decay_rate(ScalarSpec(d=2, a=1.0, m_u=1.0, kappa_u=1.0))
         assert fit.rate == pytest.approx(MASS_GAP_UNIT, rel=0.01)
@@ -314,7 +355,7 @@ class TestDecayRate:
         spec = ScalarSpec(d=3, a=0.5, m_u=2.0, kappa_u=1.0)
         fit = fit_decay_rate(spec)
         ns = np.arange(fit.n_start, fit.n_stop + 1, dtype=float)
-        values = _reduced_decay_values(spec, ns) / spec.s2
+        values = _on_axis_values(spec, ns) / spec.s2
         y = -np.log(values) - 0.5 * (spec.d - 1) * np.log(ns)
         design = np.stack([ns * spec.a, np.ones(len(ns)), 1.0 / ns], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -323,7 +364,7 @@ class TestDecayRate:
 
     def test_reduced_representation_matches_propagator(self):
         spec = ScalarSpec(d=3, a=0.5, m_u=2.0, kappa_u=1.0)
-        values = _reduced_decay_values(spec, [3, 5])
+        values = _on_axis_values(spec, [3, 5])
         assert values[0] == pytest.approx(scaled_propagator(spec, (3, 0, 0)), rel=1e-10)
         assert values[1] == pytest.approx(scaled_propagator(spec, (5, 0, 0)), rel=1e-10)
 
@@ -342,6 +383,29 @@ class TestDecayRate:
         spec = ScalarSpec(d=3, a=1.0, m_u=2.0, kappa_u=1.0)
         with pytest.raises(RangeTooNoisy):
             fit_decay_rate(spec, n_range=range(40, 52))
+
+
+class TestConvergenceChecks:
+    def test_unconverged_integral_names_quantity(self):
+        # a constant integrand has no finite integral on [0, inf)
+        with pytest.raises(
+            ResolutionTooLow, match=r"scaled propagator at d=3, a=0.5, separation \(1, 0, 0\)"
+        ):
+            _laplace_quad(lambda t: 1.0, "scaled propagator", 3, 0.5, (1, 0, 0))
+
+    def test_non_finite_bessel_values_raise(self, monkeypatch):
+        nan_bessel = SimpleNamespace(ive=lambda order, z: np.full(np.shape(order), np.nan))
+        monkeypatch.setattr(scalar, "special", nan_bessel)
+        # a spacing no other test uses, so no cached value hides the route
+        spec = ScalarSpec(d=3, a=0.37, m_u=1.0, kappa_u=1.0)
+        with pytest.raises(ResolutionTooLow, match="scaled propagator at d=3, a=0.37"):
+            scaled_propagator(spec, (1, 0, 0))
+        with pytest.raises(ResolutionTooLow, match=r"derivative correlation \(0, 1\) at d=3"):
+            derivative_correlation(spec, 0, 1, (0, 0, 0))
+        with pytest.raises(ResolutionTooLow, match="massless coincident covariance at d=4"):
+            coincident_bound_constant.__wrapped__(4)
+        with pytest.raises(RangeTooNoisy, match=r"d=3, a=0.37 in window \[14, 25\]"):
+            fit_decay_rate(spec)
 
 
 class TestGeneratingFunction:
