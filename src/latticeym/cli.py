@@ -57,8 +57,7 @@ def _suite_group_check(config: RunConfig):
     for n in config.n_values:
         group = GroupSpec(n)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(n,)))
-        sample = haar_sample_batch(group, rng, 200)
-        max_defect = max(unitarity_defect(u) for u in sample)
+        max_defect = unitarity_defect(haar_sample_batch(group, rng, 200))
         violations, max_ratio = quadratic_bound_scan(group, rng, 20_000)
         passed = max_defect < 1e-10 and violations == 0
         records.append(

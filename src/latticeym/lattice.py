@@ -13,8 +13,8 @@ Gauge fixing uses the enhanced temporal gauge: bond b_k(x) is fixed to the
 identity iff x_j = 0 for every j < k and x_k <= L - 2.  Direction 0 gives the
 usual temporal gauge, the remaining directions add combs on the x^0 = 0
 boundary slab until the fixed set is a maximal tree (L^d - 1 bonds).  The
-builder verifies the tree property with a union-find pass rather than
-trusting the counting.
+builder verifies the tree property (L^d - 1 bonds forming one connected
+component) rather than trusting the counting.
 
 For Metropolis updates the builder also groups the retained bonds into
 checkerboard classes keyed by (direction mu, parity of sum(x) at the origin).
@@ -30,9 +30,11 @@ A_p = 2n - 2 Re tr(U_b M_p), as rows into the stacked table
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
-from .groups import unitarity_defect
+from .errors import InvalidLattice, ShapeMismatch
+from .groups import dagger, matmul, require_unitary
 
 # Staple leg recipe: for a bond sitting at position l of a plaquette, the
 # matrix M with Re tr(U_b M) = Re tr(U_p) is the ordered product of the other
@@ -41,27 +43,6 @@ from .groups import unitarity_defect
 # via Re tr(U^dag S) = Re tr(U S^dag).
 _STAPLE_LEGS = np.array([[1, 2, 3], [2, 3, 0], [1, 0, 3], [2, 1, 0]])
 _STAPLE_DAGS = np.array([[0, 1, 1], [1, 1, 0], [1, 1, 0], [0, 1, 1]])
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        """Join the classes of a and b; False if already joined (cycle)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 @dataclass
@@ -200,13 +181,7 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
             sel &= coords[bond_site, j] == 0
         fixed_mask |= (bond_dir == k) & sel
 
-    uf = _UnionFind(n_sites)
-    for b in np.flatnonzero(fixed_mask):
-        if not uf.union(int(bond_site[b]), int(bond_head[b])):
-            raise InvalidLattice("gauge-fixed set contains a cycle")
-    roots = {uf.find(s) for s in range(n_sites)}
-    if int(fixed_mask.sum()) != n_sites - 1 or len(roots) != 1:
-        raise InvalidLattice("gauge-fixed set is not a spanning tree")
+    _check_spanning_tree(n_sites, bond_site[fixed_mask], bond_head[fixed_mask])
 
     geom = LatticeGeometry(
         d=d, L=L, boundary=boundary, coords=coords,
@@ -215,6 +190,20 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
         plaq_nu=plaq_nu, plaq_legs=plaq_legs, fixed_mask=fixed_mask)
     _attach_update_tables(geom)
     return geom
+
+
+def _check_spanning_tree(n_sites: int, tails: np.ndarray, heads: np.ndarray) -> None:
+    """Raise InvalidLattice unless the bonds tails[i] -- heads[i] form a spanning tree.
+
+    A graph on n_sites vertices is a tree iff it has n_sites - 1 edges and
+    one connected component.
+    """
+    graph = coo_array((np.ones(tails.size), (tails, heads)), shape=(n_sites, n_sites))
+    components, _ = connected_components(graph, directed=False)
+    if tails.size != n_sites - 1 or components != 1:
+        raise InvalidLattice(
+            f"gauge-fixed set is not a spanning tree: {tails.size} bonds, "
+            f"{components} components on {n_sites} sites")
 
 
 def _attach_update_tables(geom: LatticeGeometry) -> None:
@@ -272,40 +261,11 @@ class GaugeConfig:
     def n(self) -> int:
         return self.u.shape[-1]
 
-    def copy(self) -> "GaugeConfig":
-        return GaugeConfig(self.u.copy())
-
-    def unitarity_defect(self) -> float:
-        """Largest Hilbert-Schmidt norm of U^dag U - 1 over all bond matrices."""
-        gram = matmul(dagger(self.u), self.u) - np.eye(self.n)
-        return float(np.sqrt(np.max(np.sum(np.abs(gram) ** 2, axis=(-2, -1)))))
-
-    def require_unitary(self, tol: float = 1e-10) -> None:
-        defect = self.unitarity_defect()
-        if defect > tol:
-            raise NonUnitaryInput(f"bond matrices drifted from unitarity by {defect:.3e}")
-
 
 def cold_start(geom: LatticeGeometry, n: int) -> GaugeConfig:
     u = np.broadcast_to(np.eye(n, dtype=np.complex128),
                         (geom.n_bonds, n, n)).copy()
     return GaugeConfig(u)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked matrix product a @ b, summed component-wise over the inner index.
-
-    For the 1x1 to 3x3 matrices of a lattice this is several times faster
-    than np.matmul, which dispatches one small product per matrix.
-    """
-    out = a[..., :, 0:1] * b[..., 0:1, :]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
-    return out
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def dagger_table(u: np.ndarray) -> np.ndarray:
@@ -370,9 +330,7 @@ def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
 def gauge_transform(config: GaugeConfig, geom: LatticeGeometry, site: int,
                     v: np.ndarray) -> GaugeConfig:
     """Apply U_b -> V U_b (b leaving `site`) and U_b -> U_b V^dag (b entering)."""
-    defect = unitarity_defect(v)
-    if defect > 1e-10:
-        raise NonUnitaryInput(f"gauge matrix defect {defect:.3e}")
+    v = require_unitary(v, 1e-10)
     out = config.u.copy()
     leaving = np.flatnonzero(geom.bond_site == site)
     entering = np.flatnonzero(geom.bond_head == site)

@@ -38,10 +38,10 @@ import numpy as np
 from .errors import (InvalidLattice, ShapeMismatch, StepTooLarge,
                      UnconvergedChain)
 from .factorized import lattice_counts
-from .groups import GroupSpec, generator_basis
+from .groups import (GroupSpec, dagger, matmul, unitarity_defect,
+                     unitary_from_coefficients)
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
-                      dagger, dagger_table, matmul, scaled_field_traces,
-                      wilson_action)
+                      dagger_table, scaled_field_traces, wilson_action)
 from .quadrature import QuadratureSpec
 from .single_bond import (CouplingSpec, z_lower, z_upper,
                           z_upper_source_envelope)
@@ -59,15 +59,19 @@ class MCParams:
     beta_grid_points: int = 17
 
     def __post_init__(self):
+        # Each message starts with the field it names, so a configuration
+        # error can prefix the path ("mc.epsilon: ...").
         if not 0.0 < self.epsilon <= np.pi:
-            raise ValueError(f"epsilon must lie in (0, pi], got {self.epsilon}")
+            raise ValueError(f"epsilon: must lie in (0, pi], got {self.epsilon}")
         if self.sweeps <= self.thermalization:
-            raise ValueError("sweeps must exceed thermalization (no measurement sweeps)")
+            raise ValueError(f"sweeps: must exceed thermalization ({self.thermalization}), "
+                             f"got {self.sweeps}; no sweep would be measured")
         if self.chains < 1:
-            raise ValueError("need at least one chain")
+            raise ValueError(f"chains: need at least one chain, got {self.chains}")
         if self.beta_grid_points < 3 or self.beta_grid_points % 2 == 0:
             # odd count so the half-resolution grid still ends at beta
-            raise ValueError("beta_grid_points must be odd and >= 3")
+            raise ValueError(
+                f"beta_grid_points: must be odd and >= 3, got {self.beta_grid_points}")
 
 
 def _proposals(theta, x, n):
@@ -92,9 +96,8 @@ def _proposals(theta, x, n):
         out[..., 1, 0] = s * (-x[..., 1] + 1j * x[..., 0])
         out[..., 1, 1] = c - 1j * s * x[..., 2]
         return np.exp(1j * h * x[..., 3])[..., None, None] * out
-    # No closed form beyond U(2): diagonalize H.
-    w, v = np.linalg.eigh(np.einsum("...a,aij->...ij", x, generator_basis(n)))
-    return matmul(v * np.exp(1j * theta[..., None] * w)[..., None, :], dagger(v))
+    # No closed form beyond U(2): diagonalize theta H.
+    return unitary_from_coefficients(theta[..., None] * x, GroupSpec(n))
 
 
 def _draws(rng, count, n):
@@ -192,7 +195,7 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
         samples.append(measure(batch))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=batch.unitarity_defect())
+                        unitarity_defect=unitarity_defect(batch.u))
 
 
 def _block_means(series, n_blocks=20):

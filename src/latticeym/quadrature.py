@@ -13,10 +13,10 @@ determinant of one-dimensional integrals,
 
 for any basis phi_j that is unit-triangular in the monomials e^{i j lam}
 (Gross & Witten, Phys. Rev. D 21, 446 (1980); Bars & Green, Phys. Rev. D 20,
-3311 (1979)).  The "tensor" method evaluates M with one composite
-Gauss-Legendre rule per entry.  Andreief's identity holds for any product
-measure, so this is the tensor-product rule over all N angles summed exactly,
-at a cost of n^2 one-dimensional sums instead of points^N grid points.
+3311 (1979)).  M is evaluated with one composite Gauss-Legendre rule per
+entry.  Andreief's identity holds for any product measure, so this is the
+tensor-product rule over all N angles summed exactly, at a cost of n^2
+one-dimensional sums instead of points^N grid points.
 
 For scale == 1 the basis is the Fourier basis e^{i j lam} and M is
 Toeplitz.  Large couplings concentrate the weight near the origin; `scale`
@@ -34,44 +34,40 @@ determinant keeps its digits up to rank 8.
 Moments of sum_j s(lam_j) under such a weight are Taylor coefficients of a
 source-deformed determinant (`weyl_moments`); the Gaussian reference
 integrals `i_beta` are Hankel and de Bruijn determinants of closed-form
-moments.  The sampling methods ("sobol", "monte-carlo") evaluate the product
-directly and serve as independent cross-checks.
+moments.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gamma, gammainc
 
 from .errors import ResolutionTooLow
-from .groups import GroupSpec, angular_eigenvalues_batch, haar_sample_batch
+from .groups import GroupSpec
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate Weyl-reduced integrals.
 
-    points is the Gauss-Legendre order per panel of the one-angle rule
-    (tensor method); rtol/atol bound the allowed disagreement between the
-    two internal resolutions before ResolutionTooLow is raised.
+    points is the Gauss-Legendre order per panel of the one-angle rule;
+    rtol/atol bound the allowed disagreement between the two internal
+    resolutions before ResolutionTooLow is raised.  `method` names the one
+    route, the Gauss-Legendre Heine determinant; it is a constant, not a
+    setting.
     """
 
-    method: str = "tensor"
+    method: ClassVar[str] = "tensor"
     points: int = 96
-    samples: int = 200_000
-    seed: int = 7
     rtol: float = 1e-6
     atol: float = 1e-13
 
     def __post_init__(self):
-        if self.method not in ("tensor", "sobol", "monte-carlo"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.points < 4:
-            raise ValueError("tensor quadrature needs at least 4 points per dimension")
-        if self.samples < 100:
-            raise ValueError("sampling methods need at least 100 samples")
+            raise ValueError(f"points: need at least 4 per panel, got {self.points}")
 
     @property
     def coarse_points(self) -> int:
@@ -184,12 +180,6 @@ def _checked(fine, coarse, quad, what, size=None):
     return err
 
 
-def _product_samples(w, lam):
-    """prod_j w(lam_j) for an (M, N) array of angle vectors."""
-    vals = np.asarray(w(lam.reshape(-1))).reshape(lam.shape)
-    return np.prod(vals, axis=-1)
-
-
 def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
                    scale: float = 1.0, cutoff: float | None = None,
                    split_origin: bool = False, return_error: bool = False):
@@ -202,47 +192,20 @@ def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
     weight is negligible beyond the cutoff.  split_origin places a panel
     boundary at 0 also when scale == 1, for weights with a kink there.
 
-    The tensor method runs at two resolutions and raises ResolutionTooLow if
-    they disagree beyond quad.rtol/atol; sampling methods return a standard
-    error instead of raising.
+    Runs at two resolutions and raises ResolutionTooLow if they disagree
+    beyond quad.rtol/atol.
     """
-    if quad.method == "tensor":
-        def value(points):
-            lam, weights, phi, factor = _heine_rule(group.n, points, scale, cutoff,
-                                                    split_origin)
-            vals = np.asarray(w(lam))
-            det = factor * np.linalg.det(_gram(phi, weights * vals))
-            # phi diag(w) phi^H is Hermitian for real w: its determinant is real.
-            return det if np.iscomplexobj(vals) else det.real
+    def value(points):
+        lam, weights, phi, factor = _heine_rule(group.n, points, scale, cutoff,
+                                                split_origin)
+        vals = np.asarray(w(lam))
+        det = factor * np.linalg.det(_gram(phi, weights * vals))
+        # phi diag(w) phi^H is Hermitian for real w: its determinant is real.
+        return det if np.iscomplexobj(vals) else det.real
 
-        fine, coarse = value(quad.points), value(quad.coarse_points)
-        err = float(_checked(fine, coarse, quad, "Heine determinant"))
-        return (fine, err) if return_error else fine
-
-    if quad.method == "monte-carlo":
-        rng = np.random.default_rng(np.random.SeedSequence(quad.seed))
-        u = haar_sample_batch(group, rng, quad.samples)
-        vals = _product_samples(w, angular_eigenvalues_batch(u))
-        mean = vals.mean()
-        se = float(np.std(vals) / np.sqrt(quad.samples))
-        mean = mean if np.iscomplexobj(vals) else float(mean)
-        return (mean, se) if return_error else mean
-
-    # Sobol points on the angle cube, density as importance weight.
-    from scipy.stats import qmc
-
-    n = group.n
-    sampler = qmc.Sobol(d=n, scramble=True, seed=quad.seed)
-    m = 1 << int(np.ceil(np.log2(quad.samples)))
-    lam = (2.0 * sampler.random(m) - 1.0) * np.pi
-    vals = _product_samples(w, lam) * vandermonde_density(lam)
-    scale_factor = (2.0 * np.pi) ** n / ensemble_constants(group).cue
-    full = vals.mean() * scale_factor
-    half = vals[: m // 2].mean() * scale_factor
-    err = abs(full - half)
-    if not np.iscomplexobj(vals):
-        full = float(full)
-    return (full, err) if return_error else full
+    fine, coarse = value(quad.points), value(quad.coarse_points)
+    err = float(_checked(fine, coarse, quad, "Heine determinant"))
+    return (fine, err) if return_error else fine
 
 
 def _series_moments(mats):
@@ -284,10 +247,10 @@ def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
     with coefficients the Heine matrices of w s^k / k!.  Returns a real
     array when w and s are real.
 
-    Runs at two resolutions like `weyl_integrate` (tensor method only).  The
-    k-th moment is checked against rtol times its own size or m_2^(k/2),
-    whichever is larger, so odd moments that vanish by symmetry are held to
-    the rounding level of their even neighbours rather than to zero.
+    Runs at two resolutions like `weyl_integrate`.  The k-th moment is
+    checked against rtol times its own size or m_2^(k/2), whichever is
+    larger, so odd moments that vanish by symmetry are held to the rounding
+    level of their even neighbours rather than to zero.
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")

@@ -96,7 +96,6 @@ RUN_CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "points": {"type": "integer", "minimum": 8},
-                "samples": {"type": "integer", "minimum": 100},
                 "rtol": {"type": "number", "exclusiveMinimum": 0},
                 "atol": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -151,12 +150,14 @@ class RunConfig:
                 raise ConfigInvalid(f"{location}: {value!r} is not a finite number")
         mc_kwargs = dict(data.get("mc", {}))
         mc_kwargs.setdefault("seed", int(data.get("seed", 0)))
-        quad_kwargs = dict(data.get("quadrature", {}))
         try:
             mc = MCParams(**mc_kwargs)
-            quadrature = QuadratureSpec(**quad_kwargs)
         except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+            raise ConfigInvalid(f"mc.{exc}") from exc
+        try:
+            quadrature = QuadratureSpec(**data.get("quadrature", {}))
+        except ValueError as exc:
+            raise ConfigInvalid(f"quadrature.{exc}") from exc
         return cls(
             suite=data["suite"],
             n_values=tuple(int(v) for v in data.get("n", (1,))),
@@ -191,7 +192,6 @@ class RunConfig:
             },
             "quadrature": {
                 "points": self.quadrature.points,
-                "samples": self.quadrature.samples,
                 "rtol": self.quadrature.rtol,
                 "atol": self.quadrature.atol,
             },

@@ -190,8 +190,24 @@ def _bessel_integrand(kappa_sq: float, decay: float, terms):
     return integrand
 
 
-def _laplace_quad(integrand, quantity: str, d: int, a, n, epsrel: float = 1e-11) -> float:
+def _peak_time(spec: ScalarSpec, n: tuple) -> float:
+    """Laplace time |n|^2 / (2 d kappa^2) of the integrand's peak, at least 1.
+
+    For large z, ive(k, z) ~ exp(-k^2 / 2z) / sqrt(2 pi z), so the Bessel
+    product peaks near z = 2 kappa^2 t = |n|^2 / d.
+    """
+    return max(1.0, sum(v * v for v in n) / (2.0 * spec.d * spec.kappa2))
+
+
+def _laplace_quad(integrand, quantity: str, d: int, a, n, epsrel: float = 1e-11,
+                  scale: float = 1.0) -> float:
     """Integrate a scalar Laplace-Bessel integrand over [0, inf) with QUADPACK.
+
+    The integral runs in s = t / scale with the absolute tolerance scaled to
+    match.  At far separations the integrand's mass sits near t ~ |n|^2,
+    where the first panels of the mapped interval see almost nothing of it;
+    unscaled, QUADPACK reports convergence on values that are wrong by many
+    orders of magnitude.
 
     Raises
     ------
@@ -199,21 +215,23 @@ def _laplace_quad(integrand, quantity: str, d: int, a, n, epsrel: float = 1e-11)
         If QUADPACK reports no convergence or the value is not finite.
     """
     value, _, _, *failure = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=1e-13, epsrel=epsrel, limit=400, full_output=1
+        lambda s: integrand(scale * s), 0.0, np.inf, epsabs=1e-13 / scale, epsrel=epsrel,
+        limit=400, full_output=1,
     )
     if failure or not math.isfinite(value):
         reason = failure[0] if failure else f"non-finite value {value}"
         raise ResolutionTooLow(
             f"{quantity} at d={d}, a={a}, separation {tuple(n)} did not converge: {reason}"
         )
-    return float(value)
+    return scale * float(value)
 
 
 def _laplace_value(spec: ScalarSpec, n: tuple) -> float:
     """Laplace-Bessel evaluation of the scaled covariance; exact for all m_u >= 0."""
     orders = tuple(abs(int(v)) for v in n)
     integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
-    return _laplace_quad(integrand, "scaled propagator", spec.d, spec.a, n)
+    return _laplace_quad(integrand, "scaled propagator", spec.d, spec.a, n,
+                         scale=_peak_time(spec, n))
 
 
 @lru_cache(maxsize=4096)
@@ -296,7 +314,8 @@ def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> flo
         for vector, coefficient in zip(vectors, (1.0, -1.0, -1.0, 1.0))
     ]
     integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, terms)
-    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", d, spec.a, n)
+    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", d, spec.a, n,
+                          scale=_peak_time(spec, n))
     return value / (spec.a**2 * spec.s2)
 
 

@@ -4,18 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import (GroupSpec, angular_eigenvalues, generator_basis,
-                              haar_sample, haar_sample_batch, log_map,
-                              plaquette_action, plaquette_product,
-                              quadratic_bound_check, quadratic_bound_scan,
-                              unitary_from_coefficients, unitarity_defect)
+                              haar_sample_batch, log_map, quadratic_bound_scan,
+                              quadratic_bound_sides, unitary_from_coefficients,
+                              unitarity_defect)
+from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
 
 from conftest import tensor_weyl
 
 
 def test_haar_sample_deterministic():
     g = GroupSpec(1)
-    u1 = haar_sample(g, np.random.default_rng(42))
-    u2 = haar_sample(g, np.random.default_rng(42))
+    u1 = haar_sample_batch(g, np.random.default_rng(42), 1)[0]
+    u2 = haar_sample_batch(g, np.random.default_rng(42), 1)[0]
     assert u1 == pytest.approx(u2, abs=0)
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
 
@@ -25,6 +25,15 @@ def test_haar_sample_unitary(n, rng):
     us = haar_sample_batch(GroupSpec(n), rng, 200)
     for u in us:
         assert unitarity_defect(u) < 1e-12
+
+
+def test_unitarity_defect_is_largest_per_matrix_norm(rng):
+    us = haar_sample_batch(GroupSpec(2), rng, 5)
+    us[1] *= 1.0 + 1e-6
+    us[3] *= 1.0 + 3e-6
+    norms = [np.linalg.norm(u.conj().T @ u - np.eye(2)) for u in us]
+    assert unitarity_defect(us) == pytest.approx(max(norms), rel=1e-9)
+    assert unitarity_defect(us.reshape(5, 1, 2, 2)) == unitarity_defect(us)
 
 
 def test_haar_moments_match_weyl_oracle(rng):
@@ -90,7 +99,7 @@ def test_log_map_basis_direction():
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_log_map_round_trip(n, seed):
     g = GroupSpec(n)
-    u = haar_sample(g, np.random.default_rng(seed))
+    u = haar_sample_batch(g, np.random.default_rng(seed), 1)[0]
     coeffs = log_map(u)
     assert np.linalg.norm(unitary_from_coefficients(coeffs, g) - u) < 1e-10
     # Coefficient norm equals the angular norm and respects the branch cap.
@@ -108,10 +117,19 @@ def test_non_unitary_input_rejected():
         angular_eigenvalues(np.ones((2, 3)))
 
 
+def plaquette_action(*us):
+    """Wilson action of the one plaquette of the d=2, L=2 free lattice, whose
+    legs U1 U2 U3^dag U4^dag are bonds plaq_legs[0]."""
+    geom = build_geometry(2, 2, "free")
+    u = np.empty((geom.n_bonds,) + np.shape(us[0]), dtype=complex)
+    u[geom.plaq_legs[0]] = us
+    return wilson_action(GaugeConfig(u), geom)
+
+
 def test_plaquette_action_matches_hs_norm(rng):
     g = GroupSpec(3)
     us = haar_sample_batch(g, rng, 4)
-    up = plaquette_product(*us)
+    up = us[0] @ us[1] @ us[2].conj().T @ us[3].conj().T
     hs = np.linalg.norm(up - np.eye(3)) ** 2
     assert plaquette_action(*us) == pytest.approx(hs, rel=1e-12)
     assert plaquette_action(*us) >= 0.0
@@ -136,11 +154,12 @@ def test_plaquette_action_ordering_invariance(rng):
 
 
 def test_quadratic_bound_abelian_example():
-    us = [np.array([[np.exp(1j * t)]]) for t in (0.3, 0.2, 0.1, 0.1)]
-    check = quadratic_bound_check(us, GroupSpec(1))
-    assert check.lhs == pytest.approx(2.0 * (1.0 - np.cos(0.3)), rel=1e-12)
-    assert check.rhs == pytest.approx(4.0 * (0.09 + 0.04 + 0.01 + 0.01), rel=1e-12)
-    assert check.holds
+    us = np.array([[[np.exp(1j * t)]] for t in (0.3, 0.2, 0.1, 0.1)])
+    lhs, rhs = quadratic_bound_sides(us, GroupSpec(1))
+    assert lhs == pytest.approx(2.0 * (1.0 - np.cos(0.3)), rel=1e-12)
+    assert lhs == pytest.approx(plaquette_action(*us), rel=1e-12)
+    assert rhs == pytest.approx(4.0 * (0.09 + 0.04 + 0.01 + 0.01), rel=1e-12)
+    assert lhs <= rhs
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,20 +167,34 @@ def test_quadratic_bound_abelian_example():
 def test_quadratic_bound_random(n, k, seed):
     g = GroupSpec(n)
     local = np.random.default_rng(seed)
-    us = list(haar_sample_batch(g, local, k))
-    check = quadratic_bound_check(us, g)
-    assert check.lhs <= check.rhs + 1e-10
+    us = haar_sample_batch(g, local, k)
+    lhs, rhs = quadratic_bound_sides(us, g)
+    assert lhs <= rhs + 1e-10
+    # One tuple alone and inside a stack give the same sides.
+    stacked = quadratic_bound_sides(np.stack([us, us]), g)
+    assert np.all(stacked[0] == lhs) and np.all(stacked[1] == rhs)
 
 
 def test_quadratic_bound_near_identity():
     # Small angles: lhs approaches |sum x|^2-type size, safely below k n sum.
     g = GroupSpec(2)
     eps = 1e-3
-    us = [unitary_from_coefficients(eps * np.array([1.0, 0.5, -0.25, 0.1]), g)
-          for _ in range(4)]
-    check = quadratic_bound_check(us, g)
-    assert check.holds
-    assert check.lhs < 0.5 * check.rhs
+    u = unitary_from_coefficients(eps * np.array([1.0, 0.5, -0.25, 0.1]), g)
+    lhs, rhs = quadratic_bound_sides(np.stack([u] * 4), g)
+    assert lhs <= rhs
+    assert lhs < 0.5 * rhs
+
+
+def test_unitary_from_coefficients_batched(rng):
+    g = GroupSpec(3)
+    coeffs = rng.standard_normal((2, 5, g.dim))
+    us = unitary_from_coefficients(coeffs, g)
+    assert us.shape == (2, 5, 3, 3)
+    assert unitarity_defect(us) < 1e-13
+    assert np.allclose(us[1, 2], unitary_from_coefficients(coeffs[1, 2], g), rtol=0, atol=1e-13)
+    angles = angular_eigenvalues(us)
+    assert angles.shape == (2, 5, 3)
+    assert np.allclose(angles[1, 2], angular_eigenvalues(us[1, 2]), rtol=0, atol=1e-13)
 
 
 def test_quadratic_bound_scan_no_violations(rng):

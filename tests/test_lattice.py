@@ -6,9 +6,10 @@ import pytest
 
 from latticeym.errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from latticeym.factorized import lattice_counts
-from latticeym.groups import GroupSpec, haar_sample
-from latticeym.lattice import (GaugeConfig, build_geometry, cold_start,
-                               dagger_table, gauge_transform, matmul,
+from latticeym.groups import (GroupSpec, haar_sample_batch, matmul, require_unitary,
+                              unitarity_defect)
+from latticeym.lattice import (GaugeConfig, _check_spanning_tree, build_geometry,
+                               cold_start, dagger_table, gauge_transform,
                                plaquette_products, scaled_field_traces,
                                wilson_action)
 from latticeym.single_bond import CouplingSpec
@@ -20,7 +21,7 @@ def random_config(geom, n, rng, include_fixed=False):
     cfg = cold_start(geom, n)
     bonds = range(geom.n_bonds) if include_fixed else geom.retained
     for b in bonds:
-        cfg.u[b] = haar_sample(GroupSpec(n), rng)
+        cfg.u[b] = haar_sample_batch(GroupSpec(n), rng, 1)[0]
     return cfg
 
 
@@ -53,7 +54,8 @@ def test_periodic_counts(d, L):
 @pytest.mark.parametrize("d,L", GRID)
 @pytest.mark.parametrize("boundary", ["free", "periodic"])
 def test_fixed_set_is_spanning_tree(d, L, boundary):
-    # Independent of the builder's own union-find: BFS over fixed bonds.
+    # Independent of the builder's own connected-components check: BFS over
+    # fixed bonds.
     geom = build_geometry(d, L, boundary)
     fixed = np.flatnonzero(geom.fixed_mask)
     assert fixed.size == geom.n_sites - 1
@@ -72,6 +74,16 @@ def test_fixed_set_is_spanning_tree(d, L, boundary):
                     nxt.append(t)
         frontier = nxt
     assert len(seen) == geom.n_sites  # connected + right edge count => tree
+
+
+def test_spanning_tree_check_rejects_cycle_and_forest():
+    # Four sites: a triangle with site 3 left out has the tree's edge count
+    # but two components; two disjoint edges are a forest one edge short.
+    _check_spanning_tree(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    with pytest.raises(InvalidLattice, match="spanning tree"):
+        _check_spanning_tree(4, np.array([0, 1, 2]), np.array([1, 2, 0]))
+    with pytest.raises(InvalidLattice, match="spanning tree"):
+        _check_spanning_tree(4, np.array([0, 2]), np.array([1, 3]))
 
 
 def test_d2_comb_structure():
@@ -166,7 +178,7 @@ def test_identity_config_zero_action(boundary):
     geom = build_geometry(3, 2, boundary)
     cfg = cold_start(geom, 2)
     assert wilson_action(cfg, geom) == 0.0
-    assert cfg.unitarity_defect() == 0.0
+    assert unitarity_defect(cfg.u) == 0.0
 
 
 def test_single_bond_contribution_d2():
@@ -190,7 +202,7 @@ def test_action_nonnegative_and_gauge_invariant(rng):
     base = wilson_action(cfg, geom)
     assert base >= 0.0
     for site in (0, 3, 7):
-        v = haar_sample(GroupSpec(2), rng)
+        v = haar_sample_batch(GroupSpec(2), rng, 1)[0]
         transformed = gauge_transform(cfg, geom, site, v)
         assert wilson_action(transformed, geom) == pytest.approx(base, abs=1e-10)
         # field traces are gauge invariant too
@@ -223,7 +235,7 @@ def test_require_unitary_flags_drift():
     cfg = cold_start(geom, 1)
     cfg.u[0] *= 1.0 + 1e-6
     with pytest.raises(NonUnitaryInput):
-        cfg.require_unitary()
+        require_unitary(cfg.u, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -286,4 +298,4 @@ def test_batched_config_matches_each_replica(rng):
         assert actions[r] == pytest.approx(wilson_action(cfg, geom), rel=1e-14)
         assert np.allclose(traces[r], scaled_field_traces(cfg, geom, cp, [0, 5]),
                            rtol=1e-14, atol=0)
-    assert batch.unitarity_defect() < 1e-12
+    assert unitarity_defect(batch.u) < 1e-12

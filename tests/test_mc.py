@@ -72,7 +72,7 @@ def test_sweep_preserves_unitarity():
     rng = np.random.default_rng(7)
     for _ in range(200):
         metropolis_sweep(cfg, geom, 0.8, 0.9, rng, GroupSpec(2))
-    assert cfg.unitarity_defect() < 1e-12
+    assert unitarity_defect(cfg.u) < 1e-12
 
 
 def test_mean_action_matches_quadrature():

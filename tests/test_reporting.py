@@ -76,7 +76,7 @@ class TestRunConfig:
 
     def test_mc_validation_is_routed(self):
         # schema-valid but rejected by the MC parameter invariants
-        with pytest.raises(ConfigInvalid, match="beta_grid_points"):
+        with pytest.raises(ConfigInvalid, match=r"^mc\.beta_grid_points: "):
             RunConfig.from_mapping({"suite": "stability", "mc": {"beta_grid_points": 4}})
 
     def test_round_trip_through_mapping(self):
@@ -187,6 +187,18 @@ class TestCLI:
         code = main(["stability", "--L", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "L" in capsys.readouterr().err
+        # Schema-valid values that break a parameter invariant name their field.
+        config_path = tmp_path / "run.json"
+        for mc, location in [
+            ({"epsilon": 4.0}, "mc.epsilon: "),
+            ({"beta_grid_points": 4}, "mc.beta_grid_points: "),
+            ({"sweeps": 100, "thermalization": 100}, "mc.sweeps: "),
+        ]:
+            config_path.write_text(json.dumps({"suite": "stability", "mc": mc}))
+            code = main(["stability", "--config", str(config_path), "--out", str(tmp_path)])
+            assert code == 2
+            assert f"invalid configuration -- {location}" in capsys.readouterr().err
+        assert not (tmp_path / "stability.jsonl").exists()
 
     @pytest.mark.parametrize("suite", ["single-bond", "approx", "stability", "genfun"])
     def test_coupling_above_ceiling_exit_two(self, suite, tmp_path, capsys):

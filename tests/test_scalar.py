@@ -209,9 +209,14 @@ class TestPropagator:
     @pytest.mark.parametrize("m_u", [0.0, 1.0])
     def test_matches_mpmath_bessel_oracle(self, d, m_u):
         spec = ScalarSpec(d=d, a=0.5, m_u=m_u, kappa_u=1.0)
-        for n in [(0,) * d, (1,) + (0,) * (d - 1), (3, 2, 1) + (0,) * (d - 3)]:
-            expected = mpmath_propagator(spec, n)
-            assert scaled_propagator(spec, n) == pytest.approx(expected, rel=1e-10)
+        cases = [(spec, n) for n in [(0,) * d, (1,) + (0,) * (d - 1), (3, 2, 1) + (0,) * (d - 3)]]
+        if d == 4:
+            # Far separations, where the integrand peaks near t = |n|^2 / (2 d kappa^2).
+            far = ScalarSpec(d=4, a=0.01, m_u=1.0, kappa_u=1.0) if m_u else spec
+            cases += [(far, (n, 0, 0, 0)) for n in (100, 500)]
+        for case, n in cases:
+            expected = mpmath_propagator(case, n)
+            assert scaled_propagator(case, n) == pytest.approx(expected, rel=1e-10)
 
     def test_massless_coincident_d3_closed_form(self):
         # two independent routes: Laplace-Bessel integral and the classical
@@ -296,22 +301,23 @@ class TestDerivativeCorrelation:
 
     def test_matches_propagator_difference(self):
         # independent route: assemble the same object from four massive
-        # propagators evaluated through the momentum quadrature
-        spec = spec_d3()
-        mu, nu, n = 0, 1, (1, 1, 0)
-
+        # propagators, near and at a far separation (d = 4, small spacing)
         def shift(v, axis, step):
             out = list(v)
             out[axis] += step
             return tuple(out)
 
-        combo = (
-            scaled_propagator(spec, shift(shift(n, mu, 1), nu, -1))
-            - scaled_propagator(spec, shift(n, mu, 1))
-            - scaled_propagator(spec, shift(n, nu, -1))
-            + scaled_propagator(spec, n)
-        ) / (spec.a**2 * spec.s2)
-        assert derivative_correlation(spec, mu, nu, n) == pytest.approx(combo, rel=1e-8)
+        for spec, mu, nu, n in [
+            (spec_d3(), 0, 1, (1, 1, 0)),
+            (ScalarSpec(d=4, a=0.01, m_u=1.0, kappa_u=1.0), 0, 0, (100, 0, 0, 0)),
+        ]:
+            combo = (
+                scaled_propagator(spec, shift(shift(n, mu, 1), nu, -1))
+                - scaled_propagator(spec, shift(n, mu, 1))
+                - scaled_propagator(spec, shift(n, nu, -1))
+                + scaled_propagator(spec, n)
+            ) / (spec.a**2 * spec.s2)
+            assert derivative_correlation(spec, mu, nu, n) == pytest.approx(combo, rel=1e-8)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +373,12 @@ class TestDecayRate:
         values = _on_axis_values(spec, [3, 5])
         assert values[0] == pytest.approx(scaled_propagator(spec, (3, 0, 0)), rel=1e-10)
         assert values[1] == pytest.approx(scaled_propagator(spec, (5, 0, 0)), rel=1e-10)
+        # Far separations at d = 4, small spacing and massless.
+        for spec in (ScalarSpec(d=4, a=0.01, m_u=1.0, kappa_u=1.0),
+                     ScalarSpec(d=4, a=0.5, m_u=0.0, kappa_u=1.0)):
+            values = _on_axis_values(spec, [100, 500])
+            for n, value in zip((100, 500), values):
+                assert scaled_propagator(spec, (n, 0, 0, 0)) == pytest.approx(value, rel=1e-10)
 
     def test_requires_positive_mass(self):
         with pytest.raises(ValueError):
