@@ -25,10 +25,6 @@ class UnconvergedChain(LatticeYMError):
     """Independent Markov chains disagree beyond their pooled error."""
 
 
-class StepTooLarge(LatticeYMError):
-    """A finite-difference step failed its Richardson consistency check."""
-
-
 class RangeTooNoisy(LatticeYMError):
     """No fit window satisfied the residual requirement."""
 

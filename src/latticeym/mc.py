@@ -8,11 +8,12 @@ or of the normalized generating function
 
     G(J) = < exp(sum_j J_j tr M(p_j)) >_beta   (ratio/reweighting form),
 
-both with error bars assembled from blocked per-chain variances plus a
-deterministic refinement term (grid halving for the integral, Richardson
-step halving for derivatives).  The stability and generating-function
-verdicts compare these estimates against the single-bond quadrature bounds
-with 3 sigma cushions.
+both with error bars from blocked per-chain variances (`_chain_mean`, the
+one estimator of every Monte Carlo mean), plus a grid-halving term for the
+integral.  Plaquette correlations, the derivatives of G at J = 0, are the
+sample moments <t_1 ... t_r> of the same chains.  The stability and
+generating-function verdicts compare these estimates against the
+single-bond quadrature bounds with 3 sigma cushions.
 
 One sampler drives every chain: the state of R replicas (every beta point
 and chain of a thermodynamic integration, or the chains of one estimate) is
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidLattice, ShapeMismatch, StepTooLarge,
-                     UnconvergedChain)
+from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
 from .groups import (GroupSpec, dagger, matmul, unitarity_defect,
                      unitary_from_coefficients)
@@ -63,9 +63,10 @@ class MCParams:
         # error can prefix the path ("mc.epsilon: ...").
         if not 0.0 < self.epsilon <= np.pi:
             raise ValueError(f"epsilon: must lie in (0, pi], got {self.epsilon}")
-        if self.sweeps <= self.thermalization:
-            raise ValueError(f"sweeps: must exceed thermalization ({self.thermalization}), "
-                             f"got {self.sweeps}; no sweep would be measured")
+        if self.sweeps - self.thermalization < 2:
+            # the fewest measurements the blocked error can use
+            raise ValueError(f"sweeps: must exceed thermalization ({self.thermalization}) "
+                             f"by at least 2, got {self.sweeps}")
         if self.chains < 1:
             raise ValueError(f"chains: need at least one chain, got {self.chains}")
         if self.beta_grid_points < 3 or self.beta_grid_points % 2 == 0:
@@ -198,15 +199,11 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
                         unitarity_defect=unitarity_defect(batch.u))
 
 
-def _block_means(series, n_blocks=20):
-    series = np.asarray(series, dtype=np.float64)
+def _blocked_se(series, n_blocks=20):
+    """Standard error of the mean of a real series from up to 20 block means."""
     n_blocks = min(n_blocks, max(2, series.size // 5))
     usable = (series.size // n_blocks) * n_blocks
-    return series[:usable].reshape(n_blocks, -1).mean(axis=1)
-
-
-def _blocked_se(series, n_blocks=20):
-    blocks = _block_means(series, n_blocks)
+    blocks = series[:usable].reshape(n_blocks, -1).mean(axis=1)
     return float(np.std(blocks, ddof=1) / np.sqrt(blocks.size))
 
 
@@ -215,26 +212,26 @@ def _chain_seeds(params, salt):
     return root.spawn(params.chains)
 
 
-def _action_series(geom, group, betas, seeds, params) -> ChainSamples:
-    return _run_replicas(geom, group, betas, seeds, params,
-                         lambda batch: wilson_action(batch, geom))
-
-
 def _chain_mean(series):
     """Mean over chains of per-chain means, with a blocked standard error.
 
-    Chains are compared pairwise; a discrepancy beyond 5 sigma raises
-    UnconvergedChain rather than silently averaging over a stuck chain.
+    `series` is a (chains, meas) array, real or complex; the error of a
+    chain is the hypot of the blocked errors of its real and imaginary
+    parts.  Chains are compared pairwise; a discrepancy beyond 5 sigma
+    (plus 1e-12 for rounding when every error is 0) raises UnconvergedChain
+    rather than silently averaging over a stuck chain.  Returns a Python
+    float or complex mean and a float error.
     """
     means = series.mean(axis=1)
-    ses = np.array([_blocked_se(chain) for chain in series])
+    ses = np.array([np.hypot(_blocked_se(chain.real), _blocked_se(chain.imag))
+                    for chain in series])
     if means.size > 1:
         spread = np.abs(means[:, None] - means[None, :])
         tol = 5.0 * np.sqrt(ses[:, None] ** 2 + ses[None, :] ** 2)
-        if np.any(spread > tol):
+        if np.any(spread > tol + 1e-12):
             raise UnconvergedChain(
                 f"chain means {means} disagree beyond 5 sigma (se {ses})")
-    return float(means.mean()), float(np.sqrt(np.sum(ses**2)) / len(ses))
+    return means.mean().item(), float(np.sqrt(np.sum(ses**2)) / len(ses))
 
 
 def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
@@ -244,8 +241,9 @@ def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
     The chains run as one replica batch; see `_chain_mean` for the
     cross-chain check.
     """
-    samples = _action_series(geom, group, [beta] * params.chains,
-                             _chain_seeds(params, salt), params)
+    samples = _run_replicas(geom, group, [beta] * params.chains,
+                            _chain_seeds(params, salt), params,
+                            lambda batch: wilson_action(batch, geom))
     return _chain_mean(samples.series)
 
 
@@ -276,7 +274,8 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
     grid = np.linspace(0.0, beta, params.beta_grid_points)
     betas = np.repeat(grid[1:], params.chains)
     seeds = [seed for i in range(1, grid.size) for seed in _chain_seeds(params, salt=i)]
-    samples = _action_series(geom, group, betas, seeds, params)
+    samples = _run_replicas(geom, group, betas, seeds, params,
+                            lambda batch: wilson_action(batch, geom))
     per_point = samples.series.reshape(grid.size - 1, params.chains, -1)
     means = [2.0 * group.n * geom.n_plaquettes]
     errors = [0.0]
@@ -375,19 +374,17 @@ class SourceSpec:
     def r(self) -> int:
         return len(self.plaquettes)
 
-    def validate_against(self, geom: LatticeGeometry) -> None:
-        for p in self.plaquettes:
-            if not 0 <= p < geom.n_plaquettes:
-                raise InvalidLattice(f"plaquette index {p} outside geometry")
-
 
 def sample_source_fields(geom: LatticeGeometry, coupling: CouplingSpec,
                          group: GroupSpec, plaquettes, params: MCParams) -> ChainSamples:
     """Samples of tr M over the given plaquettes: series of shape (chains, meas, r).
 
-    Sampling once and reusing the draws for every source strength keeps the
-    finite-difference derivatives on common random numbers.
+    Every index must lie in [0, n_plaquettes), else InvalidLattice.
     """
+    outside = [p for p in plaquettes if not 0 <= p < geom.n_plaquettes]
+    if outside:
+        raise InvalidLattice(f"plaquette indices {outside} outside "
+                             f"[0, {geom.n_plaquettes}) of this geometry")
     indices = np.asarray(plaquettes)
     return _run_replicas(
         geom, group, [coupling.beta] * params.chains, _chain_seeds(params, salt=101),
@@ -396,28 +393,14 @@ def sample_source_fields(geom: LatticeGeometry, coupling: CouplingSpec,
 
 def generating_function_from_samples(chains, strengths):
     """Mean and blocked error of exp(sum_j J_j t_j) over stored samples."""
-    strengths = np.asarray(strengths, dtype=np.complex128)
-    values, errs = [], []
-    for series in chains:
-        w = np.exp(series @ strengths)
-        values.append(complex(w.mean()))
-        errs.append(np.hypot(_blocked_se(w.real), _blocked_se(w.imag)))
-    values = np.array(values)
-    errs = np.array(errs)
-    if len(chains) > 1:
-        spread = np.abs(values[:, None] - values[None, :])
-        tol = 5.0 * np.sqrt(errs[:, None] ** 2 + errs[None, :] ** 2)
-        if np.any(spread > tol + 1e-12):
-            raise UnconvergedChain(
-                f"generating-function chain values {values} disagree")
-    return complex(values.mean()), float(np.sqrt(np.sum(errs**2)) / len(errs))
+    w = np.exp(np.asarray(chains) @ np.asarray(strengths, dtype=np.complex128))
+    return _chain_mean(w)
 
 
 def estimate_generating_function(geom: LatticeGeometry, coupling: CouplingSpec,
                                  group: GroupSpec, sources: SourceSpec,
                                  params: MCParams):
     """G(J) = <exp(sum_j J_j tr M(p_j))> with statistical error."""
-    sources.validate_against(geom)
     samples = sample_source_fields(geom, coupling, group, sources.plaquettes,
                                    params)
     return generating_function_from_samples(samples.series, sources.strengths)
@@ -427,7 +410,6 @@ def estimate_generating_function(geom: LatticeGeometry, coupling: CouplingSpec,
 class CorrelationEstimate:
     value: float
     error: float
-    step_delta: float
     order: int
     spacing_power: float
 
@@ -443,52 +425,16 @@ class CorrelationEstimate:
 
 def correlation_from_generating(geom: LatticeGeometry, coupling: CouplingSpec,
                                 group: GroupSpec, plaquettes,
-                                params: MCParams, h: float = 0.05,
-                                step_tol: float = 1e-3) -> CorrelationEstimate:
-    """d^r G / dJ_1..dJ_r at J = 0 by central differences on shared samples.
+                                params: MCParams) -> CorrelationEstimate:
+    """d^r G / dJ_1..dJ_r at J = 0: the sample moment <t_1 ... t_r>.
 
-    Richardson-extrapolates the h and h/2 ladders; the leftover |D_{h/2} -
-    D_h| is reported and must stay below max(step_tol, 5 sigma), else
-    StepTooLarge.  r = 2 with a repeated plaquette index gives the coincident
-    second moment.
+    Any order r; a repeated plaquette index gives a coincident moment.
     """
     plaquettes = tuple(plaquettes)
     r = len(plaquettes)
-    if r not in (1, 2):
-        raise ValueError("finite-difference correlations implemented for r <= 2")
     chains = sample_source_fields(geom, coupling, group, plaquettes, params).series
-    if r == 1:
-        patterns = [(1.0,), (-1.0,)]
-        coeffs = [0.5, -0.5]
-    else:
-        patterns = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-        coeffs = [0.25, -0.25, -0.25, 0.25]
-
-    def central(step):
-        # Per-block derivative values: the J-points share every sample, so
-        # differencing inside each block cancels most of the noise.
-        block_vals = []
-        for series in chains:
-            acc = None
-            for pattern, coeff in zip(patterns, coeffs):
-                w = np.exp(series @ (step * np.asarray(pattern)))
-                blocks = _block_means(w.real) * (coeff / step**r)
-                acc = blocks if acc is None else acc + blocks
-            block_vals.append(acc)
-        all_blocks = np.concatenate(block_vals)
-        return (float(all_blocks.mean()),
-                float(np.std(all_blocks, ddof=1) / np.sqrt(all_blocks.size)))
-
-    d_h, e_h = central(h)
-    d_half, e_half = central(h / 2.0)
-    value = (4.0 * d_half - d_h) / 3.0
-    delta = abs(d_half - d_h)
-    error = float(np.hypot(e_half, delta))
-    if delta > max(step_tol, 5.0 * e_half):
-        raise StepTooLarge(
-            f"step-halving moved the derivative by {delta:.3e} (h = {h})")
-    return CorrelationEstimate(value=float(value), error=error,
-                               step_delta=float(delta), order=r,
+    value, error = _chain_mean(np.prod(chains, axis=-1))
+    return CorrelationEstimate(value=value, error=error, order=r,
                                spacing_power=coupling.a ** (-coupling.d * r / 2.0))
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import chi2
 
-from latticeym.errors import InvalidLattice, StepTooLarge, UnconvergedChain
+from latticeym.errors import InvalidLattice, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import GroupSpec, generator_basis, unitarity_defect
 from latticeym.lattice import build_geometry, cold_start, wilson_action
@@ -23,7 +23,8 @@ from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
                           generating_function_ceiling, sample_source_fields,
-                          verify_stability, _chain_seeds, _proposals, _run_replicas)
+                          verify_stability, _chain_mean, _chain_seeds, _proposals,
+                          _run_replicas)
 from latticeym.quadrature import QuadratureSpec, weyl_integrate
 from latticeym.single_bond import CouplingSpec, z_lower, z_upper
 
@@ -44,6 +45,9 @@ def test_mcparams_validation():
         MCParams(sweeps=10, thermalization=20)
     with pytest.raises(ValueError):
         MCParams(sweeps=20, thermalization=20)  # no measurement sweeps
+    with pytest.raises(ValueError, match="^sweeps: "):
+        MCParams(sweeps=21, thermalization=20)  # one measurement: no blocked error
+    assert MCParams(sweeps=22, thermalization=20).sweeps == 22
     with pytest.raises(ValueError):
         MCParams(chains=0)
     with pytest.raises(ValueError):
@@ -218,9 +222,23 @@ def test_source_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(plaquettes=(0, 1), strengths=(0.5,))
     geom = build_geometry(2, 4, "periodic")
-    bad = SourceSpec(plaquettes=(99,), strengths=(0.1,))
+    cp = CouplingSpec(d=2, a=1.0, g2=1.0)
+    params = MCParams(sweeps=30, thermalization=10)
     with pytest.raises(InvalidLattice):
-        bad.validate_against(geom)
+        sample_source_fields(geom, cp, GroupSpec(1), (99,), params)
+
+
+def test_plaquette_index_outside_geometry_raises():
+    # A negative index would otherwise wrap to the last plaquette.
+    geom = build_geometry(2, 4, "periodic")
+    cp = CouplingSpec(d=2, a=1.0, g2=1.0)
+    params = MCParams(sweeps=30, thermalization=10)
+    for plaquette in (-1, geom.n_plaquettes):
+        with pytest.raises(InvalidLattice):
+            correlation_from_generating(geom, cp, GroupSpec(1), (plaquette,), params)
+        src = SourceSpec(plaquettes=(plaquette,), strengths=(0.1,))
+        with pytest.raises(InvalidLattice):
+            estimate_generating_function(geom, cp, GroupSpec(1), src, params)
 
 
 def test_generating_function_at_zero_sources():
@@ -241,16 +259,34 @@ def test_single_source_mean_vanishes():
     assert abs(est.value) < 4 * est.error
 
 
-def test_coincident_moment_matches_quadrature(quad):
-    # Free b.c. d = 2: the coincident second moment is the single-bond ratio
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_coincident_moment_matches_quadrature(r, quad):
+    # Free b.c. d = 2: the coincident r-th moment is the single-bond ratio
     # exactly, so MC and quadrature must agree within error.
     geom = build_geometry(2, 4, "free")
     cp = CouplingSpec(d=2, a=1.0, g2=1.0)
     params = MCParams(sweeps=3000, thermalization=300, seed=29, chains=2)
-    est = correlation_from_generating(geom, cp, GroupSpec(1), (3, 3), params)
-    oracle = plaquette_moment(2, cp, GroupSpec(1), quad)
+    est = correlation_from_generating(geom, cp, GroupSpec(1), (3,) * r, params)
+    oracle = plaquette_moment(r, cp, GroupSpec(1), quad)
     assert abs(est.value - oracle) < 4 * est.error
-    assert est.order == 2
+    assert est.order == r
+
+
+def test_moment_is_derivative_of_sampled_generating_function():
+    # On the same chains, the mixed second derivative of the sampled G at
+    # J = 0 is the sample moment <t_3 t_9>; a central difference with
+    # h = 1e-4 reaches it up to O(h^2) and rounding.
+    geom = build_geometry(2, 4, "periodic")
+    cp = CouplingSpec(d=2, a=1.0, g2=1.0)
+    params = MCParams(sweeps=600, thermalization=200, seed=41, chains=2)
+    chains = sample_source_fields(geom, cp, GroupSpec(1), (3, 9), params).series
+    h = 1e-4
+    difference = sum(
+        sign * generating_function_from_samples(chains, (s1 * h, s2 * h))[0]
+        for s1, s2, sign in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    est = correlation_from_generating(geom, cp, GroupSpec(1), (3, 9), params)
+    assert abs(difference.real / (4 * h * h) - est.value) < 1e-6
+    assert abs(difference.imag) < 1e-12
 
 
 def test_correlation_physical_scaling():
@@ -276,19 +312,17 @@ def test_generating_function_ceiling(quad):
         assert rhs > 1.0  # the bound is loose but finite
 
 
-def test_step_too_large_raises():
-    geom = build_geometry(2, 4, "periodic")
-    cp = CouplingSpec(d=2, a=1.0, g2=0.25)
-    params = MCParams(sweeps=600, thermalization=200, seed=5, chains=2)
-    with pytest.raises(StepTooLarge):
-        correlation_from_generating(geom, cp, GroupSpec(1), (3, 3), params,
-                                    h=2.5, step_tol=1e-6)
-    with pytest.raises(ValueError):
-        correlation_from_generating(geom, cp, GroupSpec(1), (3, 3, 3), params)
-
-
 def test_unconverged_chains_detected():
     # Synthetic disagreement: two chains with disjoint support.
     chains = [np.zeros((200, 1)), np.full((200, 1), 2.0)]
     with pytest.raises(UnconvergedChain):
         generating_function_from_samples(chains, [1.0])
+    # A real action-type series goes through the same check: two noisy
+    # chains far beyond 5 sigma apart raise, two draws of one law pass.
+    rng = np.random.default_rng(3)
+    noise = rng.normal(0.0, 1.0, size=(2, 400))
+    with pytest.raises(UnconvergedChain):
+        _chain_mean(noise + np.array([[100.0], [101.0]]))
+    mean, error = _chain_mean(noise + 100.0)
+    assert isinstance(mean, float)
+    assert abs(mean - 100.0) < 4 * error

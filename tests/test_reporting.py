@@ -193,6 +193,7 @@ class TestCLI:
             ({"epsilon": 4.0}, "mc.epsilon: "),
             ({"beta_grid_points": 4}, "mc.beta_grid_points: "),
             ({"sweeps": 100, "thermalization": 100}, "mc.sweeps: "),
+            ({"sweeps": 21, "thermalization": 20}, "mc.sweeps: "),  # one measurement
         ]:
             config_path.write_text(json.dumps({"suite": "stability", "mc": mc}))
             code = main(["stability", "--config", str(config_path), "--out", str(tmp_path)])
