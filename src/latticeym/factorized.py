@@ -43,8 +43,8 @@ def lattice_counts(d: int, L: int) -> LatticeCounts:
     `bonds` counts nearest-neighbour pairs, `extra_bonds` the wrap-around
     bonds added by periodic closure, `retained_bonds` the bonds left after
     fixing a maximal tree (all temporal bonds plus a boundary comb), and
-    `plaquettes` the unit squares.  The tree identity
-    bonds - retained_bonds = L**d - 1 pins the retained count to the others.
+    `plaquettes` the unit squares.  A spanning tree of the L**d sites has
+    L**d - 1 bonds, so retained_bonds = bonds - (L**d - 1).
     """
     if d not in (2, 3, 4):
         raise InvalidLattice(f"d must be 2, 3 or 4, got {d}")
@@ -53,12 +53,7 @@ def lattice_counts(d: int, L: int) -> LatticeCounts:
     sites = L**d
     bonds = d * (L - 1) * L ** (d - 1)
     extra = d * L ** (d - 1)
-    if d == 2:
-        retained = (L - 1) ** 2
-    elif d == 3:
-        retained = (2 * L + 1) * (L - 1) ** 2
-    else:
-        retained = (3 * L**3 - L**2 - L - 1) * (L - 1)
+    retained = bonds - (sites - 1)
     plaquettes = (d * (d - 1) // 2) * (L - 1) ** 2 * L ** (d - 2)
     return LatticeCounts(sites=sites, bonds=bonds, extra_bonds=extra,
                          retained_bonds=retained, plaquettes=plaquettes)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NonUnitaryInput, ShapeMismatch
 
 UNITARITY_TOL = 1e-8
+_SCAN_BATCH = 50_000
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,8 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     return lhs, rhs
 
 
-def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int,
-                         k: int = 4, batch: int = 50_000):
-    """Sample `count` random k-tuples of Haar matrices and count violations.
+def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int):
+    """Sample `count` random quadruples of Haar matrices and count violations (k = 4).
 
     Returns (violations, max_ratio) where max_ratio is the largest observed
     lhs/rhs; the bound holds when max_ratio <= 1.  Vectorized, so usable at
@@ -205,9 +205,9 @@ def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int,
     max_ratio = 0.0
     remaining = count
     while remaining > 0:
-        m = min(batch, remaining)
+        m = min(_SCAN_BATCH, remaining)
         remaining -= m
-        us = haar_sample_batch(group, rng, m * k).reshape(m, k, n, n)
+        us = haar_sample_batch(group, rng, 4 * m).reshape(m, 4, n, n)
         lhs, rhs = quadratic_bound_sides(us, group)
         # Absolute cushion: near lambda = 0 both sides vanish quadratically and
         # the trace form of lhs loses all significant digits, so a relative

@@ -235,14 +235,14 @@ def _chain_mean(series):
 
 
 def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
-                         params: MCParams, salt: int = 0):
+                         params: MCParams):
     """<A^B> at inverse coupling beta, with a blocked standard error.
 
     The chains run as one replica batch; see `_chain_mean` for the
     cross-chain check.
     """
     samples = _run_replicas(geom, group, [beta] * params.chains,
-                            _chain_seeds(params, salt), params,
+                            _chain_seeds(params, salt=0), params,
                             lambda batch: wilson_action(batch, geom))
     return _chain_mean(samples.series)
 

@@ -22,11 +22,12 @@ exactly gives the equivalent Laplace representation
 where ``ive`` is the exponentially scaled modified Bessel function.  The
 Laplace form is the only route: it is exact for every mass (including
 m_u = 0, d >= 3, where the momentum integrand has an integrable singularity
-that defeats fixed-order quadrature), and every propagator, derivative
-correlation, coincident constant and decay-fit window is one adaptive
-integral of a Bessel product on [0, inf) whose convergence is checked.
-The tensor Gauss-Legendre evaluation of the momentum form is kept only as
-an independent oracle for the tests.
+that defeats fixed-order quadrature).  Every covariance value -- a
+propagator, the coincident constant, each point of a decay-fit window -- is
+one cached adaptive integral of a Bessel product on [0, inf) whose
+convergence is checked; a derivative correlation is one such integral of a
+four-term combination.  The tensor Gauss-Legendre evaluation of the
+momentum form is kept only as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 _DECAY_FLOOR = 1e-14
+_FIT_POINTS = 12
+_FIT_RESIDUAL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,7 @@ def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
 def _bessel_integrand(kappa_sq: float, decay: float, terms):
     """t -> e^{-decay t} sum_c coefficient_c prod_mu ive(order_{c,mu}, 2 kappa^2 t).
 
-    ``terms`` holds (orders, coefficient) pairs with non-negative orders; an
-    order may be an array, which makes the integrand vector-valued.
+    ``terms`` holds (orders, coefficient) pairs with non-negative orders.
     """
 
     def integrand(t):
@@ -199,29 +201,30 @@ def _peak_time(spec: ScalarSpec, n: tuple) -> float:
     return max(1.0, sum(v * v for v in n) / (2.0 * spec.d * spec.kappa2))
 
 
-def _laplace_quad(integrand, quantity: str, d: int, a, n, epsrel: float = 1e-11,
-                  scale: float = 1.0) -> float:
+def _laplace_quad(integrand, quantity: str, spec: ScalarSpec, n) -> float:
     """Integrate a scalar Laplace-Bessel integrand over [0, inf) with QUADPACK.
 
-    The integral runs in s = t / scale with the absolute tolerance scaled to
-    match.  At far separations the integrand's mass sits near t ~ |n|^2,
-    where the first panels of the mapped interval see almost nothing of it;
-    unscaled, QUADPACK reports convergence on values that are wrong by many
-    orders of magnitude.
+    The integral runs in s = t / T, with T the peak time of separation ``n``
+    and the absolute tolerance scaled to match.  At far separations the
+    integrand's mass sits near t ~ |n|^2, where the first panels of the
+    mapped interval see almost nothing of it; unscaled, QUADPACK reports
+    convergence on values that are wrong by many orders of magnitude.
 
     Raises
     ------
     ResolutionTooLow
         If QUADPACK reports no convergence or the value is not finite.
     """
+    scale = _peak_time(spec, n)
     value, _, _, *failure = integrate.quad(
-        lambda s: integrand(scale * s), 0.0, np.inf, epsabs=1e-13 / scale, epsrel=epsrel,
+        lambda s: integrand(scale * s), 0.0, np.inf, epsabs=1e-13 / scale, epsrel=1e-11,
         limit=400, full_output=1,
     )
     if failure or not math.isfinite(value):
         reason = failure[0] if failure else f"non-finite value {value}"
         raise ResolutionTooLow(
-            f"{quantity} at d={d}, a={a}, separation {tuple(n)} did not converge: {reason}"
+            f"{quantity} at d={spec.d}, a={spec.a}, separation {tuple(n)} "
+            f"did not converge: {reason}"
         )
     return scale * float(value)
 
@@ -230,8 +233,7 @@ def _laplace_value(spec: ScalarSpec, n: tuple) -> float:
     """Laplace-Bessel evaluation of the scaled covariance; exact for all m_u >= 0."""
     orders = tuple(abs(int(v)) for v in n)
     integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
-    return _laplace_quad(integrand, "scaled propagator", spec.d, spec.a, n,
-                         scale=_peak_time(spec, n))
+    return _laplace_quad(integrand, "scaled propagator", spec, n)
 
 
 @lru_cache(maxsize=4096)
@@ -272,21 +274,19 @@ def unscaled_propagator(spec: ScalarSpec, x, y=None) -> float:
     return scaled_propagator(spec, x, y) / spec.s2
 
 
-@lru_cache(maxsize=None)
 def coincident_bound_constant(d: int) -> float:
     """Massless coincident covariance C_0 = int_0^inf ive(0, t/d)^d dt.
 
     This is the uniform upper bound on C(x, x) over all masses and the
-    constant entering the generating-function bound.  For d = 3 it equals
-    the classical cubic-lattice Green function at the origin,
+    constant entering the generating-function bound.  At m_u = 0 the scaled
+    covariance does not depend on a or kappa_u, so C_0 is the cached
+    scaled propagator at the origin.  For d = 3 it equals the classical
+    cubic-lattice Green function at the origin,
     sqrt(6)/(32 pi^3) * Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24).
+
+    Raises InfraredDivergent for d = 2 and ValueError for d outside {2, 3, 4}.
     """
-    if d == 2:
-        raise InfraredDivergent("massless coincident covariance diverges in two dimensions")
-    if d not in (3, 4):
-        raise ValueError(f"dimension must be 2, 3 or 4, got {d}")
-    integrand = _bessel_integrand(1.0 / (2 * d), 0.0, [((0,) * d, 1.0)])
-    return _laplace_quad(integrand, "massless coincident covariance", d, "any", (0,) * d, 1e-12)
+    return scaled_propagator(ScalarSpec(d=d, a=1.0, m_u=0.0, kappa_u=1.0), (0,) * d)
 
 
 def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> float:
@@ -314,8 +314,7 @@ def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> flo
         for vector, coefficient in zip(vectors, (1.0, -1.0, -1.0, 1.0))
     ]
     integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, terms)
-    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", d, spec.a, n,
-                          scale=_peak_time(spec, n))
+    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", spec, n)
     return value / (spec.a**2 * spec.s2)
 
 
@@ -331,35 +330,6 @@ def mass_gap_formula(a, m_u, kappa_u):
 def mass_gap(spec: ScalarSpec) -> float:
     """Decay rate of the two-point function; tends to m_u/kappa_u as a -> 0."""
     return float(mass_gap_formula(spec.a, spec.m_u, spec.kappa_u))
-
-
-def _on_axis_values(spec: ScalarSpec, separations) -> np.ndarray:
-    """On-axis covariances C(n e_0) for a window of separations, in one integral.
-
-    The Laplace integrand ive(n, z) ive(0, z)^{d-1} e^{-r kappa^2 t} is
-    vector-valued in n, so one adaptive ``quad_vec`` call covers the window.
-    Its error target is relative to the largest covariance, but the
-    Gauss-Kronrod error of each component scales with that component: over
-    windows spanning up to 16 decades, every value measured within 5e-12
-    relative of a run at epsrel = 1e-14.
-
-    Raises
-    ------
-    RangeTooNoisy
-        If the integral does not converge or a value is not finite.
-    """
-    ns = np.asarray(separations, dtype=float)
-    orders = (ns,) + (0,) * (spec.d - 1)
-    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
-    values, _, info = integrate.quad_vec(
-        integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, norm="max", full_output=True
-    )
-    if not info.success or not np.all(np.isfinite(values)):
-        raise RangeTooNoisy(
-            f"on-axis covariances at d={spec.d}, a={spec.a} in window "
-            f"[{ns[0]:g}, {ns[-1]:g}] did not converge: {info.message}"
-        )
-    return values
 
 
 @dataclass(frozen=True)
@@ -380,40 +350,29 @@ class DecayFit:
     n_stop: int
 
 
-def fit_decay_rate(
-    spec: ScalarSpec,
-    direction: int = 0,
-    n_range=None,
-    n_points: int = 12,
-    residual_tol: float = 1e-3,
-) -> DecayFit:
-    """Fit the exponential decay rate of the on-axis two-point function.
+def fit_decay_rate(spec: ScalarSpec) -> DecayFit:
+    """Fit the exponential decay rate of the on-axis two-point function (m_u > 0).
 
-    Parameters
-    ----------
-    spec : ScalarSpec
-        Must have m_u > 0.
-    direction : int
-        Lattice axis along which separations grow (all axes are
-        equivalent; the index is validated only).
-    n_range : sequence of int, optional
-        Explicit separations.  When omitted, a window of ``n_points``
-        separations starting near five correlation lengths is chosen and
-        pushed outward until the fit residual drops below ``residual_tol``.
+    A window of ``_FIT_POINTS`` separations n e_0 starts near five
+    correlation lengths and is pushed outward until the fit residual drops
+    below ``_FIT_RESIDUAL``.  Each covariance is a cached scaled propagator,
+    so windows that overlap during escalation share their values.
 
     Raises
     ------
     RangeTooNoisy
         If covariances in the window fall below the reliable floor or the
         residual target cannot be met.
+    ResolutionTooLow
+        If a covariance in the window does not converge.
     """
     if spec.m_u <= 0.0:
         raise ValueError("decay-rate fit requires m_u > 0")
-    if not 0 <= direction < spec.d:
-        raise ValueError(f"direction must lie in [0, {spec.d}), got {direction}")
-
-    def attempt(ns: np.ndarray) -> DecayFit:
-        values = _on_axis_values(spec, ns)
+    n_start = max(2, math.ceil(5.0 / (mass_gap(spec) * spec.a)))
+    for _ in range(7):
+        ns = np.arange(n_start, n_start + _FIT_POINTS, dtype=float)
+        values = np.array([scaled_propagator(spec, (int(n),) + (0,) * (spec.d - 1))
+                           for n in ns])
         if np.any(values < _DECAY_FLOOR):
             raise RangeTooNoisy(
                 f"covariance below {_DECAY_FLOOR:g} in window [{ns[0]}, {ns[-1]}]"
@@ -422,39 +381,12 @@ def fit_decay_rate(
         design = np.stack([ns * spec.a, np.ones(len(ns)), 1.0 / ns], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         residual = float(np.max(np.abs(y - design @ coef)))
-        return DecayFit(
-            rate=float(coef[0]),
-            intercept=float(coef[1]),
-            correction=float(coef[2]),
-            residual=residual,
-            n_start=int(ns[0]),
-            n_stop=int(ns[-1]),
-        )
-
-    if n_range is not None:
-        ns = np.asarray([int(n) for n in n_range], dtype=float)
-        if len(ns) < 4 or np.any(ns < 1):
-            raise ValueError("need at least four separations, all >= 1")
-        fit = attempt(ns)
-        if fit.residual > residual_tol:
-            raise RangeTooNoisy(
-                f"fit residual {fit.residual:.3e} exceeds {residual_tol:g} "
-                f"on the supplied range"
-            )
-        return fit
-
-    gap = mass_gap(spec)
-    n_start = max(2, math.ceil(5.0 / (gap * spec.a)))
-    last = None
-    for _ in range(7):
-        ns = np.arange(n_start, n_start + n_points, dtype=float)
-        fit = attempt(ns)
-        if fit.residual <= residual_tol:
-            return fit
-        last = fit
+        if residual <= _FIT_RESIDUAL:
+            rate, intercept, correction = (float(c) for c in coef)
+            return DecayFit(rate, intercept, correction, residual, int(ns[0]), int(ns[-1]))
         n_start = max(n_start + 1, math.ceil(1.5 * n_start))
     raise RangeTooNoisy(
-        f"fit residual {last.residual:.3e} still exceeds {residual_tol:g} "
+        f"fit residual {residual:.3e} still exceeds {_FIT_RESIDUAL:g} "
         f"after window escalation"
     )
 

@@ -232,11 +232,11 @@ class TrigReport:
         return worst <= 1e-12
 
 
-def trig_inequality_report(n_grid: int = 20001, n_random: int = 2000,
-                           seed: int = 11) -> TrigReport:
+def trig_inequality_report() -> TrigReport:
     """Grid check of (4/pi^2) u^2 <= 2(1 - cos u) <= u^2 on |u| <= pi,
     plus the induced Vandermonde sandwich on random angle vectors with all
     |lam_j| <= pi/2 for ranks 1..3."""
+    n_grid, n_random = 20001, 2000
     u = np.linspace(-np.pi, np.pi, n_grid)
     f = 4.0 * np.sin(0.5 * u) ** 2
     lower = (4.0 / np.pi**2) * u * u
@@ -244,7 +244,7 @@ def trig_inequality_report(n_grid: int = 20001, n_random: int = 2000,
     max_low = float(np.max(lower - f))
     max_up = float(np.max(f - upper))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     max_dens = -np.inf
     checked = n_grid
     for n in (1, 2, 3):

@@ -17,7 +17,7 @@ from latticeym.scalar import (
     ScalarSpec,
     _laplace_quad,
     _momentum_value,
-    _on_axis_values,
+    _scaled_propagator_cached,
     coincident_bound_constant,
     derivative_correlation,
     fit_decay_rate,
@@ -205,15 +205,24 @@ class TestPropagator:
             lap, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-13, epsrel=1e-11)
             assert gl == pytest.approx(lap, rel=1e-10)
 
-    @pytest.mark.parametrize("d", [3, 4])
-    @pytest.mark.parametrize("m_u", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "d,m_u",
+        [(3, 0.0), (4, 0.0), (2, 1.0), (3, 1.0), (4, 1.0)],
+        ids=["0.0-3", "0.0-4", "1.0-2", "1.0-3", "1.0-4"],
+    )
     def test_matches_mpmath_bessel_oracle(self, d, m_u):
         spec = ScalarSpec(d=d, a=0.5, m_u=m_u, kappa_u=1.0)
-        cases = [(spec, n) for n in [(0,) * d, (1,) + (0,) * (d - 1), (3, 2, 1) + (0,) * (d - 3)]]
+        cases = [(spec, n) for n in [(0,) * d, (1,) + (0,) * (d - 1), (3, 2, 1, 0)[:d]]]
         if d == 4:
             # Far separations, where the integrand peaks near t = |n|^2 / (2 d kappa^2).
             far = ScalarSpec(d=4, a=0.01, m_u=1.0, kappa_u=1.0) if m_u else spec
             cases += [(far, (n, 0, 0, 0)) for n in (100, 500)]
+        if m_u:
+            # The ends of an automatic decay-fit window at small spacing (n = 101, 112).
+            window = ScalarSpec(d=d, a=0.05, m_u=1.0, kappa_u=1.0)
+            fit = fit_decay_rate(window)
+            assert (fit.n_start, fit.n_stop) == (101, 112)
+            cases += [(window, (n,) + (0,) * (d - 1)) for n in (fit.n_start, fit.n_stop)]
         for case, n in cases:
             expected = mpmath_propagator(case, n)
             assert scaled_propagator(case, n) == pytest.approx(expected, rel=1e-10)
@@ -361,40 +370,28 @@ class TestDecayRate:
         spec = ScalarSpec(d=3, a=0.5, m_u=2.0, kappa_u=1.0)
         fit = fit_decay_rate(spec)
         ns = np.arange(fit.n_start, fit.n_stop + 1, dtype=float)
-        values = _on_axis_values(spec, ns) / spec.s2
+        values = np.array([scaled_propagator(spec, (int(n), 0, 0)) for n in ns]) / spec.s2
         y = -np.log(values) - 0.5 * (spec.d - 1) * np.log(ns)
         design = np.stack([ns * spec.a, np.ones(len(ns)), 1.0 / ns], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert coef[0] == pytest.approx(fit.rate, abs=1e-10)
         assert coef[1] == pytest.approx(fit.intercept + math.log(spec.s2), abs=1e-8)
 
-    def test_reduced_representation_matches_propagator(self):
-        spec = ScalarSpec(d=3, a=0.5, m_u=2.0, kappa_u=1.0)
-        values = _on_axis_values(spec, [3, 5])
-        assert values[0] == pytest.approx(scaled_propagator(spec, (3, 0, 0)), rel=1e-10)
-        assert values[1] == pytest.approx(scaled_propagator(spec, (5, 0, 0)), rel=1e-10)
-        # Far separations at d = 4, small spacing and massless.
-        for spec in (ScalarSpec(d=4, a=0.01, m_u=1.0, kappa_u=1.0),
-                     ScalarSpec(d=4, a=0.5, m_u=0.0, kappa_u=1.0)):
-            values = _on_axis_values(spec, [100, 500])
-            for n, value in zip((100, 500), values):
-                assert scaled_propagator(spec, (n, 0, 0, 0)) == pytest.approx(value, rel=1e-10)
-
     def test_requires_positive_mass(self):
         with pytest.raises(ValueError):
             fit_decay_rate(ScalarSpec(d=3, a=1.0, m_u=0.0, kappa_u=1.0))
-        with pytest.raises(ValueError):
-            fit_decay_rate(spec_d3(), direction=5)
 
-    def test_near_range_too_curved(self):
-        # separations starting at 1 see strong subleading corrections
+    def test_near_range_too_curved(self, monkeypatch):
+        # with a zero residual target the window escalates until the covariance underflows
+        monkeypatch.setattr(scalar, "_FIT_RESIDUAL", 0.0)
         with pytest.raises(RangeTooNoisy):
-            fit_decay_rate(spec_d3(), n_range=range(1, 7))
+            fit_decay_rate(spec_d3())
 
     def test_deep_range_underflows(self):
-        spec = ScalarSpec(d=3, a=1.0, m_u=2.0, kappa_u=1.0)
-        with pytest.raises(RangeTooNoisy):
-            fit_decay_rate(spec, n_range=range(40, 52))
+        # at m_u = 8 the first window already falls below the floor
+        spec = ScalarSpec(d=3, a=1.0, m_u=8.0, kappa_u=1.0)
+        with pytest.raises(RangeTooNoisy, match=r"covariance below 1e-14 in window \[2.0, 13.0\]"):
+            fit_decay_rate(spec)
 
 
 class TestConvergenceChecks:
@@ -403,20 +400,23 @@ class TestConvergenceChecks:
         with pytest.raises(
             ResolutionTooLow, match=r"scaled propagator at d=3, a=0.5, separation \(1, 0, 0\)"
         ):
-            _laplace_quad(lambda t: 1.0, "scaled propagator", 3, 0.5, (1, 0, 0))
+            _laplace_quad(lambda t: 1.0, "scaled propagator", spec_d3(), (1, 0, 0))
 
     def test_non_finite_bessel_values_raise(self, monkeypatch):
         nan_bessel = SimpleNamespace(ive=lambda order, z: np.full(np.shape(order), np.nan))
         monkeypatch.setattr(scalar, "special", nan_bessel)
-        # a spacing no other test uses, so no cached value hides the route
+        # no cached value may hide the route
+        _scaled_propagator_cached.cache_clear()
         spec = ScalarSpec(d=3, a=0.37, m_u=1.0, kappa_u=1.0)
         with pytest.raises(ResolutionTooLow, match="scaled propagator at d=3, a=0.37"):
             scaled_propagator(spec, (1, 0, 0))
         with pytest.raises(ResolutionTooLow, match=r"derivative correlation \(0, 1\) at d=3"):
             derivative_correlation(spec, 0, 1, (0, 0, 0))
-        with pytest.raises(ResolutionTooLow, match="massless coincident covariance at d=4"):
-            coincident_bound_constant.__wrapped__(4)
-        with pytest.raises(RangeTooNoisy, match=r"d=3, a=0.37 in window \[14, 25\]"):
+        with pytest.raises(ResolutionTooLow,
+                           match=r"scaled propagator at d=4, a=1.0, separation \(0, 0, 0, 0\)"):
+            coincident_bound_constant(4)
+        with pytest.raises(ResolutionTooLow,
+                           match=r"scaled propagator at d=3, a=0.37, separation \(0, 0, 14\)"):
             fit_decay_rate(spec)
 
 
