@@ -29,7 +29,14 @@ from .mc import (
     verify_stability,
 )
 from .quadrature import ensemble_constants, i_beta, weyl_integrate
-from .reporting import SUITE_NAMES, ReportRecord, RunConfig, write_reports
+from .reporting import (
+    CONFIG_FIELDS,
+    RUN_CONFIG_SCHEMA,
+    SUITE_NAMES,
+    ReportRecord,
+    RunConfig,
+    write_reports,
+)
 from .scalar import ScalarSpec, derivative_correlation, fit_decay_rate, mass_gap
 from .single_bond import CouplingSpec, bound_constants, z_lower, z_upper
 
@@ -74,11 +81,6 @@ def _suite_group_check(config: RunConfig):
     return records
 
 
-def _require_coupling_ceiling(config: RunConfig):
-    if any(g2 > config.g0_sq for g2 in config.g2_values):
-        raise ConfigInvalid("g0_sq: must be >= every coupling in the g2 grid")
-
-
 def _log_with_error(value_and_error, factor):
     """log(factor * z) and the two-resolution error |fine - coarse| / z carried to it."""
     value, error = value_and_error
@@ -121,7 +123,6 @@ def _grid(config: RunConfig):
 
 def _suite_single_bond(config: RunConfig):
     """Normalized single-bond integrals against their closed-form sandwich."""
-    _require_coupling_ceiling(config)
     records = []
     for group, coupling in _grid(config):
         constants = bound_constants(coupling, group, config.quadrature)
@@ -155,7 +156,6 @@ def _suite_single_bond(config: RunConfig):
 
 def _suite_approx(config: RunConfig):
     """Exactly solvable model: free energy and coincident second moment."""
-    _require_coupling_ceiling(config)
     records = []
     for group, coupling in _grid(config):
         n = group.n
@@ -189,7 +189,6 @@ def _suite_approx(config: RunConfig):
 
 def _suite_stability(config: RunConfig):
     """Monte Carlo log-partition against the two-sided product bound."""
-    _require_coupling_ceiling(config)
     records = []
     for group, coupling in _grid(config):
         report = verify_stability(
@@ -225,7 +224,6 @@ def _suite_stability(config: RunConfig):
 
 def _suite_genfun(config: RunConfig):
     """Sampled generating function against the product-bound ceiling."""
-    _require_coupling_ceiling(config)
     records = []
     geom = build_geometry(config.d, config.L, config.boundary)
     plaquette = geom.n_plaquettes // 2
@@ -336,21 +334,28 @@ def run_suite(config: RunConfig) -> dict:
     return results
 
 
+def _comma_separated(item):
+    """argparse type of a list flag: comma-separated entries, each converted by `item`."""
+    def parse(text):
+        return [item(v) for v in text.split(",")]
+    parse.__name__ = f"{item.__name__} list"  # argparse names it on a bad value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeym",
         description="Verification suites for lattice gauge bounds and free fields.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    # Unset flags stay out of the namespace, so they override nothing.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", type=Path, help="JSON run-configuration file")
-    common.add_argument("--d", type=int, help="lattice dimension (2, 3 or 4)")
-    common.add_argument("--L", type=int, help="even lattice side length")
-    common.add_argument("--N", type=str, help="comma-separated group ranks")
-    common.add_argument("--a", type=str, help="comma-separated lattice spacings")
-    common.add_argument("--g2", type=str, help="comma-separated couplings")
-    common.add_argument("--boundary", choices=["free", "periodic"], help="boundary condition")
-    common.add_argument("--seed", type=int, help="root RNG seed")
-    common.add_argument("--out", type=str, help="output directory for report files")
+    for entry in CONFIG_FIELDS:
+        if entry.flag is not None:
+            common.add_argument(
+                entry.flag, dest=entry.key, help=entry.help,
+                type=_comma_separated(entry.item) if entry.many else entry.item,
+                choices=RUN_CONFIG_SCHEMA["properties"][entry.key].get("enum"))
     subparsers = parser.add_subparsers(dest="suite", required=True)
     for name in SUITE_NAMES:
         subparsers.add_parser(name, parents=[common], help=f"run the {name} suite")
@@ -358,40 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    overrides = dict(vars(args))  # the suite and every flag given
+    path = overrides.pop("config", None)
     mapping = {}
-    if args.config is not None:
-        mapping = json.loads(Path(args.config).read_text())
+    if path is not None:
+        try:
+            mapping = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"config: cannot read {str(path)!r}: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ConfigInvalid("<root>: config file must hold a JSON object")
-    mapping["suite"] = args.suite
-    if args.d is not None:
-        mapping["d"] = args.d
-    if args.L is not None:
-        mapping["L"] = args.L
-    if args.N is not None:
-        mapping["n"] = [int(v) for v in args.N.split(",")]
-    if args.a is not None:
-        mapping["a"] = [float(v) for v in args.a.split(",")]
-    if args.g2 is not None:
-        mapping["g2"] = [float(v) for v in args.g2.split(",")]
-    if args.boundary is not None:
-        mapping["boundary"] = args.boundary
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    if args.out is not None:
-        mapping["out"] = args.out
-    return RunConfig.from_mapping(mapping)
+    return RunConfig.from_mapping({**mapping, **overrides})
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except ConfigInvalid as exc:
-        print(f"invalid configuration -- {exc}", file=sys.stderr)
-        return 2
-    try:
-        results = run_suite(config)
+        results = run_suite(_config_from_args(args))
     except ConfigInvalid as exc:
         print(f"invalid configuration -- {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """Run configuration, report records, and bit-stable report files.
 
 A run is described by a JSON document validated against
-``RUN_CONFIG_SCHEMA`` before any computation starts.  Each suite emits a
+``RUN_CONFIG_SCHEMA`` before any computation starts.  ``CONFIG_FIELDS``
+maps each of its keys to a ``RunConfig`` attribute and, where there is
+one, to the command-line flag that overrides it.  Each suite emits a
 list of ``ReportRecord`` objects which are serialized three ways:
 
 * ``<out>/<suite>.jsonl`` — one sorted-key JSON object per record.  These
@@ -23,9 +25,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import NamedTuple, Optional
 
 import jsonschema
 
@@ -37,6 +41,7 @@ from .quadrature import QuadratureSpec
 __all__ = [
     "RUN_CONFIG_SCHEMA",
     "SUITE_NAMES",
+    "CONFIG_FIELDS",
     "RunConfig",
     "ReportRecord",
     "write_reports",
@@ -105,6 +110,39 @@ RUN_CONFIG_SCHEMA = {
     },
 }
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+class ConfigField(NamedTuple):
+    """How one run-config field is read from JSON and, if it has a flag, from the CLI."""
+
+    key: str                     # JSON key in RUN_CONFIG_SCHEMA
+    attribute: str               # RunConfig attribute
+    item: Callable               # conversion of the value, or of each entry of a list
+    many: bool = False           # a JSON list, held as a tuple
+    flag: Optional[str] = None   # command-line flag that overrides the key
+    help: Optional[str] = None
+
+    def convert(self, value):
+        """The RunConfig attribute for a schema-valid JSON value."""
+        return tuple(self.item(v) for v in value) if self.many else self.item(value)
+
+
+CONFIG_FIELDS = (
+    ConfigField("suite", "suite", str),
+    ConfigField("n", "n_values", int, True, "--N", "comma-separated group ranks"),
+    ConfigField("d", "d", int, False, "--d", "lattice dimension"),
+    ConfigField("L", "L", int, False, "--L", "even lattice side length"),
+    ConfigField("boundary", "boundary", str, False, "--boundary", "boundary condition"),
+    ConfigField("a", "a_values", float, True, "--a", "comma-separated lattice spacings"),
+    ConfigField("g2", "g2_values", float, True, "--g2", "comma-separated couplings"),
+    ConfigField("g0_sq", "g0_sq", float),
+    ConfigField("mc", "mc", lambda value: MCParams(**value)),
+    ConfigField("quadrature", "quadrature", lambda value: QuadratureSpec(**value)),
+    ConfigField("out", "out", str, False, "--out", "output directory for report files"),
+    ConfigField("seed", "seed", int, False, "--seed", "root RNG seed"),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -130,7 +168,9 @@ class RunConfig:
         Raises
         ------
         ConfigInvalid
-            With the offending field named, on any schema violation.
+            With the offending field named, on a schema violation, a
+            non-finite number, a coupling above ``g0_sq``, or a spacing or
+            coupling whose a**-d or beta = a**(d-4)/g2 overflows a float.
         """
         validator = jsonschema.Draft202012Validator(RUN_CONFIG_SCHEMA)
         errors = sorted(validator.iter_errors(data), key=lambda e: list(map(str, e.path)))
@@ -138,75 +178,52 @@ class RunConfig:
             first = errors[0]
             location = ".".join(str(p) for p in first.path) or "<root>"
             raise ConfigInvalid(f"{location}: {first.message}")
+        values = {}
+        for entry in CONFIG_FIELDS:
+            if entry.key in data:
+                try:
+                    values[entry.attribute] = entry.convert(data[entry.key])
+                except ValueError as exc:
+                    # spec messages start with their field: "mc.epsilon: ..."
+                    raise ConfigInvalid(f"{entry.key}.{exc}") from exc
+        config = cls(**values)
         # JSON Schema bounds let NaN through, and +inf where no maximum is set.
-        numbers = [
-            (f"{key}.{i}", value)
-            for key in ("a", "g2")
-            for i, value in enumerate(data.get(key, ()))
-        ]
-        numbers += [("g0_sq", data["g0_sq"])] if "g0_sq" in data else []
-        for location, value in numbers:
+        numbers = [(f"a.{i}", a) for i, a in enumerate(config.a_values)]
+        numbers += [(f"g2.{i}", g2) for i, g2 in enumerate(config.g2_values)]
+        for location, value in numbers + [("g0_sq", config.g0_sq)]:
             if not math.isfinite(value):
                 raise ConfigInvalid(f"{location}: {value!r} is not a finite number")
-        mc_kwargs = dict(data.get("mc", {}))
-        mc_kwargs.setdefault("seed", int(data.get("seed", 0)))
-        try:
-            mc = MCParams(**mc_kwargs)
-        except ValueError as exc:
-            raise ConfigInvalid(f"mc.{exc}") from exc
-        try:
-            quadrature = QuadratureSpec(**data.get("quadrature", {}))
-        except ValueError as exc:
-            raise ConfigInvalid(f"quadrature.{exc}") from exc
-        return cls(
-            suite=data["suite"],
-            n_values=tuple(int(v) for v in data.get("n", (1,))),
-            d=int(data.get("d", 2)),
-            L=int(data.get("L", 4)),
-            boundary=data.get("boundary", "free"),
-            a_values=tuple(float(v) for v in data.get("a", (1.0,))),
-            g2_values=tuple(float(v) for v in data.get("g2", (1.0,))),
-            g0_sq=float(data.get("g0_sq", 4.0)),
-            mc=mc,
-            quadrature=quadrature,
-            out=data.get("out", "reports"),
-            seed=int(data.get("seed", 0)),
-        )
+        if any(g2 > config.g0_sq for g2 in config.g2_values):
+            raise ConfigInvalid("g0_sq: must be >= every coupling in the g2 grid")
+        # Compared in logarithms, because a**-d itself raises OverflowError.
+        d, a_min = config.d, min(config.a_values)
+        for i, a in enumerate(config.a_values):
+            if -d * math.log(a) > _LOG_FLOAT_MAX:
+                raise ConfigInvalid(f"a.{i}: a**-d overflows a float at d = {d}, got {a!r}")
+        # a**(d-4) peaks at the smallest spacing, and is finite once a**-d is.
+        for i, g2 in enumerate(config.g2_values):
+            if (d - 4) * math.log(a_min) - math.log(g2) > _LOG_FLOAT_MAX:
+                raise ConfigInvalid(f"g2.{i}: beta = a**(d-4)/g2 overflows a float at "
+                                    f"d = {d}, a = {a_min!r}, got {g2!r}")
+        # The chains draw from the root seed.
+        return replace(config, mc=replace(config.mc, seed=config.seed))
 
     def to_mapping(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": list(self.n_values),
-            "d": self.d,
-            "L": self.L,
-            "boundary": self.boundary,
-            "a": list(self.a_values),
-            "g2": list(self.g2_values),
-            "g0_sq": self.g0_sq,
-            "mc": {
-                "sweeps": self.mc.sweeps,
-                "thermalization": self.mc.thermalization,
-                "epsilon": self.mc.epsilon,
-                "chains": self.mc.chains,
-                "beta_grid_points": self.mc.beta_grid_points,
-            },
-            "quadrature": {
-                "points": self.quadrature.points,
-                "rtol": self.quadrature.rtol,
-                "atol": self.quadrature.atol,
-            },
-            "out": self.out,
-            "seed": self.seed,
-        }
+        mapping = {}
+        for entry in CONFIG_FIELDS:
+            value = getattr(self, entry.attribute)
+            if entry.many:
+                value = list(value)
+            elif is_dataclass(value):
+                keys = RUN_CONFIG_SCHEMA["properties"][entry.key]["properties"]
+                value = {key: getattr(value, key) for key in keys}
+            mapping[entry.key] = value
+        return mapping
 
 
 @dataclass(frozen=True)
 class ReportRecord:
-    """One verdict-carrying measurement within a suite.
-
-    ``wall_time`` is provenance only: it is reported in the sidecar meta
-    file, never in the reproducible JSONL/CSV outputs.
-    """
+    """One verdict-carrying measurement within a suite."""
 
     suite: str
     inputs: Mapping
@@ -217,38 +234,19 @@ class ReportRecord:
     verdict: str
     seed: int
     version: str = __version__
-    wall_time: float = 0.0
 
     def __post_init__(self):
         if self.verdict not in ("pass", "fail"):
             raise ValueError(f"verdict must be 'pass' or 'fail', got {self.verdict!r}")
 
     def to_mapping(self) -> dict:
-        return {
-            "suite": self.suite,
-            "inputs": dict(self.inputs),
-            "values": dict(self.values),
-            "errors": dict(self.errors),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "version": self.version,
-        }
+        # Every field, with the mappings copied to the plain dicts JSON needs.
+        return {key: dict(value) if isinstance(value, Mapping) else value
+                for key, value in vars(self).items()}
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ReportRecord":
-        return cls(
-            suite=data["suite"],
-            inputs=dict(data["inputs"]),
-            values=dict(data["values"]),
-            errors=dict(data["errors"]),
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            verdict=data["verdict"],
-            seed=data["seed"],
-            version=data["version"],
-        )
+        return cls(**data)
 
 
 def _format_cell(value) -> str:

@@ -68,6 +68,11 @@ class TestRunConfig:
             ({"g2": [1.0, float("inf")]}, "g2.1"),
             ({"g0_sq": float("nan")}, "g0_sq"),
             ({"g0_sq": float("inf")}, "g0_sq"),
+            # a**-d or beta = a**(d-4)/g2 beyond the float range
+            ({"d": 2, "a": [1e-300]}, "a.0"),
+            ({"d": 3, "a": [0.5, 1e-300]}, "a.1"),
+            ({"g2": [5e-324], "g0_sq": 1.0}, "g2.0"),
+            ({"d": 2, "a": [1e-150], "g2": [1.0, 1e-10]}, "g2.1"),
         ],
     )
     def test_rejects_non_finite_numbers(self, mapping, location):
@@ -115,12 +120,13 @@ class TestReportRecord:
                 lhs=None, rhs=None, verdict="maybe", seed=0,
             )
 
-    def test_wall_time_not_serialized(self):
-        record = ReportRecord(
-            suite="s", inputs={}, values={}, errors={},
-            lhs=None, rhs=None, verdict="pass", seed=0, wall_time=1.23,
-        )
-        assert "wall_time" not in record.to_mapping()
+    def test_wall_time_not_serialized(self, tmp_path):
+        paths = write_reports(tmp_path, "s", [self.record()], wall_time=1.2345678)
+        assert json.loads(paths["meta"].read_text())["wall_time_seconds"] == 1.2345678
+        for kind in ("jsonl", "summary", "points"):
+            text = paths[kind].read_text()
+            assert "wall_time" not in text
+            assert "1.2345678" not in text
 
 
 class TestWriters:
@@ -199,15 +205,28 @@ class TestCLI:
             code = main(["stability", "--config", str(config_path), "--out", str(tmp_path)])
             assert code == 2
             assert f"invalid configuration -- {location}" in capsys.readouterr().err
+        # A config file that cannot be read or parsed names `config`.
+        config_path.write_text('{"suite": "stability",')
+        for path in (config_path, tmp_path / "missing.json"):
+            code = main(["stability", "--config", str(path), "--out", str(tmp_path)])
+            assert code == 2
+            assert "invalid configuration -- config: " in capsys.readouterr().err
+        # argparse rejects a malformed list flag by name.
+        for flag, value in [("--N", "1,x"), ("--a", "0.5,abc"), ("--g2", ",1")]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["stability", flag, value, "--out", str(tmp_path)])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "stability.jsonl").exists()
 
-    @pytest.mark.parametrize("suite", ["single-bond", "approx", "stability", "genfun"])
+    @pytest.mark.parametrize("suite", ["single-bond", "approx", "stability", "genfun", "all"])
     def test_coupling_above_ceiling_exit_two(self, suite, tmp_path, capsys):
-        # The default g0_sq is 4; every coupling suite rejects g2 above it
-        # before computing anything.
+        # The default g0_sq is 4; g2 above it is rejected before any suite
+        # computes, so `all` writes no report either.
         code = main([suite, "--g2", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "g0_sq" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.jsonl"))
 
     @pytest.mark.parametrize(
         "args,location",
@@ -216,6 +235,9 @@ class TestCLI:
             (["approx", "--a", "nan"], "a.0"),
             (["single-bond", "--g2", "nan"], "g2.0"),
             (["single-bond", "--g2", "1,inf"], "g2.1"),
+            (["approx", "--d", "2", "--a", "1e-300"], "a.0"),
+            (["scalar", "--d", "3", "--a", "1e-300"], "a.0"),
+            (["single-bond", "--g2", "5e-324"], "g2.0"),
         ],
     )
     def test_non_finite_number_exit_two(self, args, location, tmp_path, capsys):
