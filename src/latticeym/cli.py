@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, LatticeYMError, SuiteFailed
+from .errors import ConfigInvalid, LatticeYMError, NonFiniteResult, SuiteFailed
 from .factorized import normalized_free_energy, plaquette_moment
 from .groups import GroupSpec, haar_sample_batch, quadratic_bound_scan, unitarity_defect
 from .lattice import build_geometry
@@ -38,7 +38,7 @@ from .reporting import (
     write_reports,
 )
 from .scalar import ScalarSpec, derivative_correlation, fit_decay_rate, mass_gap
-from .single_bond import CouplingSpec, bound_constants, z_lower, z_upper
+from .single_bond import CouplingSpec, bound_constants, z_lower_normalized, z_upper_normalized
 
 __all__ = ["main", "run_suite", "build_parser"]
 
@@ -46,6 +46,10 @@ _TINY = 1e-12
 
 
 def _record(config, inputs, values, errors, lhs, rhs, passed) -> ReportRecord:
+    for key, value in [*values.items(), *((f"err_{k}", v) for k, v in errors.items()),
+                       ("lhs", lhs), ("rhs", rhs)]:
+        if not np.isfinite(value):
+            raise NonFiniteResult(f"{config.suite} at {inputs}: {key} is {value}")
     return ReportRecord(
         suite=config.suite,
         inputs=inputs,
@@ -81,10 +85,10 @@ def _suite_group_check(config: RunConfig):
     return records
 
 
-def _log_with_error(value_and_error, factor):
-    """log(factor * z) and the two-resolution error |fine - coarse| / z carried to it."""
+def _log_with_error(value_and_error):
+    """log(zeta) and the two-resolution error |fine - coarse| / zeta carried to it."""
     value, error = value_and_error
-    return float(np.log(factor * value)), float(error / value)
+    return float(np.log(value)), float(error / value)
 
 
 def _suite_weyl_check(config: RunConfig):
@@ -126,11 +130,10 @@ def _suite_single_bond(config: RunConfig):
     records = []
     for group, coupling in _grid(config):
         constants = bound_constants(coupling, group, config.quadrature)
-        extracted = coupling.beta ** (group.dim / 2.0)
         log_zu, err_zu = _log_with_error(
-            z_upper(coupling, group, config.quadrature, return_error=True), extracted)
+            z_upper_normalized(coupling, group, config.quadrature, return_error=True))
         log_zl, err_zl = _log_with_error(
-            z_lower(coupling, group, config.quadrature, return_error=True), extracted)
+            z_lower_normalized(coupling, group, config.quadrature, return_error=True))
         upper_ok = log_zu <= constants.c_upper + _TINY
         lower_ok = log_zl >= constants.c_lower - _TINY
         records.append(
@@ -161,8 +164,7 @@ def _suite_approx(config: RunConfig):
         n = group.n
         constants = bound_constants(coupling, group, config.quadrature)
         log_z, err_z = _log_with_error(
-            z_upper(coupling, group, config.quadrature, return_error=True),
-            coupling.beta ** (group.dim / 2.0))
+            z_upper_normalized(coupling, group, config.quadrature, return_error=True))
         free_energy = normalized_free_energy(coupling, group, config.quadrature)
         m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
                                       return_error=True)

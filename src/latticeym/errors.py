@@ -33,6 +33,10 @@ class InfraredDivergent(LatticeYMError):
     """Requested a quantity that diverges (massless propagator in d = 2)."""
 
 
+class NonFiniteResult(LatticeYMError):
+    """A value bound for a report is NaN or infinite."""
+
+
 class ConfigInvalid(LatticeYMError):
     """Run configuration failed schema or cross-field validation."""
 

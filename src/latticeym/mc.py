@@ -451,9 +451,9 @@ def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec
     num_exp = 2.0**coupling.d * counts.retained_bonds / (r * s)
     den_exp = (2.0**coupling.d * (counts.retained_bonds + counts.extra_bonds)
                / (r * s))
-    zl = z_lower(coupling, group, quad)
-    rhs = 1.0
+    log_zl = np.log(z_lower(coupling, group, quad))
+    log_rhs = 0.0  # summed in logarithms: each power alone can leave float range
     for j in sources.strengths:
         env = z_upper_source_envelope(r * complex(j), coupling, group, quad)
-        rhs *= env**num_exp / zl**den_exp
-    return float(rhs)
+        log_rhs += num_exp * np.log(env) - den_exp * log_zl
+    return float(np.exp(log_rhs))

@@ -19,17 +19,17 @@ tensor-product rule over all N angles summed exactly, at a cost of n^2
 one-dimensional sums instead of points^N grid points.
 
 For scale == 1 the basis is the Fourier basis e^{i j lam} and M is
-Toeplitz.  Large couplings concentrate the weight near the origin; `scale`
-switches to coordinates y = scale * lam so the rule tracks the concentration
-region.  There the Toeplitz determinant is the difference of nearly equal
-products and loses most of its digits, so the basis becomes the monic
-polynomials in x = scale * (e^{i lam} - 1) generated by
-phi_{j+1} = x phi_j + (j/2) phi_{j-1}.  They are unit-triangular in
-(scale * (e^{i lam} - 1))^j, which leaves det M unchanged up to the factor
-scale^(-n(n-1)); near the origin -i x ~ y, and they are i^j times the monic
-Hermite polynomials, orthogonal for the weight e^{-y^2} that every
-concentrated weight here approaches.  M is then nearly diagonal and its
-determinant keeps its digits up to rank 8.
+Toeplitz.  Large couplings concentrate the weight near the origin, where
+every rule splits; `scale` switches to coordinates y = scale * lam so the
+rule tracks the concentration region.  There the Toeplitz determinant is the
+difference of nearly equal products and loses most of its digits, so the
+basis becomes the monic polynomials in x = scale * (e^{i lam} - 1) generated
+by phi_{j+1} = x phi_j + (j/2) phi_{j-1}.  Near the origin -i x ~ y, and they
+are i^j times the monic Hermite polynomials, orthogonal for the weight
+e^{-y^2} that every concentrated weight here approaches.  M is then nearly
+diagonal and its determinant keeps its digits up to rank 8.  The result is
+left in y: the concentrated value scale^(n^2) times the Haar average, of
+order one where the average itself vanishes like scale^(-n^2).
 
 Moments of sum_j s(lam_j) under such a weight are Taylor coefficients of a
 source-deformed determinant (`weyl_moments`); the Gaussian reference
@@ -134,20 +134,16 @@ def _panel_nodes(points: int, panels: tuple):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _heine_rule(n, points, scale, cutoff, split_origin):
-    """Angles, weights of (1/2 pi) dlam, and the basis phi_j at the angles.
+def _heine_rule(n, points, scale, cutoff):
+    """Angles, weights of (1/2 pi) dy, and the basis phi_j at the angles.
 
-    Returns (lam, weights, phi, factor) with phi of shape (n, M); the Haar
-    average of prod w is factor * det(phi diag(w weights) phi^H).
+    Returns (lam, weights, phi) with phi of shape (n, M); the concentrated
+    value scale^(n^2) <prod w> is det(phi diag(w weights) phi^H).
     """
     half = np.pi * scale
     if cutoff is not None:
         half = min(half, cutoff)
-    # A concentrated weight peaks at the origin: a panel boundary there
-    # doubles the node density where it lives, which the rank-8 moment
-    # series needs at the coarse order.
-    panels = (-half, 0.0, half) if split_origin or scale > 1.0 else (-half, half)
-    y, wy = _panel_nodes(points, panels)
+    y, wy = _panel_nodes(points, (-half, 0.0, half))
     lam = y / scale
     if scale == 1.0:
         phi = np.exp(1j * np.arange(n)[:, None] * lam)
@@ -158,7 +154,7 @@ def _heine_rule(n, points, scale, cutoff, split_origin):
             phi[1] = x
         for j in range(1, n - 1):
             phi[j + 1] = x * phi[j] + 0.5 * j * phi[j - 1]
-    return lam, wy / (2.0 * np.pi * scale), phi, scale ** (-n * (n - 1))
+    return lam, wy / (2.0 * np.pi), phi
 
 
 def _gram(phi, weights):
@@ -182,24 +178,23 @@ def _checked(fine, coarse, quad, what, size=None):
 
 def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
                    scale: float = 1.0, cutoff: float | None = None,
-                   split_origin: bool = False, return_error: bool = False):
-    """Haar expectation of the product class function prod_j w(lam_j).
+                   return_error: bool = False):
+    """Concentrated value scale^(n^2) <prod_j w(lam_j)> of a product class function.
 
     w is a one-angle weight: called with a 1-D array of angles, it returns
-    an array of the same length (real or complex).  With scale > 1 the
-    integration runs in coordinates y = scale*lam over |y| <= min(pi*scale,
-    cutoff), split into two panels at the origin; the caller guarantees the
-    weight is negligible beyond the cutoff.  split_origin places a panel
-    boundary at 0 also when scale == 1, for weights with a kink there.
+    an array of the same length (real or complex).  The integration runs in
+    coordinates y = scale*lam over |y| <= min(pi*scale, cutoff), split into
+    two panels at the origin; the caller guarantees the weight is negligible
+    beyond the cutoff.  At the default scale 1 the value is the Haar
+    expectation itself.
 
     Runs at two resolutions and raises ResolutionTooLow if they disagree
     beyond quad.rtol/atol.
     """
     def value(points):
-        lam, weights, phi, factor = _heine_rule(group.n, points, scale, cutoff,
-                                                split_origin)
+        lam, weights, phi = _heine_rule(group.n, points, scale, cutoff)
         vals = np.asarray(w(lam))
-        det = factor * np.linalg.det(_gram(phi, weights * vals))
+        det = np.linalg.det(_gram(phi, weights * vals))
         # phi diag(w) phi^H is Hermitian for real w: its determinant is real.
         return det if np.iscomplexobj(vals) else det.real
 
@@ -257,7 +252,7 @@ def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
     top = max(order, 2)
 
     def value(points):
-        lam, weights, phi, _ = _heine_rule(group.n, points, scale, cutoff, False)
+        lam, weights, phi = _heine_rule(group.n, points, scale, cutoff)
         base = weights * np.asarray(w(lam))
         src = np.asarray(s(lam))
         mats = np.array([_gram(phi, base * src**k / factorial(k))

@@ -85,10 +85,11 @@ def quadratic_weight(beta: float, d: int, group: GroupSpec):
     return w
 
 
-def _wilson_scale(beta: float) -> tuple[float, float | None]:
+def _wilson_scale(beta: float, reach: float = 0.0) -> tuple[float, float | None]:
+    """Rule scale and cutoff; a source of modulus `reach` widens the cutoff."""
     if beta <= 1.0:
         return 1.0, None
-    return np.sqrt(beta), _WILSON_CUTOFF
+    return np.sqrt(beta), _WILSON_CUTOFF + reach
 
 
 def _quadratic_scale(beta: float, d: int, group: GroupSpec) -> tuple[float, float | None]:
@@ -98,34 +99,44 @@ def _quadratic_scale(beta: float, d: int, group: GroupSpec) -> tuple[float, floa
     return np.sqrt(rate), _QUADRATIC_CUTOFF
 
 
-def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec,
-            return_error: bool = False):
-    """Single-bond partition function with the Wilson weight.
+def _bond_integral(w, rule, coupling, group, quad, extracted=False, return_error=False):
+    """z = <prod_j w(lam_j)>, or zeta = beta**(n^2/2) z when extracted.
 
-    With return_error, also the two-resolution difference |fine - coarse|.
+    weyl_integrate gives scale**(n^2) z under rule = (scale, cutoff); one factor
+    formed in logarithms turns it into z or zeta (and the two-resolution error).
     """
-    scale, cutoff = _wilson_scale(coupling.beta)
-    return weyl_integrate(wilson_weight(coupling.beta), group, quad,
-                          scale=scale, cutoff=cutoff, return_error=return_error)
+    scale, cutoff = rule
+    value, error = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff,
+                                  return_error=True)
+    factor = np.exp(0.5 * group.dim * np.log((coupling.beta if extracted else 1.0)
+                                             / scale**2))
+    return (factor * value, factor * error) if return_error else factor * value
 
 
-def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec,
-            return_error: bool = False):
+def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
+    """Single-bond partition function with the Wilson weight."""
+    return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
+                          coupling, group, quad)
+
+
+def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
     """Single-bond partition function with the quadratic weight."""
-    scale, cutoff = _quadratic_scale(coupling.beta, coupling.d, group)
-    return weyl_integrate(quadratic_weight(coupling.beta, coupling.d, group),
-                          group, quad, scale=scale, cutoff=cutoff,
-                          return_error=return_error)
+    return _bond_integral(quadratic_weight(coupling.beta, coupling.d, group),
+                          _quadratic_scale(coupling.beta, coupling.d, group),
+                          coupling, group, quad)
 
 
-def z_upper_normalized(coupling, group, quad) -> float:
-    """beta**(n^2/2) * z_upper, the spacing-extracted form."""
-    return coupling.beta ** (group.dim / 2.0) * z_upper(coupling, group, quad)
+def z_upper_normalized(coupling, group, quad, return_error: bool = False):
+    """beta**(n^2/2) * z_upper, the spacing-extracted form (and |fine - coarse|)."""
+    return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
+                          coupling, group, quad, True, return_error)
 
 
-def z_lower_normalized(coupling, group, quad) -> float:
+def z_lower_normalized(coupling, group, quad, return_error: bool = False):
     """beta**(n^2/2) * z_lower."""
-    return coupling.beta ** (group.dim / 2.0) * z_lower(coupling, group, quad)
+    return _bond_integral(quadratic_weight(coupling.beta, coupling.d, group),
+                          _quadratic_scale(coupling.beta, coupling.d, group),
+                          coupling, group, quad, True, return_error)
 
 
 def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
@@ -137,16 +148,12 @@ def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
     """
     beta = coupling.beta
     j = complex(j)
-    scale, cutoff = _wilson_scale(beta)
-    if cutoff is not None:
-        cutoff = cutoff + abs(j)
     root_beta = np.sqrt(beta)
 
     def w(lam):
         return np.exp(j * root_beta * np.sin(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
 
-    value = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff)
-    return complex(value)
+    return complex(_bond_integral(w, _wilson_scale(beta, abs(j)), coupling, group, quad))
 
 
 def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec,
@@ -155,21 +162,17 @@ def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec
 
     This is the quantity the generating-function bound actually controls; it
     dominates |z_upper_source(j)| by the triangle inequality.  The integrand
-    has a kink at lam = 0 in each angle, so the rule is split there.
+    has a kink at lam = 0 in each angle, where every rule splits.
     """
     beta = coupling.beta
     mod_j = abs(complex(j))
-    scale, cutoff = _wilson_scale(beta)
-    if cutoff is not None:
-        cutoff = cutoff + mod_j
     root_beta = np.sqrt(beta)
 
     def w(lam):
         return np.exp(mod_j * root_beta * np.abs(np.sin(lam))
                       - 4.0 * beta * np.sin(0.5 * lam) ** 2)
 
-    return float(weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff,
-                                split_origin=True))
+    return float(_bond_integral(w, _wilson_scale(beta, mod_j), coupling, group, quad))
 
 
 @dataclass(frozen=True)
@@ -212,8 +215,8 @@ def source_bound(j: complex, coupling: CouplingSpec, group: GroupSpec,
     """Closed-form ceiling for |z_upper_source(j)|."""
     n = group.n
     c = bound_constants(coupling, group, quad).c_upper_source
-    return float(coupling.beta ** (-n * n / 2.0)
-                 * np.exp(c + (np.pi**2 / 8.0) * n * abs(complex(j)) ** 2))
+    return float(np.exp(c + (np.pi**2 / 8.0) * n * abs(complex(j)) ** 2
+                        - 0.5 * n * n * np.log(coupling.beta)))
 
 
 @dataclass(frozen=True)

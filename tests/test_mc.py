@@ -312,6 +312,17 @@ def test_generating_function_ceiling(quad):
         assert rhs > 1.0  # the bound is loose but finite
 
 
+def test_generating_function_ceiling_at_large_beta(quad):
+    # At d=3, L=4, N=3, beta=1e4 the powers of z_lower alone underflow; the
+    # ceiling is formed in logarithms and stays finite.  For real J Jensen's
+    # inequality gives |G(J)| >= 1, so the ceiling must be at least 1.
+    cp = CouplingSpec(d=3, a=1.0, g2=1e-4)
+    for strength in (0.1, 0.5):
+        src = SourceSpec(plaquettes=(0,), strengths=(strength,))
+        rhs = generating_function_ceiling(4, cp, GroupSpec(3), src, quad)
+        assert np.isfinite(rhs) and rhs >= 1.0
+
+
 def test_unconverged_chains_detected():
     # Synthetic disagreement: two chains with disjoint support.
     chains = [np.zeros((200, 1)), np.full((200, 1), 2.0)]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,43 @@ class TestCLI:
         config_path.write_text(json.dumps({"suite": "single-bond", "g0_sq": float("nan")}))
         assert main(["single-bond", "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert "g0_sq: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["single-bond", "--N", "3", "--d", "2", "--a", "1e-100"],
+            ["approx", "--N", "2", "--d", "2", "--a", "1e-150"],
+            ["single-bond", "--d", "4", "--N", "8", "--g2", "1e-10"],
+        ],
+    )
+    def test_extreme_coupling_exit_zero(self, args, tmp_path):
+        # beta up to 1e300: beta^(n^2/2) and z leave float range, their product does not
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / f"{args[0]}.jsonl").read_text())
+        values = record["values"]
+        assert record["verdict"] == "pass"
+        assert all(math.isfinite(v) for v in values.values())
+        if args[0] == "single-bond":
+            assert values["c_lower"] <= values["log_z_lower"]
+            assert values["log_z_upper"] <= values["c_upper"]
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            # ln ceiling = 864 overflows a double
+            (["genfun", "--d", "3", "--L", "2", "--N", "3", "--a", "1e-4"], "ceiling"),
+            # z_lower at N = 8, beta = 1e12 underflows to 0
+            (["stability", "--d", "4", "--L", "2", "--N", "8", "--g2", "1e-12"], "lower"),
+        ],
+    )
+    def test_non_finite_result_exit_three(self, args, key, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 60, "thermalization": 20}}))
+        assert main(args + ["--config", str(config), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"NonFiniteResult: {args[0]} at " in err
+        assert f"{key} is " in err
+        assert not (tmp_path / f"{args[0]}.jsonl").exists()
 
     def test_scalar_small_spacings_exit_zero(self, tmp_path):
         # at d=4, a = 0.25 and 0.1 a fixed transverse momentum grid misses the 1% gate

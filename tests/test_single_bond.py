@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import QuadratureSpec
+from latticeym.quadrature import QuadratureSpec, ensemble_constants
 from latticeym.single_bond import (BoundConstants, CouplingSpec, bound_constants,
                                    source_bound, trig_inequality_report, z_lower,
                                    z_lower_normalized, z_upper, z_upper_normalized,
@@ -83,6 +83,20 @@ def test_extracted_products_stay_in_sandwich(n, d, quad):
         zu = z_upper_normalized(cp, g, quad)
         zl = z_lower_normalized(cp, g, quad)
         assert lo <= zl <= zu <= hi
+
+
+@pytest.mark.parametrize("beta", [1e20, 1e300])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_normalized_integrals_at_extreme_coupling(n, beta, quad):
+    # z itself underflows here and beta^(n^2/2) overflows; the extracted value
+    # stays of order one and tends to the Gaussian constant N_G / N_C.
+    g = GroupSpec(n)
+    cp = CouplingSpec(d=4, a=1.0, g2=1.0 / beta)
+    consts = ensemble_constants(g)
+    log_zu = np.log(z_upper_normalized(cp, g, quad))
+    assert abs(log_zu - np.log(consts.gue / consts.cue)) <= 1e-12
+    bc = bound_constants(cp, g, quad)
+    assert bc.c_lower <= np.log(z_lower_normalized(cp, g, quad)) <= bc.c_upper
 
 
 def test_bound_constants_frozen_abelian(quad):
