@@ -95,16 +95,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Haar sample of shape (count, n, n).
 
-    Complex Ginibre matrix, QR decomposition, then each column of Q is
-    rescaled by the phase that makes the corresponding diagonal entry of R
-    real positive.  Without the phase fix QR is not Haar.
+    Gram-Schmidt, applied twice per column, on the columns of a complex
+    Ginibre matrix.  It yields the Q of the QR decomposition whose R has a
+    real positive diagonal, which is Haar distributed (Mezzadri, Notices
+    AMS 54, 592 (2007), math-ph/0609050); a plain LAPACK QR is not, until
+    each column is rephased.  The Ginibre scale does not change Q.
     """
     n = group.n
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    diag = np.einsum("bii->bi", r)
-    phase = diag / np.abs(diag)
-    return q * phase[:, None, :]
+    # Laid out (column, row, sample), so every operation runs over the samples.
+    columns = []
+    for v in np.ascontiguousarray(z.transpose(2, 1, 0)):
+        for _ in range(2):
+            for q in columns:
+                v = v - q * np.sum(q.conj() * v, axis=0)
+        columns.append(v / np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0)))
+    return np.stack(columns).transpose(2, 1, 0)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -177,11 +183,19 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     2 Re tr(1 - U_p) is the plaquette action and |x^j|^2 the squared
     coefficient norm of the log of U_j, equal to the sum of its squared
     angular eigenvalues.  Returns (lhs, rhs), each of shape (...).
+
+    As |lambda| = arccos(cos lambda) on (-pi, pi], sum_j lambda_j**2 is
+    sum_j arccos(mu_j)**2 over the eigenvalues mu_j of (U + U^dag)/2: no
+    eigenvectors, and no pairing of mirrored or repeated angles.  Rounding
+    eps in mu costs about 2 eps near lambda = 0 and 2 pi sqrt(2 eps) ~ 2e-7
+    at |lambda| = pi, where a scan (k = 4) has rhs >= 4 n pi**2 and
+    lhs <= 4 n, so it cannot fake a violation.
     """
     us = np.asarray(us, dtype=complex)
     n = group.n
     if us.ndim < 3 or us.shape[-2:] != (n, n) or not 1 <= us.shape[-3] <= 4:
         raise ShapeMismatch(f"expected (..., k, {n}, {n}) with 1 <= k <= 4, got {us.shape}")
+    require_unitary(us)
     k = us.shape[-3]
     legs = [us[..., j, :, :] for j in range(k)]
     legs[2:] = [dagger(leg) for leg in legs[2:]]
@@ -189,7 +203,8 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     for leg in legs[1:]:
         holonomy = matmul(holonomy, leg)
     lhs = 2.0 * (n - np.trace(holonomy, axis1=-2, axis2=-1).real)
-    rhs = k * n * np.sum(angular_eigenvalues(us) ** 2, axis=(-2, -1))
+    cosines = np.linalg.eigvalsh(0.5 * (us + dagger(us)))
+    rhs = k * n * np.sum(np.arccos(np.clip(cosines, -1.0, 1.0)) ** 2, axis=(-2, -1))
     return lhs, rhs
 
 

@@ -170,7 +170,8 @@ class RunConfig:
         ConfigInvalid
             With the offending field named, on a schema violation, a
             non-finite number, a coupling above ``g0_sq``, or a spacing or
-            coupling whose a**-d or beta = a**(d-4)/g2 overflows a float.
+            coupling whose a**-d, or beta = a**(d-4)/g2 times the quadratic
+            rate 8 n (d-1), overflows a float.
         """
         validator = jsonschema.Draft202012Validator(RUN_CONFIG_SCHEMA)
         errors = sorted(validator.iter_errors(data), key=lambda e: list(map(str, e.path)))
@@ -201,10 +202,15 @@ class RunConfig:
             if -d * math.log(a) > _LOG_FLOAT_MAX:
                 raise ConfigInvalid(f"a.{i}: a**-d overflows a float at d = {d}, got {a!r}")
         # a**(d-4) peaks at the smallest spacing, and is finite once a**-d is.
+        # The lower bound's Gaussian rate 2 C^2 (d-1) beta, C^2 = 4n, exceeds
+        # beta, so checking it covers beta too.
+        n_max = max(config.n_values)
+        rate = 8 * n_max * (d - 1)
         for i, g2 in enumerate(config.g2_values):
-            if (d - 4) * math.log(a_min) - math.log(g2) > _LOG_FLOAT_MAX:
-                raise ConfigInvalid(f"g2.{i}: beta = a**(d-4)/g2 overflows a float at "
-                                    f"d = {d}, a = {a_min!r}, got {g2!r}")
+            if math.log(rate) + (d - 4) * math.log(a_min) - math.log(g2) > _LOG_FLOAT_MAX:
+                raise ConfigInvalid(f"g2.{i}: the rate {rate} beta, beta = a**(d-4)/g2, "
+                                    f"overflows a float at d = {d}, n = {n_max}, "
+                                    f"a = {a_min!r}, got {g2!r}")
         # The chains draw from the root seed.
         return replace(config, mc=replace(config.mc, seed=config.seed))
 

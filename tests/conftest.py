@@ -1,4 +1,5 @@
-"""Shared fixtures, and a tensor-grid oracle for the Weyl-reduced integrals.
+"""Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, and a
+QR oracle for the Haar sampler.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -51,6 +52,20 @@ def tensor_weyl(f, n, points=96, scale=1.0, cutoff=None, split_origin=False):
         total += np.sum(weights * vals * vandermonde_density(lam))
     total /= scale**n * ensemble_constants(GroupSpec(n)).cue
     return total if complex_seen else total.real
+
+
+def qr_haar_sample(group, rng, count):
+    """Haar sample of shape (count, n, n) from LAPACK QR of a complex Ginibre
+    matrix, each column of Q rephased so that R has a real positive diagonal.
+
+    Draws the same normals in the same order as `haar_sample_batch`, so on a
+    shared seed both give the same matrices up to rounding.
+    """
+    n = group.n
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.einsum("bii->bi", r)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def product_of(w):

@@ -9,7 +9,7 @@ from latticeym.groups import (GroupSpec, angular_eigenvalues, generator_basis,
                               unitarity_defect)
 from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
 
-from conftest import tensor_weyl
+from conftest import qr_haar_sample, tensor_weyl
 
 
 def test_haar_sample_deterministic():
@@ -25,6 +25,17 @@ def test_haar_sample_unitary(n, rng):
     us = haar_sample_batch(GroupSpec(n), rng, 200)
     for u in us:
         assert unitarity_defect(u) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_haar_sample_matches_qr_oracle(n):
+    g = GroupSpec(n)
+    fast, oracle = np.random.default_rng(17), np.random.default_rng(17)
+    us = haar_sample_batch(g, fast, 20_000)
+    assert np.max(np.abs(us - qr_haar_sample(g, oracle, 20_000))) <= 1e-12
+    # Both consumed the same Ginibre draws.
+    assert fast.standard_normal() == oracle.standard_normal()
+    assert unitarity_defect(us) <= 1e-14
 
 
 def test_unitarity_defect_is_largest_per_matrix_norm(rng):
@@ -115,6 +126,8 @@ def test_non_unitary_input_rejected():
         log_map(2.0 * np.eye(2))
     with pytest.raises(ShapeMismatch):
         angular_eigenvalues(np.ones((2, 3)))
+    with pytest.raises(NonUnitaryInput):
+        quadratic_bound_sides(2.0 * np.eye(2)[None], GroupSpec(2))
 
 
 def plaquette_action(*us):
@@ -173,6 +186,52 @@ def test_quadratic_bound_random(n, k, seed):
     # One tuple alone and inside a stack give the same sides.
     stacked = quadratic_bound_sides(np.stack([us, us]), g)
     assert np.all(stacked[0] == lhs) and np.all(stacked[1] == rhs)
+
+
+def sum_squared_angles(us):
+    """sum_j lambda_j**2 of each matrix of a stack (..., n, n): the rhs of
+    quadratic_bound_sides for k = 1 is n times it."""
+    n = us.shape[-1]
+    return quadratic_bound_sides(us[..., None, :, :], GroupSpec(n))[1] / n
+
+
+def with_angles(angles):
+    """V diag(exp(i angles)) V^dag for a fixed Haar-random V."""
+    v = haar_sample_batch(GroupSpec(len(angles)), np.random.default_rng(3), 1)[0]
+    return (v * np.exp(1j * np.asarray(angles))) @ v.conj().T
+
+
+MIRROR_AXES = (0.0, 0.4, np.arctan(1 / np.sqrt(2)), 1.0, np.pi / 2, 2.5)
+
+
+@pytest.mark.parametrize(
+    "angles,tol",
+    [((c - h, c + h), 1e-12) for c in MIRROR_AXES for h in (0.3, 1e-8)]
+    + [((c - 0.1, -0.9, c + 0.1), 1e-12) for c in MIRROR_AXES]
+    + [
+        ((-1.1, 1.1), 1e-12),               # conjugate pair
+        ((0.7, 0.7, -1.2), 1e-12),          # repeated eigenvalue
+        ((0.7, -2.0, 0.7, 0.7), 1e-12),
+        ((1e-4, -2e-4, 3e-4), 1e-14),       # near the identity
+        ((np.pi, 0.5), 2e-7),               # arccos conditioning at -1
+        ((np.pi - 1e-6, -0.3), 1e-8),
+    ],
+)
+def test_sum_squared_angles_known_spectrum(angles, tol):
+    assert abs(sum_squared_angles(with_angles(angles)) - np.sum(np.square(angles))) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sum_squared_angles_matches_eigenvalue_oracle(n):
+    # 300k Haar matrices per rank against the signed angles of angular_eigenvalues.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(6):
+        us = haar_sample_batch(GroupSpec(n), rng, 50_000)
+        angles = angular_eigenvalues(us)
+        err = np.abs(sum_squared_angles(us) - np.sum(angles**2, axis=-1))
+        clear_of_pi = np.all(np.pi - np.abs(angles) >= 1e-3, axis=-1)
+        assert np.max(err[clear_of_pi]) <= 2e-11
+        assert np.max(err) <= 1e-8
 
 
 def test_quadratic_bound_near_identity():

@@ -74,6 +74,8 @@ class TestRunConfig:
             ({"d": 3, "a": [0.5, 1e-300]}, "a.1"),
             ({"g2": [5e-324], "g0_sq": 1.0}, "g2.0"),
             ({"d": 2, "a": [1e-150], "g2": [1.0, 1e-10]}, "g2.1"),
+            # beta finite, the lower bound's rate 8 n (d-1) beta = 192 beta is not
+            ({"d": 4, "n": [1, 8], "g2": [1.0, 1e-307]}, "g2.1"),
         ],
     )
     def test_rejects_non_finite_numbers(self, mapping, location):
@@ -239,6 +241,7 @@ class TestCLI:
             (["approx", "--d", "2", "--a", "1e-300"], "a.0"),
             (["scalar", "--d", "3", "--a", "1e-300"], "a.0"),
             (["single-bond", "--g2", "5e-324"], "g2.0"),
+            (["single-bond", "--d", "4", "--N", "8", "--g2", "1e-307"], "g2.0"),
         ],
     )
     def test_non_finite_number_exit_two(self, args, location, tmp_path, capsys):
