@@ -271,7 +271,8 @@ def _suite_scalar(config: RunConfig):
     records = []
     for a in config.a_values:
         massless = ScalarSpec(d=config.d, a=a, m_u=0.0, kappa_u=1.0)
-        derivative = derivative_correlation(massless, 0, 0, (0,) * config.d)
+        derivative, err_derivative = derivative_correlation(
+            massless, 0, 0, (0,) * config.d, return_error=True)
         target = 1.0 / (config.d * a**config.d)
         identity_gap = abs(derivative - target) / target
 
@@ -292,7 +293,7 @@ def _suite_scalar(config: RunConfig):
                     "mass_gap": gap,
                     "fit_residual": fit.residual,
                 },
-                errors={},
+                errors={"derivative": err_derivative, "window": fit.window_error},
                 lhs=rate_gap,
                 rhs=0.01,
                 passed=passed,

@@ -30,8 +30,6 @@ A_p = 2n - 2 Re tr(U_b M_p), as rows into the stacked table
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidLattice, ShapeMismatch
 from .groups import dagger, matmul, require_unitary
@@ -196,10 +194,22 @@ def _check_spanning_tree(n_sites: int, tails: np.ndarray, heads: np.ndarray) -> 
     """Raise InvalidLattice unless the bonds tails[i] -- heads[i] form a spanning tree.
 
     A graph on n_sites vertices is a tree iff it has n_sites - 1 edges and
-    one connected component.
+    one connected component; the components are counted by union-find.
     """
-    graph = coo_array((np.ones(tails.size), (tails, heads)), shape=(n_sites, n_sites))
-    components, _ = connected_components(graph, directed=False)
+    parent = list(range(n_sites))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    components = n_sites
+    for tail, head in zip(tails.tolist(), heads.tolist()):
+        a, b = root(tail), root(head)
+        if a != b:
+            parent[a] = b
+            components -= 1
     if tails.size != n_sites - 1 or components != 1:
         raise InvalidLattice(
             f"gauge-fixed set is not a spanning tree: {tails.size} bonds, "

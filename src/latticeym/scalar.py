@@ -24,10 +24,13 @@ Laplace form is the only route: it is exact for every mass (including
 m_u = 0, d >= 3, where the momentum integrand has an integrable singularity
 that defeats fixed-order quadrature).  Every covariance value -- a
 propagator, the coincident constant, each point of a decay-fit window -- is
-one cached adaptive integral of a Bessel product on [0, inf) whose
-convergence is checked; a derivative correlation is one such integral of a
-four-term combination.  The tensor Gauss-Legendre evaluation of the
-momentum form is kept only as an independent oracle for the tests.
+the integral of a Bessel product on [0, inf) by one fixed exp-sinh
+(double-exponential) rule, evaluated as a single array expression on its
+nodes and cached per separation; a derivative correlation is one such
+integral of a four-term combination.  Each value carries the relative gap
+between the rule at two steps, and a gap above 1e-10 raises.  The tensor
+Gauss-Legendre evaluation of the momentum form is kept only as an
+independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 
@@ -58,6 +61,23 @@ __all__ = [
 _DECAY_FLOOR = 1e-14
 _FIT_POINTS = 12
 _FIT_RESIDUAL = 1e-3
+
+# Exp-sinh rule (Takahasi & Mori, Publ. RIMS 9, 721 (1974); Mori & Sugihara,
+# J. Comput. Appl. Math. 127, 287 (2001)): t = T exp((pi/2) sinh u) on the
+# trapezoid grid of step 1/64 over u in [-4.5, 4.5], 577 nodes, with weights
+# dt/du times the step; T scales both.  Its even nodes are the same rule at
+# step 1/32, whose value checks the step-1/64 one.  With steps 1/32 and 1/16
+# instead, that check fails near the origin at small mass (d = 2, a = 0.01,
+# m_u = 1, n = 0) and where a far, heavy separation makes the peak in ln t
+# narrow (d = 2, a = 1, m_u = 3, n = (100, 0)).
+_STEP = 1.0 / 64.0
+_SPAN = 4.5
+_TOLERANCE = 1e-10
+_U = np.linspace(-_SPAN, _SPAN, round(2 * _SPAN / _STEP) + 1)
+_NODES = np.exp(0.5 * np.pi * np.sinh(_U))
+_WEIGHTS = _STEP * 0.5 * np.pi * np.cosh(_U) * _NODES
+_HANKEL_Z = 1e8
+_HANKEL_TERMS = 11
 
 
 @dataclass(frozen=True)
@@ -173,71 +193,114 @@ def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
     return float(total / (2.0 * np.pi) ** d)
 
 
-def _bessel_integrand(kappa_sq: float, decay: float, terms):
-    """t -> e^{-decay t} sum_c coefficient_c prod_mu ive(order_{c,mu}, 2 kappa^2 t).
+def _ive(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Scaled Bessel function ive(order, z) on the grid of ``orders`` (k, 1) by ``z`` (m,).
 
-    ``terms`` holds (orders, coefficient) pairs with non-negative orders.
+    Where z > 1e8 and z >= 10 order^2, the eleven-term Hankel series
+    ive(nu, z) = (2 pi z)^{-1/2} sum_k (-1)^k a_k(nu) z^{-k} (DLMF 10.40.1)
+    replaces scipy's ive, which is NaN beyond z ~ 1.1e9.  There the k-th
+    term is at most (nu^2 / 2z)^k / k! <= 20^{-k} / k!, so the series is
+    exact to rounding.  Elsewhere scipy's value stands, NaN included (high
+    orders at z > 1.1e9, which the convergence check then reports).
     """
+    hankel = (z > _HANKEL_Z) & (z >= 10.0 * orders**2)
+    values = special.ive(orders, np.where(hankel, 0.0, z))
+    if not hankel.any():
+        return values
+    big_z = np.where(hankel, z, _HANKEL_Z)
+    four_nu2 = 4.0 * orders**2
+    term = np.ones(hankel.shape)
+    series = term
+    for k in range(1, _HANKEL_TERMS):
+        term = term * ((2 * k - 1) ** 2 - four_nu2) / (8.0 * k * big_z)
+        series = series + term
+    return np.where(hankel, series / np.sqrt(2.0 * np.pi * big_z), values)
 
-    def integrand(t):
-        z = 2.0 * kappa_sq * t
-        total = 0.0
-        for orders, coefficient in terms:
-            term = coefficient
-            for order in orders:
-                term = term * special.ive(order, z)
-            total = total + term
-        return np.exp(-decay * t) * total
 
-    return integrand
+def _centre(spec: ScalarSpec, n: tuple) -> float:
+    """Centre T of the exp-sinh nodes for separation n.
 
-
-def _peak_time(spec: ScalarSpec, n: tuple) -> float:
-    """Laplace time |n|^2 / (2 d kappa^2) of the integrand's peak, at least 1.
-
-    For large z, ive(k, z) ~ exp(-k^2 / 2z) / sqrt(2 pi z), so the Bessel
-    product peaks near z = 2 kappa^2 t = |n|^2 / d.
+    For large z, ive(k, z) ~ exp(-k^2 / 2z) / sqrt(2 pi z), so the integrand
+    behaves like exp(-r kappa^2 t - |n|^2 / (4 kappa^2 t)) t^{-d/2}.  Its
+    saddle T_s, at least 1, is the positive root of
+    r kappa^2 t^2 + (d/2) t = |n|^2 / (4 kappa^2), written in the form that
+    stays exact at r = 0 (T_s = |n|^2 / (2 d kappa^2)).  Near the origin at
+    small mass the integrand reaches on to the mass cutoff
+    t_c = 1 / (r kappa^2) far beyond T_s (a plateau in ln t at d = 2), so T
+    is the geometric mean of T_s and t_c when t_c is the larger.
     """
-    return max(1.0, sum(v * v for v in n) / (2.0 * spec.d * spec.kappa2))
+    n2 = sum(v * v for v in n)
+    root = math.sqrt(spec.d**2 + 4.0 * spec.r * n2)
+    saddle = max(1.0, n2 / (spec.kappa2 * (spec.d + root)))
+    if spec.r == 0.0:
+        return saddle
+    return saddle * math.sqrt(max(1.0, 1.0 / (spec.r * spec.kappa2 * saddle)))
 
 
-def _laplace_quad(integrand, quantity: str, spec: ScalarSpec, n) -> float:
-    """Integrate a scalar Laplace-Bessel integrand over [0, inf) with QUADPACK.
+def _exp_sinh(integrand, quantity: str, spec: ScalarSpec, n) -> tuple:
+    """Integral over [0, inf) of an integrand on arrays of t by the exp-sinh rule.
 
-    The integral runs in s = t / T, with T the peak time of separation ``n``
-    and the absolute tolerance scaled to match.  At far separations the
-    integrand's mass sits near t ~ |n|^2, where the first panels of the
-    mapped interval see almost nothing of it; unscaled, QUADPACK reports
-    convergence on values that are wrong by many orders of magnitude.
+    The nodes are centred on T = `_centre` of separation ``n``.  Returns the
+    step-1/64 value and its relative gap to the step-1/32 value.
 
     Raises
     ------
     ResolutionTooLow
-        If QUADPACK reports no convergence or the value is not finite.
+        If the value is not finite or the two steps disagree beyond 1e-10
+        relative.
     """
-    scale = _peak_time(spec, n)
-    value, _, _, *failure = integrate.quad(
-        lambda s: integrand(scale * s), 0.0, np.inf, epsabs=1e-13 / scale, epsrel=1e-11,
-        limit=400, full_output=1,
-    )
-    if failure or not math.isfinite(value):
-        reason = failure[0] if failure else f"non-finite value {value}"
+    centre = _centre(spec, n)
+    samples = integrand(centre * _NODES) * _WEIGHTS
+    fine = centre * float(np.sum(samples))
+    coarse = 2.0 * centre * float(np.sum(samples[::2]))
+    diff = abs(fine - coarse)
+    if not (math.isfinite(fine) and diff <= _TOLERANCE * abs(fine)):
+        reason = (f"non-finite value {fine}" if not math.isfinite(fine)
+                  else f"steps 1/{1 / _STEP:g} and 1/{0.5 / _STEP:g} give "
+                       f"{fine:.6e} and {coarse:.6e}")
         raise ResolutionTooLow(
             f"{quantity} at d={spec.d}, a={spec.a}, separation {tuple(n)} "
             f"did not converge: {reason}"
         )
-    return scale * float(value)
+    return fine, (diff / abs(fine) if diff else 0.0)
 
 
-def _laplace_value(spec: ScalarSpec, n: tuple) -> float:
-    """Laplace-Bessel evaluation of the scaled covariance; exact for all m_u >= 0."""
+def _laplace_combination(spec: ScalarSpec, terms, quantity: str, n) -> tuple:
+    """(value, gap) of the Laplace integral of a combination of Bessel products,
+
+        int_0^inf e^{-r kappa^2 t} sum_c coefficient_c prod_mu ive(order_{c,mu}, 2 kappa^2 t) dt.
+
+    ``terms`` holds (orders, coefficient) pairs with non-negative orders; each
+    distinct order is evaluated once per node.
+    """
+    flat = np.array([order for orders, _ in terms for order in orders], dtype=float)
+    orders, index = np.unique(flat, return_inverse=True)
+    index = index.reshape(len(terms), spec.d)
+    coefficients = np.array([coefficient for _, coefficient in terms])
+    decay = spec.r * spec.kappa2
+
+    def integrand(t):
+        # Nodes where the mass damping underflows contribute exactly zero;
+        # skipping them also keeps scipy's NaN at huge z out of the sum.
+        damping = np.exp(-decay * t)
+        live = damping > 0.0
+        table = _ive(orders[:, None], 2.0 * spec.kappa2 * t[live])
+        out = np.zeros_like(t)
+        out[live] = damping[live] * (coefficients @ table[index].prod(axis=1))
+        return out
+
+    return _exp_sinh(integrand, quantity, spec, n)
+
+
+def _laplace_value(spec: ScalarSpec, n: tuple) -> tuple:
+    """(value, gap) of the scaled covariance by its Laplace-Bessel form; exact for all m_u >= 0."""
     orders = tuple(abs(int(v)) for v in n)
-    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, [(orders, 1.0)])
-    return _laplace_quad(integrand, "scaled propagator", spec, n)
+    return _laplace_combination(spec, [(orders, 1.0)], "scaled propagator", n)
 
 
 @lru_cache(maxsize=4096)
-def _scaled_propagator_cached(spec: ScalarSpec, n: tuple) -> float:
+def _scaled_propagator_cached(spec: ScalarSpec, n: tuple) -> tuple:
+    """(value, gap) of the scaled covariance at a canonical separation."""
     if spec.m_u == 0.0 and spec.d == 2:
         raise InfraredDivergent(
             "massless scaled propagator diverges logarithmically in two dimensions"
@@ -266,7 +329,7 @@ def scaled_propagator(spec: ScalarSpec, x, y=None) -> float:
     # The kernel is even in each component and symmetric under axis
     # permutation, so a canonical key collapses the orbit.
     canonical = tuple(sorted(abs(v) for v in n))
-    return _scaled_propagator_cached(spec, canonical)
+    return _scaled_propagator_cached(spec, canonical)[0]
 
 
 def unscaled_propagator(spec: ScalarSpec, x, y=None) -> float:
@@ -289,14 +352,16 @@ def coincident_bound_constant(d: int) -> float:
     return scaled_propagator(ScalarSpec(d=d, a=1.0, m_u=0.0, kappa_u=1.0), (0,) * d)
 
 
-def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> float:
+def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None, *,
+                           return_error: bool = False):
     """Correlation of forward lattice derivatives of the unscaled field.
 
     Computes <d_mu phi(x) d_nu phi(y)> with d_mu phi(x) =
     [phi(x + e_mu) - phi(x)] / a.  The four covariance terms are combined
     under a single Laplace integral, which stays bounded even for d = 2 at
     m_u = 0 where the individual propagators diverge: the +--+ pattern
-    cancels the slow t^{-d/2} tail down to t^{-d/2-1}.
+    cancels the slow t^{-d/2} tail down to t^{-d/2-1}.  With
+    ``return_error`` the result is (value, relative two-resolution gap).
     """
     d = spec.d
     if not (0 <= mu < d and 0 <= nu < d):
@@ -313,9 +378,9 @@ def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None) -> flo
         (tuple(abs(v) for v in vector), coefficient)
         for vector, coefficient in zip(vectors, (1.0, -1.0, -1.0, 1.0))
     ]
-    integrand = _bessel_integrand(spec.kappa2, spec.r * spec.kappa2, terms)
-    value = _laplace_quad(integrand, f"derivative correlation ({mu}, {nu})", spec, n)
-    return value / (spec.a**2 * spec.s2)
+    value, err = _laplace_combination(spec, terms, f"derivative correlation ({mu}, {nu})", n)
+    value /= spec.a**2 * spec.s2
+    return (value, err) if return_error else value
 
 
 def mass_gap_formula(a, m_u, kappa_u):
@@ -340,6 +405,8 @@ class DecayFit:
     correction / n; the logarithmic term is the free-field prefactor and the
     1/n term absorbs the leading finite-separation correction, without which
     the residual target is unreachable before the covariance underflows.
+    ``window_error`` is the largest relative two-resolution gap of the
+    window's covariances.
     """
 
     rate: float
@@ -348,6 +415,7 @@ class DecayFit:
     residual: float
     n_start: int
     n_stop: int
+    window_error: float
 
 
 def fit_decay_rate(spec: ScalarSpec) -> DecayFit:
@@ -371,8 +439,8 @@ def fit_decay_rate(spec: ScalarSpec) -> DecayFit:
     n_start = max(2, math.ceil(5.0 / (mass_gap(spec) * spec.a)))
     for _ in range(7):
         ns = np.arange(n_start, n_start + _FIT_POINTS, dtype=float)
-        values = np.array([scaled_propagator(spec, (int(n),) + (0,) * (spec.d - 1))
-                           for n in ns])
+        values, gaps = np.array([_scaled_propagator_cached(spec, (0,) * (spec.d - 1) + (int(n),))
+                                 for n in ns]).T
         if np.any(values < _DECAY_FLOOR):
             raise RangeTooNoisy(
                 f"covariance below {_DECAY_FLOOR:g} in window [{ns[0]}, {ns[-1]}]"
@@ -383,7 +451,8 @@ def fit_decay_rate(spec: ScalarSpec) -> DecayFit:
         residual = float(np.max(np.abs(y - design @ coef)))
         if residual <= _FIT_RESIDUAL:
             rate, intercept, correction = (float(c) for c in coef)
-            return DecayFit(rate, intercept, correction, residual, int(ns[0]), int(ns[-1]))
+            return DecayFit(rate, intercept, correction, residual, int(ns[0]), int(ns[-1]),
+                            float(np.max(gaps)))
         n_start = max(n_start + 1, math.ceil(1.5 * n_start))
     raise RangeTooNoisy(
         f"fit residual {residual:.3e} still exceeds {_FIT_RESIDUAL:g} "

@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latticeym
 from latticeym import __version__
 from latticeym.cli import main, run_suite
 from latticeym.errors import ConfigInvalid
@@ -297,6 +301,26 @@ class TestCLI:
         assert main(["scalar", "--d", "4", "--a", "1,0.5,0.25,0.1", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "scalar.jsonl").read_text().splitlines()
         assert [json.loads(line)["verdict"] for line in lines] == ["pass"] * 4
+
+    @pytest.mark.parametrize("d", ["3", "4"])
+    def test_scalar_tiny_spacing_exit_zero(self, d, tmp_path):
+        # the fit window sits near n = 5000, whose Laplace integrands reach
+        # Bessel arguments beyond 1e9, where scipy's ive is NaN
+        assert main(["scalar", "--d", d, "--a", "0.001", "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "scalar.jsonl").read_text())
+        assert record["verdict"] == "pass"
+        assert set(record["errors"]) == {"derivative", "window"}
+        assert all(0.0 <= v <= 1e-10 for v in record["errors"].values())
+
+    def test_cold_start_skips_quadpack_and_sparse(self):
+        # a fresh interpreter, so modules the test session loaded do not count
+        src = str(Path(latticeym.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, latticeym.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.integrate', 'scipy.sparse'))))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_weyl_check_rank_five_exit_zero(self, tmp_path):
         assert main(["weyl-check", "--N", "5", "--out", str(tmp_path)]) == 0

@@ -15,7 +15,7 @@ from latticeym.errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 from latticeym.scalar import (
     DecayFit,
     ScalarSpec,
-    _laplace_quad,
+    _exp_sinh,
     _momentum_value,
     _scaled_propagator_cached,
     coincident_bound_constant,
@@ -227,6 +227,24 @@ class TestPropagator:
             expected = mpmath_propagator(case, n)
             assert scaled_propagator(case, n) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "d,a,m_u,n",
+        [
+            # below 1e-13, where an absolute tolerance of 1e-13 left QUADPACK
+            # 3.1% and 5.5% off; 30-digit mpmath gives 4.97177083684481e-14
+            # and 5.41791315025308e-15
+            (2, 1.0, 1.0, (30, 0)),
+            (3, 1.0, 1.0, (30, 0, 0)),
+            # near the origin at small mass the integrand runs on in ln t up
+            # to the mass cutoff, a plateau at d = 2
+            (2, 0.25, 1.0, (0, 0)),
+            (2, 0.01, 0.3, (1, 0)),
+        ],
+    )
+    def test_matches_mpmath_to_rounding(self, d, a, m_u, n):
+        spec = ScalarSpec(d=d, a=a, m_u=m_u, kappa_u=1.0)
+        assert scaled_propagator(spec, n) == pytest.approx(mpmath_propagator(spec, n), rel=1e-12)
+
     def test_massless_coincident_d3_closed_form(self):
         # two independent routes: Laplace-Bessel integral and the classical
         # Gamma-product evaluation of the cubic-lattice Green function
@@ -400,7 +418,7 @@ class TestConvergenceChecks:
         with pytest.raises(
             ResolutionTooLow, match=r"scaled propagator at d=3, a=0.5, separation \(1, 0, 0\)"
         ):
-            _laplace_quad(lambda t: 1.0, "scaled propagator", spec_d3(), (1, 0, 0))
+            _exp_sinh(np.ones_like, "scaled propagator", spec_d3(), (1, 0, 0))
 
     def test_non_finite_bessel_values_raise(self, monkeypatch):
         nan_bessel = SimpleNamespace(ive=lambda order, z: np.full(np.shape(order), np.nan))
@@ -418,6 +436,34 @@ class TestConvergenceChecks:
         with pytest.raises(ResolutionTooLow,
                            match=r"scaled propagator at d=3, a=0.37, separation \(0, 0, 14\)"):
             fit_decay_rate(spec)
+
+
+class TestExpSinhRule:
+    ORDERS = np.array([0.0, 1.0, 2.0, 7.0, 20.0, 50.0])
+
+    def test_hankel_branch_matches_mpmath(self):
+        # scipy's ive is finite up to z = 1e9, so there both branches are
+        # checked; beyond about 1.1e9 it is NaN and only the series is
+        z = np.array([np.nextafter(1e8, 2e8), 2e8, 5e8, 1e9, 2e9, 1e12, 1e30])
+        with mpmath.workdps(30):
+            expected = np.array([[float(mpmath.besseli(int(k), x) * mpmath.exp(-x))
+                                  for x in map(mpmath.mpf, z)] for k in self.ORDERS])
+        got = scalar._ive(self.ORDERS[:, None], z)
+        assert np.max(np.abs(got / expected - 1.0)) <= 1e-14
+        scipy_values = special.ive(self.ORDERS[:, None], z[:4])
+        assert np.max(np.abs(scipy_values / expected[:, :4] - 1.0)) <= 1e-14
+
+    def test_branch_switch_is_continuous(self):
+        below, above = scalar._ive(self.ORDERS[:, None], np.array([1e8, np.nextafter(1e8, 2e8)])).T
+        assert np.max(np.abs(above / below - 1.0)) <= 1e-14
+
+    def test_resolution_gaps_reported(self):
+        spec = ScalarSpec(d=3, a=0.05, m_u=1.0, kappa_u=1.0)
+        fit = fit_decay_rate(spec)
+        assert 0.0 <= fit.window_error <= 1e-10
+        value, err = derivative_correlation(spec, 0, 1, (2, 1, 0), return_error=True)
+        assert value == derivative_correlation(spec, 0, 1, (2, 1, 0))
+        assert 0.0 <= err <= 1e-10
 
 
 class TestGeneratingFunction:
