@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Scan the single-bond sandwich over a spacing/coupling grid.
 
-For each (N, a, g2) evaluate the normalized bond integrals z_u, z_l and
-the coupling-independent constants c_u, c_l, then print the two margins
+For each (N, a, g2) evaluate the logarithms of the normalized bond integrals
+z_u, z_l and the coupling-independent constants c_u, c_l, then print the
+two margins
 
     c_u - log z_u   (should be >= 0)
     log z_l - c_l   (should be >= 0)
@@ -22,8 +23,7 @@ import numpy as np
 
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
-from latticeym.single_bond import (CouplingSpec, bound_constants,
-                                   z_lower_normalized, z_upper_normalized)
+from latticeym.single_bond import CouplingSpec, bound_constants, log_zeta_lower, log_zeta_upper
 
 
 def main(argv=None):
@@ -57,8 +57,8 @@ def main(argv=None):
         for a in args.a:
             for g2 in args.g2:
                 cp = CouplingSpec(d=args.d, a=a, g2=g2, g0_sq=args.g0_sq)
-                lu = float(np.log(z_upper_normalized(cp, group, quad)))
-                ll = float(np.log(z_lower_normalized(cp, group, quad)))
+                lu = log_zeta_upper(cp, group, quad)[0]
+                ll = log_zeta_lower(cp, group, quad)[0]
                 m_up = cons.c_upper - lu
                 m_low = ll - cons.c_lower
                 worst = min(worst, m_up, m_low)

@@ -38,7 +38,7 @@ from .reporting import (
     write_reports,
 )
 from .scalar import ScalarSpec, derivative_correlation, fit_decay_rate, mass_gap
-from .single_bond import CouplingSpec, bound_constants, z_lower_normalized, z_upper_normalized
+from .single_bond import CouplingSpec, bound_constants, log_zeta_lower, log_zeta_upper
 
 __all__ = ["main", "run_suite", "build_parser"]
 
@@ -85,12 +85,6 @@ def _suite_group_check(config: RunConfig):
     return records
 
 
-def _log_with_error(value_and_error):
-    """log(zeta) and the two-resolution error |fine - coarse| / zeta carried to it."""
-    value, error = value_and_error
-    return float(np.log(value)), float(error / value)
-
-
 def _suite_weyl_check(config: RunConfig):
     """Weyl normalization and the two ensemble-constant oracles."""
     records = []
@@ -130,10 +124,8 @@ def _suite_single_bond(config: RunConfig):
     records = []
     for group, coupling in _grid(config):
         constants = bound_constants(coupling, group, config.quadrature)
-        log_zu, err_zu = _log_with_error(
-            z_upper_normalized(coupling, group, config.quadrature, return_error=True))
-        log_zl, err_zl = _log_with_error(
-            z_lower_normalized(coupling, group, config.quadrature, return_error=True))
+        log_zu, err_zu = log_zeta_upper(coupling, group, config.quadrature)
+        log_zl, err_zl = log_zeta_lower(coupling, group, config.quadrature)
         upper_ok = log_zu <= constants.c_upper + _TINY
         lower_ok = log_zl >= constants.c_lower - _TINY
         records.append(
@@ -163,8 +155,7 @@ def _suite_approx(config: RunConfig):
     for group, coupling in _grid(config):
         n = group.n
         constants = bound_constants(coupling, group, config.quadrature)
-        log_z, err_z = _log_with_error(
-            z_upper_normalized(coupling, group, config.quadrature, return_error=True))
+        log_z, err_z = log_zeta_upper(coupling, group, config.quadrature)
         free_energy = normalized_free_energy(coupling, group, config.quadrature)
         m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
                                       return_error=True)

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import InvalidLattice
 from .groups import GroupSpec
 from .quadrature import QuadratureSpec, weyl_moments
-from .single_bond import (CouplingSpec, _wilson_scale, wilson_weight,
-                          z_upper_normalized)
+from .single_bond import CouplingSpec, _wilson_scale, log_zeta_upper, wilson_weight
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,7 @@ def lattice_counts(d: int, L: int) -> LatticeCounts:
 def log_partition_normalized(L: int, coupling: CouplingSpec, group: GroupSpec,
                              quad: QuadratureSpec) -> float:
     """R * log z_n after extracting the beta**(n^2/2 R) spacing singularity."""
-    counts = lattice_counts(coupling.d, L)
-    return counts.retained_bonds * float(
-        np.log(z_upper_normalized(coupling, group, quad)))
+    return lattice_counts(coupling.d, L).retained_bonds * log_zeta_upper(coupling, group, quad)[0]
 
 
 def normalized_free_energy(coupling: CouplingSpec, group: GroupSpec,
@@ -75,10 +72,8 @@ def normalized_free_energy(coupling: CouplingSpec, group: GroupSpec,
     measure on the scaled coordinate (an extra 2 pi relative to the Haar
     form), so that the d = 2, 3 continuum limit is log sqrt(pi).
     """
-    z_n = z_upper_normalized(coupling, group, quad)
-    if group.n == 1:
-        return float(np.log(2.0 * np.pi * z_n))
-    return float(np.log(z_n))
+    log_zeta = log_zeta_upper(coupling, group, quad)[0]
+    return log_zeta + float(np.log(2.0 * np.pi)) if group.n == 1 else log_zeta
 
 
 @dataclass(frozen=True)

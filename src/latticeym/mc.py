@@ -12,8 +12,9 @@ both with error bars from blocked per-chain variances (`_chain_mean`, the
 one estimator of every Monte Carlo mean), plus a grid-halving term for the
 integral.  Plaquette correlations, the derivatives of G at J = 0, are the
 sample moments <t_1 ... t_r> of the same chains.  The stability and
-generating-function verdicts compare these estimates against the
-single-bond quadrature bounds with 3 sigma cushions.
+generating-function verdicts compare these estimates, with 3 sigma cushions,
+against single-bond bounds summed from ln z = ln zeta - (n^2/2) ln beta,
+finite where z underflows; the stability bounds come before any chain runs.
 
 One sampler drives every chain: the state of R replicas (every beta point
 and chain of a thermodynamic integration, or the chains of one estimate) is
@@ -43,8 +44,8 @@ from .groups import (GroupSpec, dagger, matmul, unitarity_defect,
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
                       dagger_table, scaled_field_traces, wilson_action)
 from .quadrature import QuadratureSpec
-from .single_bond import (CouplingSpec, z_lower, z_upper,
-                          z_upper_source_envelope)
+from .single_bond import (CouplingSpec, log_z, log_zeta_envelope, log_zeta_lower,
+                          log_zeta_upper)
 
 
 @dataclass(frozen=True)
@@ -345,14 +346,13 @@ def verify_stability(L: int, boundary: str, coupling: CouplingSpec,
     upper_exp = counts.retained_bonds
     lower_exp = counts.retained_bonds + (
         counts.extra_bonds if boundary == "periodic" else 0)
+    # the bounds come first, so an unresolved integral fails before any chain runs
+    upper = upper_exp * log_z(log_zeta_upper(coupling, group, quad)[0], coupling, group)
+    lower = lower_exp * log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)
     est = estimate_log_z(geom, coupling, group, params)
-    zu = z_upper(coupling, group, quad)
-    zl = z_lower(coupling, group, quad)
     return StabilityReport(
         d=coupling.d, L=L, boundary=boundary, n=group.n, beta=coupling.beta,
-        mc_value=est.value, mc_error=est.error,
-        lower=lower_exp * float(np.log(zl)),
-        upper=upper_exp * float(np.log(zu)),
+        mc_value=est.value, mc_error=est.error, lower=lower, upper=upper,
         lower_exponent=lower_exp, upper_exponent=upper_exp,
         accept_min=est.accept_min, unitarity_defect=est.unitarity_defect)
 
@@ -451,9 +451,10 @@ def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec
     num_exp = 2.0**coupling.d * counts.retained_bonds / (r * s)
     den_exp = (2.0**coupling.d * (counts.retained_bonds + counts.extra_bonds)
                / (r * s))
-    log_zl = np.log(z_lower(coupling, group, quad))
+    log_zl = log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)
     log_rhs = 0.0  # summed in logarithms: each power alone can leave float range
     for j in sources.strengths:
-        env = z_upper_source_envelope(r * complex(j), coupling, group, quad)
-        log_rhs += num_exp * np.log(env) - den_exp * log_zl
+        log_env = log_z(log_zeta_envelope(r * complex(j), coupling, group, quad)[0],
+                        coupling, group)
+        log_rhs += num_exp * log_env - den_exp * log_zl
     return float(np.exp(log_rhs))

@@ -10,9 +10,12 @@ a one-matrix integral.  Two such integrals matter here:
   exp(-2 C^2 (d-1) beta sum_j lam_j^2) with C^2 = 4n, a lower-bound factor.
 
 Both scale as beta^(-n^2/2) for small lattice spacing; the extracted products
-beta^(n^2/2) z stay between exp(c_lower) and exp(c_upper), with the constants
-assembled in `bound_constants`.  A source-deformed variant of z_upper feeds
-the generating-function bounds.
+zeta = beta^(n^2/2) z stay between exp(c_lower) and exp(c_upper), with the
+constants assembled in `bound_constants`.  A source-deformed variant of
+z_upper and its modulus envelope feed the generating-function bounds.  Every
+real integral is read as (ln zeta, relative two-resolution error) from
+`log_zeta_*`, and `log_z` gives ln z = ln zeta - (n^2/2) ln beta, finite where
+z underflows; only the complex z_upper_source is formed linearly.
 """
 
 from dataclasses import dataclass
@@ -99,44 +102,72 @@ def _quadratic_scale(beta: float, d: int, group: GroupSpec) -> tuple[float, floa
     return np.sqrt(rate), _QUADRATIC_CUTOFF
 
 
-def _bond_integral(w, rule, coupling, group, quad, extracted=False, return_error=False):
-    """z = <prod_j w(lam_j)>, or zeta = beta**(n^2/2) z when extracted.
+def _bond_integral(w, rule, coupling, group, quad):
+    """(ln zeta, relative two-resolution error) of zeta = beta**(n^2/2) <prod_j w(lam_j)>.
 
-    weyl_integrate gives scale**(n^2) z under rule = (scale, cutoff); one factor
-    formed in logarithms turns it into z or zeta (and the two-resolution error).
+    weyl_integrate gives scale**(n^2) <prod w> under rule = (scale, cutoff); one
+    logarithmic term turns it into ln zeta, and |fine - coarse| / fine carries
+    the two-resolution error to it.
     """
     scale, cutoff = rule
     value, error = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff,
                                   return_error=True)
-    factor = np.exp(0.5 * group.dim * np.log((coupling.beta if extracted else 1.0)
-                                             / scale**2))
-    return (factor * value, factor * error) if return_error else factor * value
+    log_zeta = np.log(value) + 0.5 * group.dim * np.log(coupling.beta / scale**2)
+    return float(log_zeta), float(error / value)
 
 
-def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
+def _source_weight(j, beta: float, sine):
+    """One-angle weight exp(j sqrt(beta) sine(lam) - 2 beta (1 - cos lam))."""
+    root_beta = np.sqrt(beta)
+    return lambda lam: np.exp(j * root_beta * sine(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
+
+
+def log_zeta_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
+    """(ln zeta_u, relative error) of the Wilson-weight integral z_upper."""
+    return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
+                          coupling, group, quad)
+
+
+def log_zeta_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
+    """(ln zeta_l, relative error) of the quadratic-weight integral z_lower."""
+    return _bond_integral(quadratic_weight(coupling.beta, coupling.d, group),
+                          _quadratic_scale(coupling.beta, coupling.d, group),
+                          coupling, group, quad)
+
+
+def log_zeta_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec,
+                      quad: QuadratureSpec):
+    """(ln zeta, relative error) of the modulus envelope of the source integral.
+
+    Its source term |j| sum_j |sin lam_j| is what the generating-function
+    bound controls; it dominates |z_upper_source(j)| by the triangle
+    inequality.  The kink at lam = 0 in each angle sits where every rule splits.
+    """
+    mod_j = abs(complex(j))
+    w = _source_weight(mod_j, coupling.beta, lambda lam: np.abs(np.sin(lam)))
+    return _bond_integral(w, _wilson_scale(coupling.beta, mod_j), coupling, group, quad)
+
+
+def log_z(log_zeta: float, coupling: CouplingSpec, group: GroupSpec) -> float:
+    """ln z = ln zeta - (n^2/2) ln beta, finite wherever ln zeta is."""
+    return log_zeta - 0.5 * group.dim * float(np.log(coupling.beta))
+
+
+def z_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec) -> float:
     """Single-bond partition function with the Wilson weight."""
-    return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
-                          coupling, group, quad)
+    return float(np.exp(log_z(log_zeta_upper(coupling, group, quad)[0], coupling, group)))
 
 
-def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
+def z_lower(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec) -> float:
     """Single-bond partition function with the quadratic weight."""
-    return _bond_integral(quadratic_weight(coupling.beta, coupling.d, group),
-                          _quadratic_scale(coupling.beta, coupling.d, group),
-                          coupling, group, quad)
+    return float(np.exp(log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)))
 
 
-def z_upper_normalized(coupling, group, quad, return_error: bool = False):
-    """beta**(n^2/2) * z_upper, the spacing-extracted form (and |fine - coarse|)."""
-    return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
-                          coupling, group, quad, True, return_error)
-
-
-def z_lower_normalized(coupling, group, quad, return_error: bool = False):
-    """beta**(n^2/2) * z_lower."""
-    return _bond_integral(quadratic_weight(coupling.beta, coupling.d, group),
-                          _quadratic_scale(coupling.beta, coupling.d, group),
-                          coupling, group, quad, True, return_error)
+def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec,
+                            quad: QuadratureSpec) -> float:
+    """Modulus envelope of the source integral (see `log_zeta_envelope`)."""
+    return float(np.exp(log_z(log_zeta_envelope(j, coupling, group, quad)[0],
+                              coupling, group)))
 
 
 def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
@@ -144,35 +175,13 @@ def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
     """Source-deformed single-bond integral, entire in the complex source j.
 
     Haar average of exp(j sqrt(beta) Im Tr U - 2 beta sum (1 - cos lam));
-    Im Tr U = sum_j sin lam_j.  At j = 0 this is z_upper.
+    Im Tr U = sum_j sin lam_j.  At j = 0 this is z_upper.  Complex, so it
+    stays linear: scale**(-n^2) times the concentrated value.
     """
-    beta = coupling.beta
-    j = complex(j)
-    root_beta = np.sqrt(beta)
-
-    def w(lam):
-        return np.exp(j * root_beta * np.sin(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
-
-    return complex(_bond_integral(w, _wilson_scale(beta, abs(j)), coupling, group, quad))
-
-
-def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec,
-                            quad: QuadratureSpec) -> float:
-    """Modulus-envelope of the source integral: source term |j| sum |sin lam_j|.
-
-    This is the quantity the generating-function bound actually controls; it
-    dominates |z_upper_source(j)| by the triangle inequality.  The integrand
-    has a kink at lam = 0 in each angle, where every rule splits.
-    """
-    beta = coupling.beta
-    mod_j = abs(complex(j))
-    root_beta = np.sqrt(beta)
-
-    def w(lam):
-        return np.exp(mod_j * root_beta * np.abs(np.sin(lam))
-                      - 4.0 * beta * np.sin(0.5 * lam) ** 2)
-
-    return float(_bond_integral(w, _wilson_scale(beta, mod_j), coupling, group, quad))
+    scale, cutoff = _wilson_scale(coupling.beta, abs(complex(j)))
+    value = weyl_integrate(_source_weight(complex(j), coupling.beta, np.sin), group, quad,
+                           scale=scale, cutoff=cutoff)
+    return complex(value * scale ** -group.dim)
 
 
 @dataclass(frozen=True)

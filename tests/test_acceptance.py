@@ -30,9 +30,9 @@ from latticeym.scalar import ScalarSpec, derivative_correlation, fit_decay_rate,
 from latticeym.single_bond import (
     CouplingSpec,
     bound_constants,
-    z_lower_normalized,
+    log_zeta_lower,
+    log_zeta_upper,
     z_upper,
-    z_upper_normalized,
 )
 
 QUAD = QuadratureSpec()
@@ -108,8 +108,8 @@ def test_c04_sandwich_grid():
                 for g2 in (0.1, 1.0):
                     coupling = CouplingSpec(d=d, a=a, g2=g2, g0_sq=4.0)
                     consts = bound_constants(coupling, group, QUAD)
-                    log_zu = math.log(z_upper_normalized(coupling, group, QUAD))
-                    log_zl = math.log(z_lower_normalized(coupling, group, QUAD))
+                    log_zu = log_zeta_upper(coupling, group, QUAD)[0]
+                    log_zl = log_zeta_lower(coupling, group, QUAD)[0]
                     upper_margin = consts.c_upper - log_zu
                     lower_margin = log_zl - consts.c_lower
                     min_margin = min(min_margin, upper_margin, lower_margin)
@@ -294,7 +294,7 @@ def test_c13_d4_spacing_invariance():
             coupling = CouplingSpec(d=4, a=a, g2=1.0)
             columns.append(
                 (
-                    math.log(z_upper_normalized(coupling, group, QUAD)),
+                    log_zeta_upper(coupling, group, QUAD)[0],
                     plaquette_moment(2, coupling, group, QUAD),
                     plaquette_moment(4, coupling, group, QUAD),
                 )

@@ -15,7 +15,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import chi2
 
-from latticeym.errors import InvalidLattice, UnconvergedChain
+from latticeym import mc
+from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import GroupSpec, generator_basis, unitarity_defect
 from latticeym.lattice import build_geometry, cold_start, wilson_action
@@ -201,6 +202,18 @@ def test_log_z_d3_inside_sandwich(quad):
     lower = r * np.log(z_lower(cp, GroupSpec(1), quad))
     upper = r * np.log(z_upper(cp, GroupSpec(1), quad))
     assert lower - 3 * est.error <= est.value <= upper + 3 * est.error
+
+
+def test_verify_stability_bounds_fail_before_chains(monkeypatch):
+    # At 4 points per panel both single-bond integrals fail the two-resolution
+    # check; the bounds are formed first, so no chain runs.
+    def no_chains(*args, **kwargs):
+        raise AssertionError("estimate_log_z ran before the bounds were formed")
+
+    monkeypatch.setattr(mc, "estimate_log_z", no_chains)
+    cp = CouplingSpec(d=3, a=1.0, g2=1.0)
+    with pytest.raises(ResolutionTooLow):
+        verify_stability(2, "free", cp, GroupSpec(2), MCParams(), QuadratureSpec(points=4))
 
 
 def test_verify_stability_exponents(quad):

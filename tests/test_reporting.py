@@ -14,12 +14,15 @@ import latticeym
 from latticeym import __version__
 from latticeym.cli import main, run_suite
 from latticeym.errors import ConfigInvalid
+from latticeym.groups import GroupSpec
+from latticeym.quadrature import QuadratureSpec
 from latticeym.reporting import (
     RUN_CONFIG_SCHEMA,
     ReportRecord,
     RunConfig,
     write_reports,
 )
+from latticeym.single_bond import CouplingSpec, log_z, log_zeta_lower, log_zeta_upper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -283,8 +286,6 @@ class TestCLI:
         [
             # ln ceiling = 864 overflows a double
             (["genfun", "--d", "3", "--L", "2", "--N", "3", "--a", "1e-4"], "ceiling"),
-            # z_lower at N = 8, beta = 1e12 underflows to 0
-            (["stability", "--d", "4", "--L", "2", "--N", "8", "--g2", "1e-12"], "lower"),
         ],
     )
     def test_non_finite_result_exit_three(self, args, key, tmp_path, capsys):
@@ -295,6 +296,23 @@ class TestCLI:
         assert f"NonFiniteResult: {args[0]} at " in err
         assert f"{key} is " in err
         assert not (tmp_path / f"{args[0]}.jsonl").exists()
+
+    def test_stability_bounds_finite_where_z_underflows(self, tmp_path):
+        # z_lower at N = 8, beta = 1e12 underflows to 0, but the bounds are formed
+        # as R (ln zeta - 32 ln beta).  These short chains do not mix (the
+        # acceptance is 0), so only the bounds are asserted, not the verdict.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 60, "thermalization": 20}}))
+        args = ["stability", "--d", "4", "--L", "2", "--N", "8", "--g2", "1e-12"]
+        assert main(args + ["--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+        values = json.loads((tmp_path / "stability.jsonl").read_text())["values"]
+        group, coupling = GroupSpec(8), CouplingSpec(d=4, a=1.0, g2=1e-12)
+        quad = QuadratureSpec()
+        for key, log_zeta in (("lower", log_zeta_lower), ("upper", log_zeta_upper)):
+            expected = 17 * log_z(log_zeta(coupling, group, quad)[0], coupling, group)
+            assert math.isfinite(values[key])
+            assert values[key] == pytest.approx(expected, rel=1e-12)
+            assert values[f"{key}_exponent"] == 17
 
     def test_scalar_small_spacings_exit_zero(self, tmp_path):
         # at d=4, a = 0.25 and 0.1 a fixed transverse momentum grid misses the 1% gate

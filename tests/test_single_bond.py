@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import QuadratureSpec, ensemble_constants
-from latticeym.single_bond import (BoundConstants, CouplingSpec, bound_constants,
-                                   source_bound, trig_inequality_report, z_lower,
-                                   z_lower_normalized, z_upper, z_upper_normalized,
-                                   z_upper_source, z_upper_source_envelope)
+from latticeym.quadrature import QuadratureSpec, ensemble_constants, weyl_integrate
+from latticeym.single_bond import (BoundConstants, CouplingSpec, _quadratic_scale,
+                                   _source_weight, _wilson_scale, bound_constants, log_z,
+                                   log_zeta_envelope, log_zeta_lower, log_zeta_upper,
+                                   quadratic_weight, source_bound, trig_inequality_report,
+                                   wilson_weight, z_lower, z_upper, z_upper_source,
+                                   z_upper_source_envelope)
 
 U1 = GroupSpec(1)
 U2 = GroupSpec(2)
@@ -77,12 +79,11 @@ def test_extracted_products_stay_in_sandwich(n, d, quad):
     g = GroupSpec(n)
     cp0 = CouplingSpec(d=d, a=1.0, g2=1.0, g0_sq=2.0)
     bc = bound_constants(cp0, g, quad)
-    lo, hi = np.exp(bc.c_lower), np.exp(bc.c_upper)
     for a in (1.0, 0.5, 0.1, 0.05, 0.01):
         cp = CouplingSpec(d=d, a=a, g2=1.0, g0_sq=2.0)
-        zu = z_upper_normalized(cp, g, quad)
-        zl = z_lower_normalized(cp, g, quad)
-        assert lo <= zl <= zu <= hi
+        log_zu = log_zeta_upper(cp, g, quad)[0]
+        log_zl = log_zeta_lower(cp, g, quad)[0]
+        assert bc.c_lower <= log_zl <= log_zu <= bc.c_upper
 
 
 @pytest.mark.parametrize("beta", [1e20, 1e300])
@@ -93,10 +94,49 @@ def test_normalized_integrals_at_extreme_coupling(n, beta, quad):
     g = GroupSpec(n)
     cp = CouplingSpec(d=4, a=1.0, g2=1.0 / beta)
     consts = ensemble_constants(g)
-    log_zu = np.log(z_upper_normalized(cp, g, quad))
+    log_zu = log_zeta_upper(cp, g, quad)[0]
     assert abs(log_zu - np.log(consts.gue / consts.cue)) <= 1e-12
     bc = bound_constants(cp, g, quad)
-    assert bc.c_lower <= np.log(z_lower_normalized(cp, g, quad)) <= bc.c_upper
+    assert bc.c_lower <= log_zeta_lower(cp, g, quad)[0] <= bc.c_upper
+
+
+@pytest.mark.parametrize("beta", [0.5, 10.0, 1e4, 1e12])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_log_forms_match_linear_integrals(n, beta, quad):
+    # Wherever z is a normal float, ln zeta - (n^2/2) ln beta is ln z, with z
+    # formed linearly from the concentrated value as scale**(-n^2) times it.
+    g = GroupSpec(n)
+    cp = CouplingSpec(d=4, a=1.0, g2=1.0 / beta)
+    j = 0.5
+    cases = [
+        (log_zeta_upper(cp, g, quad), z_upper(cp, g, quad),
+         wilson_weight(beta), _wilson_scale(beta)),
+        (log_zeta_lower(cp, g, quad), z_lower(cp, g, quad),
+         quadratic_weight(beta, 4, g), _quadratic_scale(beta, 4, g)),
+        (log_zeta_envelope(j, cp, g, quad), z_upper_source_envelope(j, cp, g, quad),
+         _source_weight(j, beta, lambda lam: np.abs(np.sin(lam))), _wilson_scale(beta, j)),
+    ]
+    checked = 0
+    for (log_zeta, err), linear, w, (scale, cutoff) in cases:
+        assert 0.0 <= err <= quad.rtol
+        value = weyl_integrate(w, g, quad, scale=scale, cutoff=cutoff) * scale ** -g.dim
+        for z in (linear, value):
+            if np.finfo(float).tiny <= z < np.inf:
+                assert abs(log_z(log_zeta, cp, g) - np.log(z)) <= 1e-12
+                checked += 1
+    # all three z underflow at the largest rank and coupling, and only there
+    assert checked == (0 if (n, beta) == (8, 1e12) else 6)
+
+
+def test_log_lower_finite_where_linear_underflows(quad):
+    # N = 8, d = 4, beta = 1e12: z_lower ~ beta^(-32) zeta_l is below every double
+    g = GroupSpec(8)
+    cp = CouplingSpec(d=4, a=1.0, g2=1e-12)
+    log_zeta, err = log_zeta_lower(cp, g, quad)
+    assert z_lower(cp, g, quad) == 0.0
+    assert log_zeta - 32.0 * np.log(1e12) == pytest.approx(-1056.4, abs=0.05)
+    assert log_z(log_zeta, cp, g) == log_zeta - 32.0 * np.log(1e12)
+    assert 0.0 <= err <= quad.rtol
 
 
 def test_bound_constants_frozen_abelian(quad):
@@ -119,7 +159,7 @@ def test_lower_bound_tight_corner(quad):
     # slack is the Gaussian tail outside |lam| = pi/2, about 3e-10 relative.
     cp = CouplingSpec(d=2, a=1.0, g2=1.0, g0_sq=1.0)
     bc = bound_constants(cp, U1, quad)
-    margin = z_lower_normalized(cp, U1, quad) - np.exp(bc.c_lower)
+    margin = np.exp(log_zeta_lower(cp, U1, quad)[0]) - np.exp(bc.c_lower)
     assert 0.0 < margin / np.exp(bc.c_lower) < 1e-8
 
 
