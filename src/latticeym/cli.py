@@ -90,8 +90,7 @@ def _suite_weyl_check(config: RunConfig):
     records = []
     for n in config.n_values:
         group = GroupSpec(n)
-        one, one_error = weyl_integrate(np.ones_like, group, config.quadrature,
-                                        return_error=True)
+        one, one_error = weyl_integrate(np.ones_like, group, config.quadrature)
         consts = ensemble_constants(group)
         gue_ratio = i_beta(2, np.inf, group, config.quadrature) / consts.gue
         gse_ratio = i_beta(4, np.inf, group, config.quadrature) / consts.gse
@@ -156,9 +155,8 @@ def _suite_approx(config: RunConfig):
         n = group.n
         constants = bound_constants(coupling, group, config.quadrature)
         log_z, err_z = log_zeta_upper(coupling, group, config.quadrature)
-        free_energy = normalized_free_energy(coupling, group, config.quadrature)
-        m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature,
-                                      return_error=True)
+        free_energy = normalized_free_energy(log_z, group)
+        m2, err_m2 = plaquette_moment(2, coupling, group, config.quadrature)
         sandwich_ok = constants.c_lower - _TINY <= log_z <= constants.c_upper + _TINY
         moment_ok = 0.0 < m2 <= 0.5 * n + _TINY
         records.append(
@@ -229,7 +227,8 @@ def _suite_genfun(config: RunConfig):
             ceiling = generating_function_ceiling(
                 config.L, coupling, group, sources, config.quadrature)
             abs_g = abs(value)
-            passed = abs_g <= ceiling + 3.0 * error
+            # A frozen chain measures its cold start with error 0.
+            passed = samples.accept_min > 0.0 and abs_g <= ceiling + 3.0 * error
             records.append(
                 _record(
                     config,
@@ -262,8 +261,7 @@ def _suite_scalar(config: RunConfig):
     records = []
     for a in config.a_values:
         massless = ScalarSpec(d=config.d, a=a, m_u=0.0, kappa_u=1.0)
-        derivative, err_derivative = derivative_correlation(
-            massless, 0, 0, (0,) * config.d, return_error=True)
+        derivative, err_derivative = derivative_correlation(massless, 0, 0, (0,) * config.d)
         target = 1.0 / (config.d * a**config.d)
         identity_gap = abs(derivative - target) / target
 

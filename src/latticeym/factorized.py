@@ -64,15 +64,14 @@ def log_partition_normalized(L: int, coupling: CouplingSpec, group: GroupSpec,
     return lattice_counts(coupling.d, L).retained_bonds * log_zeta_upper(coupling, group, quad)[0]
 
 
-def normalized_free_energy(coupling: CouplingSpec, group: GroupSpec,
-                           quad: QuadratureSpec) -> float:
-    """Free energy per retained bond; independent of the lattice size.
+def normalized_free_energy(log_zeta: float, group: GroupSpec) -> float:
+    """Free energy per retained bond from ln zeta_u (`log_zeta_upper`).
 
-    For rank 1 the single-bond integral is taken with the plain Lebesgue
-    measure on the scaled coordinate (an extra 2 pi relative to the Haar
-    form), so that the d = 2, 3 continuum limit is log sqrt(pi).
+    Independent of the lattice size.  For rank 1 the single-bond integral is
+    taken with the plain Lebesgue measure on the scaled coordinate (an extra
+    2 pi relative to the Haar form), so that the d = 2, 3 continuum limit is
+    log sqrt(pi).
     """
-    log_zeta = log_zeta_upper(coupling, group, quad)[0]
     return log_zeta + float(np.log(2.0 * np.pi)) if group.n == 1 else log_zeta
 
 
@@ -112,22 +111,22 @@ def free_energy_limit(d: int, g2: float, group: GroupSpec, quad: QuadratureSpec,
     """normalized_free_energy along a_k = 2**-k, k = 0..k_max."""
     spacings = tuple(2.0**-k for k in range(k_max + 1))
     values = tuple(
-        normalized_free_energy(CouplingSpec(d=d, a=a, g2=g2), group, quad)
+        normalized_free_energy(
+            log_zeta_upper(CouplingSpec(d=d, a=a, g2=g2), group, quad)[0], group)
         for a in spacings)
     return LimitSequence(spacings=spacings, values=values, tolerance=tolerance)
 
 
 def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
-                     quad: QuadratureSpec, return_error: bool = False):
-    """<(tr M)^alpha>: coincident-point moment of the scaled plaquette field.
+                     quad: QuadratureSpec):
+    """(<(tr M)^alpha>, |fine - coarse|): coincident moment of the scaled plaquette field.
 
     Single-bond ratio
         int [sqrt(beta) sum_j sin lam_j]^alpha exp(-2 beta sum_j (1-cos lam_j)) rho
       / int exp(-2 beta sum_j (1-cos lam_j)) rho,
     read off the Taylor series of the source integral in its strength (see
     `weyl_moments`).  Odd moments vanish by lam -> -lam symmetry (the series
-    returns the rounding-level remnant rather than short-circuiting).  With
-    return_error, also the two-resolution difference |fine - coarse|.
+    returns the rounding-level remnant rather than short-circuiting).
     """
     if alpha < 1:
         raise ValueError(f"moment order must be >= 1, got {alpha}")
@@ -136,10 +135,8 @@ def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
     root_beta = np.sqrt(beta)
     moments, errors = weyl_moments(wilson_weight(beta),
                                    lambda lam: root_beta * np.sin(lam), alpha,
-                                   group, quad, scale=scale, cutoff=cutoff,
-                                   return_error=True)
-    value = float(moments[alpha])
-    return (value, float(errors[alpha])) if return_error else value
+                                   group, quad, scale=scale, cutoff=cutoff)
+    return float(moments[alpha]), float(errors[alpha])
 
 
 def physical_coincident_moment(alpha: int, coupling: CouplingSpec,
@@ -151,7 +148,7 @@ def physical_coincident_moment(alpha: int, coupling: CouplingSpec,
     alpha = 2 and no faster.
     """
     return coupling.a ** (-coupling.d * alpha / 2.0) * plaquette_moment(
-        alpha, coupling, group, quad)
+        alpha, coupling, group, quad)[0]
 
 
 def moment_limit(alpha: int, d: int, g2: float, group: GroupSpec,
@@ -160,7 +157,7 @@ def moment_limit(alpha: int, d: int, g2: float, group: GroupSpec,
     """plaquette_moment along the spacing sequence a_k = 2**-k."""
     spacings = tuple(2.0**-k for k in range(k_max + 1))
     values = tuple(
-        plaquette_moment(alpha, CouplingSpec(d=d, a=a, g2=g2), group, quad)
+        plaquette_moment(alpha, CouplingSpec(d=d, a=a, g2=g2), group, quad)[0]
         for a in spacings)
     return LimitSequence(spacings=spacings, values=values, tolerance=tolerance)
 
@@ -209,8 +206,8 @@ class GaussianityReport:
 def gaussianity_report(group: GroupSpec, d: int,
                        quad: QuadratureSpec) -> GaussianityReport:
     cp = _limit_coupling(d)
-    t2 = plaquette_moment(2, cp, group, quad)
-    t4 = plaquette_moment(4, cp, group, quad)
+    t2 = plaquette_moment(2, cp, group, quad)[0]
+    t4 = plaquette_moment(4, cp, group, quad)[0]
     return GaussianityReport(n=group.n, d=d, t2=t2, t4=t4,
                              t2_gaussian=gue_moment(2, group),
                              t4_gaussian=gue_moment(4, group))

@@ -1,7 +1,8 @@
-"""U(N) primitives: Haar sampling, unitarity, angular spectra, log map, and
-the quadratic bound on the plaquette action.
+"""U(N) primitives: Haar sampling, unitarity, angular spectra, the exponential
+map, and the quadratic bound on the plaquette action.
 
-Every primitive except `log_map` takes a stack of matrices (..., n, n).
+Every primitive works on stacks: of matrices (..., n, n) or of Lie-algebra
+coefficients (..., n**2).
 Conventions used throughout the package:
 
 * angular eigenvalues live on the principal branch (-pi, pi], sorted ascending;
@@ -142,28 +143,6 @@ def _principal_angles(eigvals: np.ndarray) -> np.ndarray:
 def angular_eigenvalues(u: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue angles in (-pi, pi] of each unitary in a stack (..., n, n)."""
     return np.sort(_principal_angles(np.linalg.eigvals(require_unitary(u))), axis=-1)
-
-
-def log_map(u: np.ndarray) -> np.ndarray:
-    """Coefficients x with U = exp(i sum_a x_a T_a), principal branch, for one matrix.
-
-    Returns the real vector of length n**2 in the `generator_basis` order.
-    The coefficient norm identity sum_a x_a**2 = sum_j lambda_j**2 holds
-    because the basis is orthonormal.
-    """
-    u = require_unitary(u)
-    from scipy.linalg import schur
-
-    # Schur of a normal matrix: diagonal T and orthonormal V, stable under
-    # eigenvalue collisions where a direct eigensolver may lose orthogonality.
-    t, v = schur(u, output="complex")
-    lam = _principal_angles(np.diagonal(t))
-    x_mat = (v * lam) @ v.conj().T
-    basis = generator_basis(u.shape[0])
-    coeffs = np.einsum("aij,ji->a", basis, x_mat)
-    if np.max(np.abs(coeffs.imag)) > 1e-9:
-        raise NonUnitaryInput("log map produced a non-Hermitian generator")
-    return coeffs.real
 
 
 def unitary_from_coefficients(coeffs: np.ndarray, group: GroupSpec) -> np.ndarray:

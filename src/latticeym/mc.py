@@ -15,6 +15,7 @@ sample moments <t_1 ... t_r> of the same chains.  The stability and
 generating-function verdicts compare these estimates, with 3 sigma cushions,
 against single-bond bounds summed from ln z = ln zeta - (n^2/2) ln beta,
 finite where z underflows; the stability bounds come before any chain runs.
+Both verdicts fail when some replica never accepted a move.
 
 One sampler drives every chain: the state of R replicas (every beta point
 and chain of a thermodynamic integration, or the chains of one estimate) is
@@ -328,7 +329,13 @@ class StabilityReport:
 
     @property
     def passed(self) -> bool:
-        return (self.lower_margin_sigma >= -3.0
+        """Both 3-sigma margins hold and every replica accepted a move.
+
+        A replica that never moved has a zero-width error bar, or one set by
+        the beta grid alone, so its margins prove nothing.
+        """
+        return (self.accept_min > 0.0
+                and self.lower_margin_sigma >= -3.0
                 and self.upper_margin_sigma >= -3.0)
 
 

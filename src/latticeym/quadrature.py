@@ -177,9 +177,8 @@ def _checked(fine, coarse, quad, what, size=None):
 
 
 def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
-                   scale: float = 1.0, cutoff: float | None = None,
-                   return_error: bool = False):
-    """Concentrated value scale^(n^2) <prod_j w(lam_j)> of a product class function.
+                   scale: float = 1.0, cutoff: float | None = None):
+    """(value, |fine - coarse|) of the concentrated scale^(n^2) <prod_j w(lam_j)>.
 
     w is a one-angle weight: called with a 1-D array of angles, it returns
     an array of the same length (real or complex).  The integration runs in
@@ -188,8 +187,8 @@ def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
     beyond the cutoff.  At the default scale 1 the value is the Haar
     expectation itself.
 
-    Runs at two resolutions and raises ResolutionTooLow if they disagree
-    beyond quad.rtol/atol.
+    Runs at two resolutions, returns the finer value with their difference,
+    and raises ResolutionTooLow if they disagree beyond quad.rtol/atol.
     """
     def value(points):
         lam, weights, phi = _heine_rule(group.n, points, scale, cutoff)
@@ -199,8 +198,7 @@ def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
         return det if np.iscomplexobj(vals) else det.real
 
     fine, coarse = value(quad.points), value(quad.coarse_points)
-    err = float(_checked(fine, coarse, quad, "Heine determinant"))
-    return (fine, err) if return_error else fine
+    return fine, float(_checked(fine, coarse, quad, "Heine determinant"))
 
 
 def _series_moments(mats):
@@ -231,21 +229,21 @@ def _series_moments(mats):
 
 
 def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
-                 scale: float = 1.0, cutoff: float | None = None,
-                 return_error: bool = False):
-    """Moments <(sum_j s(lam_j))^k>, k = 0..order, under prod_j w(lam_j) Haar.
+                 scale: float = 1.0, cutoff: float | None = None):
+    """(moments, errors) of <(sum_j s(lam_j))^k>, k = 0..order, under prod_j w Haar.
 
     The expectation is normalized by the Haar average of prod_j w itself.
     Both w and s are one-angle functions.  The moments are the Taylor
     coefficients of the source integral det M(t) / det M(0), where M(t) is
     the Heine matrix of the weight w e^{t s}; M(t) is a power series in t
-    with coefficients the Heine matrices of w s^k / k!.  Returns a real
-    array when w and s are real.
+    with coefficients the Heine matrices of w s^k / k!.  The moments are a
+    real array when w and s are real.
 
-    Runs at two resolutions like `weyl_integrate`.  The k-th moment is
-    checked against rtol times its own size or m_2^(k/2), whichever is
-    larger, so odd moments that vanish by symmetry are held to the rounding
-    level of their even neighbours rather than to zero.
+    Runs at two resolutions like `weyl_integrate`; errors[k] is the k-th
+    moment's |fine - coarse|.  It is checked against rtol times the
+    moment's own size or m_2^(k/2), whichever is larger, so odd moments
+    that vanish by symmetry are held to the rounding level of their even
+    neighbours rather than to zero.
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
@@ -263,8 +261,7 @@ def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
     fine, coarse = value(quad.points), value(quad.coarse_points)
     size = np.maximum(np.abs(fine), np.abs(fine[2]) ** (0.5 * np.arange(top + 1)))
     err = _checked(fine, coarse, quad, "moment series", size)
-    fine, err = fine[: order + 1], err[: order + 1]
-    return (fine, err) if return_error else fine
+    return fine[: order + 1], err[: order + 1]
 
 
 def _gaussian_moments(count: int, rate: float, u: float) -> np.ndarray:

@@ -352,16 +352,14 @@ def coincident_bound_constant(d: int) -> float:
     return scaled_propagator(ScalarSpec(d=d, a=1.0, m_u=0.0, kappa_u=1.0), (0,) * d)
 
 
-def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None, *,
-                           return_error: bool = False):
-    """Correlation of forward lattice derivatives of the unscaled field.
+def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None):
+    """(value, relative two-resolution gap) of a forward-derivative correlation.
 
     Computes <d_mu phi(x) d_nu phi(y)> with d_mu phi(x) =
     [phi(x + e_mu) - phi(x)] / a.  The four covariance terms are combined
     under a single Laplace integral, which stays bounded even for d = 2 at
     m_u = 0 where the individual propagators diverge: the +--+ pattern
-    cancels the slow t^{-d/2} tail down to t^{-d/2-1}.  With
-    ``return_error`` the result is (value, relative two-resolution gap).
+    cancels the slow t^{-d/2} tail down to t^{-d/2-1}.
     """
     d = spec.d
     if not (0 <= mu < d and 0 <= nu < d):
@@ -379,8 +377,7 @@ def derivative_correlation(spec: ScalarSpec, mu: int, nu: int, x, y=None, *,
         for vector, coefficient in zip(vectors, (1.0, -1.0, -1.0, 1.0))
     ]
     value, err = _laplace_combination(spec, terms, f"derivative correlation ({mu}, {nu})", n)
-    value /= spec.a**2 * spec.s2
-    return (value, err) if return_error else value
+    return value / (spec.a**2 * spec.s2), err
 
 
 def mass_gap_formula(a, m_u, kappa_u):

@@ -110,8 +110,7 @@ def _bond_integral(w, rule, coupling, group, quad):
     the two-resolution error to it.
     """
     scale, cutoff = rule
-    value, error = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff,
-                                  return_error=True)
+    value, error = weyl_integrate(w, group, quad, scale=scale, cutoff=cutoff)
     log_zeta = np.log(value) + 0.5 * group.dim * np.log(coupling.beta / scale**2)
     return float(log_zeta), float(error / value)
 
@@ -180,7 +179,7 @@ def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
     """
     scale, cutoff = _wilson_scale(coupling.beta, abs(complex(j)))
     value = weyl_integrate(_source_weight(complex(j), coupling.beta, np.sin), group, quad,
-                           scale=scale, cutoff=cutoff)
+                           scale=scale, cutoff=cutoff)[0]
     return complex(value * scale ** -group.dim)
 
 

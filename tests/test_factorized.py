@@ -21,7 +21,7 @@ from latticeym.factorized import (GaussianityReport, LatticeCounts,
                                   plaquette_moment)
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
-from latticeym.single_bond import CouplingSpec, bound_constants
+from latticeym.single_bond import CouplingSpec, bound_constants, log_zeta_upper
 
 # Single-bond values frozen from the Bessel-series checks in
 # test_single_bond.py; reused here as the factorization anchor.
@@ -115,7 +115,7 @@ def test_log_partition_between_stability_bounds(n, d, quad):
 
 def test_free_energy_rank1_beta1(quad):
     cp = CouplingSpec(d=4, a=1.0, g2=1.0)
-    value = normalized_free_energy(cp, GroupSpec(1), quad)
+    value = normalized_free_energy(log_zeta_upper(cp, GroupSpec(1), quad)[0], GroupSpec(1))
     assert value == pytest.approx(FREE_ENERGY_N1_BETA1, abs=1e-12)
 
 
@@ -138,7 +138,8 @@ def test_free_energy_limit_rank2_d3(quad):
 def test_free_energy_d4_spacing_invariant(quad):
     # At d = 4 the normalized coupling is spacing-independent, bitwise.
     values = [
-        normalized_free_energy(CouplingSpec(d=4, a=a, g2=1.0), GroupSpec(1), quad)
+        normalized_free_energy(
+            log_zeta_upper(CouplingSpec(d=4, a=a, g2=1.0), GroupSpec(1), quad)[0], GroupSpec(1))
         for a in (1.0, 0.5, 0.1)
     ]
     assert values[0] == values[1] == values[2]
@@ -151,7 +152,7 @@ def test_free_energy_d4_spacing_invariant(quad):
 
 def test_second_moment_beta1(quad):
     cp = CouplingSpec(d=2, a=1.0, g2=1.0)
-    assert plaquette_moment(2, cp, GroupSpec(1), quad) == pytest.approx(
+    assert plaquette_moment(2, cp, GroupSpec(1), quad)[0] == pytest.approx(
         M2_BETA1, rel=1e-10)
 
 
@@ -159,7 +160,7 @@ def test_second_moment_beta1(quad):
 def test_odd_moments_vanish(alpha, quad):
     cp = CouplingSpec(d=3, a=0.5, g2=0.7)
     for n in (1, 2):
-        assert abs(plaquette_moment(alpha, cp, GroupSpec(n), quad)) < 1e-10
+        assert abs(plaquette_moment(alpha, cp, GroupSpec(n), quad)[0]) < 1e-10
 
 
 def test_moment_rejects_bad_order(quad):
@@ -176,8 +177,8 @@ def test_second_moment_limit_d2(quad):
 def test_fourth_moment_u2_weak_coupling(quad):
     cp = CouplingSpec(d=4, a=1.0, g2=1e-10)
     group = GroupSpec(2)
-    t2 = plaquette_moment(2, cp, group, quad)
-    t4 = plaquette_moment(4, cp, group, quad)
+    t2 = plaquette_moment(2, cp, group, quad)[0]
+    t4 = plaquette_moment(4, cp, group, quad)[0]
     assert t2 == pytest.approx(1.0, abs=1e-6)
     assert t4 == pytest.approx(3.0, abs=1e-6)
     assert t4 - 3 * t2**2 == pytest.approx(0.0, abs=1e-8)
@@ -204,7 +205,7 @@ def test_scaled_moment_bounded_in_spacing(quad):
     # brackets (0, n/2] on the whole spacing range.
     group = GroupSpec(2)
     for a in (1.0, 0.5, 0.1, 0.01):
-        m2 = plaquette_moment(2, CouplingSpec(d=3, a=a, g2=1.0), group, quad)
+        m2 = plaquette_moment(2, CouplingSpec(d=3, a=a, g2=1.0), group, quad)[0]
         assert 0.0 < m2 <= 1.0 + 1e-12
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import (GroupSpec, angular_eigenvalues, generator_basis,
-                              haar_sample_batch, log_map, quadratic_bound_scan,
+                              haar_sample_batch, quadratic_bound_scan,
                               quadratic_bound_sides, unitary_from_coefficients,
                               unitarity_defect)
 from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
@@ -99,31 +99,30 @@ def test_angular_branch_is_half_open():
         assert np.all(angles <= np.pi + 1e-12)
 
 
-def test_log_map_basis_direction():
-    g = GroupSpec(2)
-    coeffs = np.array([0.3, 0.0, 0.0, 0.0])
-    u = unitary_from_coefficients(coeffs, g)
-    assert log_map(u) == pytest.approx(coeffs, abs=1e-12)
+def test_unitary_from_coefficients_closed_form():
+    # x = (0.3, 0, 0, 0) is X = 0.3 sigma_1 / sqrt(2), and sigma_1^2 = 1.
+    theta = 0.3 / np.sqrt(2.0)
+    sigma_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    expected = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * sigma_1
+    u = unitary_from_coefficients(np.array([0.3, 0.0, 0.0, 0.0]), GroupSpec(2))
+    assert np.max(np.abs(u - expected)) < 1e-14
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_log_map_round_trip(n, seed):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitary_from_coefficients_spectrum(n):
+    # exp(iX) has eigenvalues exp(i eigvalsh(X)); np.poly compares the
+    # spectra as multisets, without pairing eigenvalues by order.
     g = GroupSpec(n)
-    u = haar_sample_batch(g, np.random.default_rng(seed), 1)[0]
-    coeffs = log_map(u)
-    assert np.linalg.norm(unitary_from_coefficients(coeffs, g) - u) < 1e-10
-    # Coefficient norm equals the angular norm and respects the branch cap.
-    angles = angular_eigenvalues(u)
-    assert np.sum(coeffs**2) == pytest.approx(np.sum(angles**2), rel=1e-10)
-    assert np.sum(coeffs**2) <= n * np.pi**2 + 1e-9
+    coeffs = np.random.default_rng(n).normal(scale=2.0, size=(5, g.dim))
+    us = unitary_from_coefficients(coeffs, g)
+    xs = np.einsum("...a,aij->...ij", coeffs, generator_basis(n))
+    for u, x in zip(us, xs):
+        assert np.max(np.abs(np.poly(u) - np.poly(np.exp(1j * np.linalg.eigvalsh(x))))) < 1e-12
 
 
 def test_non_unitary_input_rejected():
     with pytest.raises(NonUnitaryInput):
         angular_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NonUnitaryInput):
-        log_map(2.0 * np.eye(2))
     with pytest.raises(ShapeMismatch):
         angular_eigenvalues(np.ones((2, 3)))
     with pytest.raises(NonUnitaryInput):

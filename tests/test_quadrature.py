@@ -26,7 +26,7 @@ def mehta_integral(n, beta):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_normalization(n, quad):
-    value = weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(n), quad)
+    value = weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(n), quad)[0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -98,19 +98,19 @@ def test_cue_character_moments(quad):
     for n in range(1, 9):
         # <(Tr U)^k> vanishes for k >= 1: Haar is invariant under U -> e^{i t} U.
         moments = weyl_moments(np.ones_like, lambda lam: np.exp(1j * lam), 3,
-                               GroupSpec(n), quad)
+                               GroupSpec(n), quad)[0]
         assert moments[0] == pytest.approx(1.0, abs=1e-13)
         assert np.max(np.abs(moments[1:])) < 1e-12
         # <(2 Re Tr U)^2> = <(Tr U)^2> + 2 <|Tr U|^2> + <(Tr U^dag)^2> = 2.
         m2 = weyl_moments(np.ones_like, lambda lam: 2.0 * np.cos(lam), 2,
-                          GroupSpec(n), quad)[2]
+                          GroupSpec(n), quad)[0][2]
         assert m2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_monte_carlo_agrees_with_tensor(quad):
     # Haar average of exp(Re Tr U) = prod_j e^{cos lam_j}.
     g = GroupSpec(2)
-    exact = weyl_integrate(lambda lam: np.exp(np.cos(lam)), g, quad)
+    exact = weyl_integrate(lambda lam: np.exp(np.cos(lam)), g, quad)[0]
     assert exact == pytest.approx(
         tensor_weyl(lambda lam: np.exp(np.cos(lam).sum(axis=-1)), 2), rel=1e-12)
 
@@ -129,7 +129,7 @@ def test_resolution_check_fires():
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_ranks_five_to_eight_run(n, quad):
     # The Heine route has no rank cap below the schema's maximum of 8.
-    value = weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(n), quad)
+    value = weyl_integrate(lambda lam: np.ones(lam.shape[0]), GroupSpec(n), quad)[0]
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -152,6 +152,6 @@ def test_scaled_coordinates_match_plain(quad):
     def w(lam):
         return np.exp(-40.0 * np.sin(0.5 * lam) ** 2)
 
-    plain = weyl_integrate(w, g, quad)
-    scaled = weyl_integrate(w, g, quad, scale=np.sqrt(10.0), cutoff=10.0)
+    plain = weyl_integrate(w, g, quad)[0]
+    scaled = weyl_integrate(w, g, quad, scale=np.sqrt(10.0), cutoff=10.0)[0]
     assert scaled == pytest.approx(10 ** (g.n * g.n / 2) * plain, rel=1e-12)

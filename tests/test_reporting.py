@@ -299,12 +299,12 @@ class TestCLI:
 
     def test_stability_bounds_finite_where_z_underflows(self, tmp_path):
         # z_lower at N = 8, beta = 1e12 underflows to 0, but the bounds are formed
-        # as R (ln zeta - 32 ln beta).  These short chains do not mix (the
-        # acceptance is 0), so only the bounds are asserted, not the verdict.
+        # as R (ln zeta - 32 ln beta).  These short chains never move (the
+        # acceptance is 0), so the record fails.
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"mc": {"sweeps": 60, "thermalization": 20}}))
         args = ["stability", "--d", "4", "--L", "2", "--N", "8", "--g2", "1e-12"]
-        assert main(args + ["--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+        assert main(args + ["--config", str(config), "--out", str(tmp_path)]) == 1
         values = json.loads((tmp_path / "stability.jsonl").read_text())["values"]
         group, coupling = GroupSpec(8), CouplingSpec(d=4, a=1.0, g2=1e-12)
         quad = QuadratureSpec()
@@ -313,6 +313,28 @@ class TestCLI:
             assert math.isfinite(values[key])
             assert values[key] == pytest.approx(expected, rel=1e-12)
             assert values[f"{key}_exponent"] == 17
+
+    @pytest.mark.parametrize("suite", ["stability", "genfun"])
+    def test_frozen_chain_exit_one(self, suite, tmp_path, capsys):
+        # At beta = 1e12 no replica accepts a move in 60 sweeps.  The 3-sigma
+        # tests alone hold (ln Z carries a beta-grid error of 5e11, and a
+        # frozen |G| is 1 with error 0), so only the zero acceptance fails them.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 60, "thermalization": 20}}))
+        args = [suite, "--d", "4", "--L", "2", "--N", "1", "--g2", "1e-12"]
+        assert main(args + ["--config", str(config), "--out", str(tmp_path)]) == 1
+        assert f"{suite}[0]" in capsys.readouterr().err
+        for line in (tmp_path / f"{suite}.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            values, errors = record["values"], record["errors"]
+            assert record["verdict"] == "fail"
+            assert values["accept_min"] == 0.0
+            if suite == "stability":
+                mc = values["log_z_mc"]
+                margin = min(mc - values["lower"], values["upper"] - mc)
+                assert margin >= -3.0 * errors["log_z_mc"]
+            else:
+                assert values["abs_g"] <= values["ceiling"] + 3.0 * errors["abs_g"]
 
     def test_scalar_small_spacings_exit_zero(self, tmp_path):
         # at d=4, a = 0.25 and 0.1 a fixed transverse momentum grid misses the 1% gate
@@ -368,6 +390,22 @@ class TestCLI:
         grid = {(r["n"], r["a"], r["g2"]) for r in (json.loads(l)["inputs"] for l in lines)}
         assert len(lines) == 8
         assert grid == set(itertools.product((1, 2), (1.0, 0.5), (0.5, 1.0)))
+
+    def test_approx_reads_zeta_upper_once_per_point(self, tmp_path, monkeypatch):
+        # The free energy converts the ln zeta_u the record already holds.
+        import latticeym.single_bond as single_bond
+
+        bond_integral, couplings = single_bond._bond_integral, []
+
+        def counted(w, rule, coupling, group, quad):
+            couplings.append(coupling.g2)
+            return bond_integral(w, rule, coupling, group, quad)
+
+        monkeypatch.setattr(single_bond, "_bond_integral", counted)
+        config = RunConfig.from_mapping(
+            {"suite": "approx", "d": 4, "n": [2], "g2": [0.5, 1.0], "out": str(tmp_path)})
+        assert len(run_suite(config)["approx"]) == 2
+        assert couplings == [0.5, 1.0]
 
     @pytest.mark.parametrize("suite,per_point", [("stability", 1), ("genfun", 2)])
     def test_mc_suites_cover_grid_with_diagnostics(self, suite, per_point, tmp_path):

@@ -297,34 +297,34 @@ class TestDerivativeCorrelation:
         # G_{mu mu}(x, x) = 1 / (d kappa_u^2 a^d) at zero mass
         kappa_u = 1.3
         spec = ScalarSpec(d=d, a=a, m_u=0.0, kappa_u=kappa_u)
-        got = derivative_correlation(spec, 0, 0, (0,) * d)
+        got = derivative_correlation(spec, 0, 0, (0,) * d)[0]
         assert got == pytest.approx(1.0 / (d * kappa_u**2 * a**d), rel=1e-8)
 
     def test_d4_plugin_value(self):
         spec = ScalarSpec(d=4, a=0.5, m_u=0.0, kappa_u=1.0)
-        got = derivative_correlation(spec, 0, 0, (0, 0, 0, 0))
+        got = derivative_correlation(spec, 0, 0, (0, 0, 0, 0))[0]
         assert got == pytest.approx(4.0, rel=1e-10)
 
     def test_scaled_coincident_value_is_two(self):
         # a^2 s^2 G_{mu mu}(0,0) = 2 exactly at zero mass, any d and spacing
         for d, a in [(2, 1.0), (3, 0.5), (4, 0.25)]:
             spec = ScalarSpec(d=d, a=a, m_u=0.0, kappa_u=0.8)
-            got = spec.a**2 * spec.s2 * derivative_correlation(spec, 1, 1, (0,) * d)
+            got = spec.a**2 * spec.s2 * derivative_correlation(spec, 1, 1, (0,) * d)[0]
             assert got == pytest.approx(2.0, rel=1e-8)
 
     def test_mass_lowers_coincident_value(self):
-        massless = derivative_correlation(ScalarSpec(3, 1.0, 0.0, 1.0), 0, 0, (0, 0, 0))
-        massive = derivative_correlation(ScalarSpec(3, 1.0, 1.0, 1.0), 0, 0, (0, 0, 0))
+        massless = derivative_correlation(ScalarSpec(3, 1.0, 0.0, 1.0), 0, 0, (0, 0, 0))[0]
+        massive = derivative_correlation(ScalarSpec(3, 1.0, 1.0, 1.0), 0, 0, (0, 0, 0))[0]
         assert massive < massless
 
     def test_coincident_dominates(self):
         spec = spec_d3()
-        ceiling = derivative_correlation(spec, 0, 0, (0, 0, 0))
+        ceiling = derivative_correlation(spec, 0, 0, (0, 0, 0))[0]
         rng = np.random.default_rng(11)
         for _ in range(8):
             mu, nu = rng.integers(0, 3, size=2)
             x = tuple(rng.integers(-2, 3, size=3))
-            assert abs(derivative_correlation(spec, int(mu), int(nu), x)) <= ceiling
+            assert abs(derivative_correlation(spec, int(mu), int(nu), x)[0]) <= ceiling
 
     def test_matches_propagator_difference(self):
         # independent route: assemble the same object from four massive
@@ -344,7 +344,7 @@ class TestDerivativeCorrelation:
                 - scaled_propagator(spec, shift(n, nu, -1))
                 + scaled_propagator(spec, n)
             ) / (spec.a**2 * spec.s2)
-            assert derivative_correlation(spec, mu, nu, n) == pytest.approx(combo, rel=1e-8)
+            assert derivative_correlation(spec, mu, nu, n)[0] == pytest.approx(combo, rel=1e-8)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ class TestDerivativeCorrelation:
         # the four-term combination stays integrable even where the
         # propagator itself diverges
         spec = ScalarSpec(d=2, a=1.0, m_u=0.0, kappa_u=1.0)
-        value = derivative_correlation(spec, 0, 1, (2, 1))
+        value = derivative_correlation(spec, 0, 1, (2, 1))[0]
         assert np.isfinite(value)
 
 
@@ -461,8 +461,7 @@ class TestExpSinhRule:
         spec = ScalarSpec(d=3, a=0.05, m_u=1.0, kappa_u=1.0)
         fit = fit_decay_rate(spec)
         assert 0.0 <= fit.window_error <= 1e-10
-        value, err = derivative_correlation(spec, 0, 1, (2, 1, 0), return_error=True)
-        assert value == derivative_correlation(spec, 0, 1, (2, 1, 0))
+        value, err = derivative_correlation(spec, 0, 1, (2, 1, 0))
         assert 0.0 <= err <= 1e-10
 
 
