@@ -1,11 +1,10 @@
-"""U(N) primitives: Haar sampling, unitarity, angular spectra, the exponential
-map, and the quadratic bound on the plaquette action.
+"""U(N) primitives: Haar sampling, unitarity, the exponential map, and the
+quadratic bound on the plaquette action.
 
 Every primitive works on stacks: of matrices (..., n, n) or of Lie-algebra
 coefficients (..., n**2).
 Conventions used throughout the package:
 
-* angular eigenvalues live on the principal branch (-pi, pi], sorted ascending;
 * the Lie-algebra basis is orthonormal under Tr(a b), ordered as the real and
   imaginary off-diagonal pairs (row-major over j < k), the diagonal traceless
   generators, and the scaled identity last;
@@ -130,19 +129,6 @@ def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     if defect > tol:
         raise NonUnitaryInput(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return u
-
-
-def _principal_angles(eigvals: np.ndarray) -> np.ndarray:
-    """Map unit-modulus eigenvalues to angles in (-pi, pi], in the given order."""
-    angles = np.angle(eigvals)
-    # np.angle can return exactly -pi (negative real axis approached from
-    # below); fold that endpoint onto +pi so the branch is half-open.
-    return np.where(angles <= -np.pi, angles + 2.0 * np.pi, angles)
-
-
-def angular_eigenvalues(u: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue angles in (-pi, pi] of each unitary in a stack (..., n, n)."""
-    return np.sort(_principal_angles(np.linalg.eigvals(require_unitary(u))), axis=-1)
 
 
 def unitary_from_coefficients(coeffs: np.ndarray, group: GroupSpec) -> np.ndarray:

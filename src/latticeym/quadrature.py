@@ -37,13 +37,13 @@ integrals `i_beta` are Hankel and de Bruijn determinants of closed-form
 moments.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gamma, gammainc
 
 from .errors import ResolutionTooLow
 from .groups import GroupSpec
@@ -267,11 +267,40 @@ def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
 def _gaussian_moments(count: int, rate: float, u: float) -> np.ndarray:
     """integral over (-u, u) of y^(2q) exp(-rate y^2) dy for q = 0..count-1.
 
-    Each is rate^-(q+1/2) times the lower incomplete gamma function
-    gamma(q + 1/2, rate u^2); u may be numpy.inf.
+    Each is Gamma(a) rate^-a P(a, x) at a = q + 1/2, x = rate u^2, with P the
+    regularized lower incomplete gamma function; u may be numpy.inf.  At
+    half-integer order P is elementary (DLMF 8.4, 8.7.1): with the positive
+    terms t_k = x^(k+1/2) e^-x / Gamma(k + 3/2), taken in logarithms,
+
+        P(q + 1/2, x) = t_q + t_(q+1) + ...,
+        1 - P(q + 1/2, x) = erfc(sqrt x) + t_0 + ... + t_(q-1).
+
+    The second form serves where x >= a + 1, so P >= 1/2, and the series
+    elsewhere, so neither subtracts nearly equal numbers.  x = inf, at
+    u = inf or on overflow, gives P = 1.
     """
+    p = np.ones(count)
+    x = rate * u * u
+    if x != math.inf:  # NaN carries through
+        log_x = math.log(x) if x > 0.0 else -math.inf
+        t = [math.exp((k + 0.5) * log_x - x - math.lgamma(k + 1.5)) for k in range(count)]
+        q, upper = 0, math.erfc(math.sqrt(x))
+        while q < count and x >= q + 1.5:
+            p[q] = 1.0 - upper
+            upper += t[q]
+            q += 1
+        if q < count:
+            # t_(k+1) = t_k x / (k + 3/2), a ratio below one beyond the last order
+            tail, term, k = 0.0, t[-1], count - 1
+            while term > 1e-17 * t[-1]:
+                term *= x / (k + 1.5)
+                tail += term
+                k += 1
+            for k in range(count - 1, q - 1, -1):
+                tail += t[k]
+                p[k] = tail
     a = np.arange(count) + 0.5
-    return gamma(a) * rate**-a * gammainc(a, rate * u * u)
+    return np.array([math.gamma(v) for v in a]) * rate**-a * p
 
 
 def _equilibrated_det(a: np.ndarray) -> float:

@@ -1,10 +1,15 @@
 """Run configuration, report records, and bit-stable report files.
 
 A run is described by a JSON document validated against
-``RUN_CONFIG_SCHEMA`` before any computation starts.  ``CONFIG_FIELDS``
-maps each of its keys to a ``RunConfig`` attribute and, where there is
-one, to the command-line flag that overrides it.  Each suite emits a
-list of ``ReportRecord`` objects which are serialized three ways:
+``RUN_CONFIG_SCHEMA`` before any computation starts.  The schema is
+interpreted here, by a short recursive validator that implements the
+Draft 2020-12 keywords the schema uses and no others, so a run needs no JSON
+Schema library; the tests hold it to ``jsonschema``'s verdicts.  The dict,
+and ``docs/run_config.schema.json`` which mirrors it, stay the one source of
+the constraints.  ``CONFIG_FIELDS`` maps each of its keys to a
+``RunConfig`` attribute and, where there is one, to the command-line flag
+that overrides it.  Each suite emits a list of ``ReportRecord`` objects
+which are serialized three ways:
 
 * ``<out>/<suite>.jsonl`` — one sorted-key JSON object per record.  These
   bytes are reproducible: identical config and seed give identical files,
@@ -25,13 +30,13 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, is_dataclass, replace
+from numbers import Number
 from pathlib import Path
 from typing import NamedTuple, Optional
-
-import jsonschema
 
 from . import __version__
 from .errors import ConfigInvalid
@@ -112,6 +117,76 @@ RUN_CONFIG_SCHEMA = {
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+_TYPES = {"object": dict, "array": list, "string": str, "number": Number, "integer": int}
+# keyword: (test that fails, message).  NaN fails no comparison, so it passes
+# the bounds; NaN % m is NaN, which fails multipleOf, as in jsonschema.
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "multipleOf": (operator.mod, "not a multiple of"),
+}
+# The validation keywords RUN_CONFIG_SCHEMA uses, and its annotations.
+_KEYWORDS = ("type", "enum", *_BOUNDS, "minItems", "items", "properties", "required",
+             "additionalProperties")
+_ANNOTATIONS = ("$schema", "title")
+
+
+def _is_type(value, name: str) -> bool:
+    """Draft 2020-12 typing: a bool is neither an integer nor a number, and an
+    integral float such as 2.0 is an integer."""
+    if isinstance(value, bool):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _schema_errors(value, schema: Mapping, path: tuple = ()):
+    """Yield (path, message) for each violation of ``schema`` by ``value``.
+
+    Interprets the ``_KEYWORDS`` with Draft 2020-12 semantics and jsonschema's
+    messages, in the schema's own order; any other keyword raises.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _is_type(value, arg):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            # 2 and 2.0 are the same JSON value; True and 1 are not
+            if not any(value == option and isinstance(value, bool) == isinstance(option, bool)
+                       for option in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS:
+            fails, text = _BOUNDS[keyword]
+            if _is_type(value, "number") and fails(value, arg):
+                yield path, f"{value!r} is {text} {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (index,))
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, subschema in arg.items():
+                    if key in value:
+                        yield from _schema_errors(value[key], subschema, path + (key,))
+        elif keyword == "required":
+            if isinstance(value, dict):
+                yield from ((path, f"{key!r} is a required property")
+                            for key in arg if key not in value)
+        elif keyword == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extras = [key for key in value if key not in schema.get("properties", {})]
+                if extras:
+                    names = ", ".join(map(repr, sorted(extras, key=str)))
+                    yield path, (f"Additional properties are not allowed ({names} "
+                                 f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword not in _ANNOTATIONS:
+            raise ValueError(f"schema keyword {keyword}: {arg!r} is not implemented")
+
 
 class ConfigField(NamedTuple):
     """How one run-config field is read from JSON and, if it has a flag, from the CLI."""
@@ -173,12 +248,11 @@ class RunConfig:
             coupling whose a**-d, or beta = a**(d-4)/g2 times the quadratic
             rate 8 n (d-1), overflows a float.
         """
-        validator = jsonschema.Draft202012Validator(RUN_CONFIG_SCHEMA)
-        errors = sorted(validator.iter_errors(data), key=lambda e: list(map(str, e.path)))
+        errors = sorted(_schema_errors(data, RUN_CONFIG_SCHEMA),
+                        key=lambda error: list(map(str, error[0])))
         if errors:
-            first = errors[0]
-            location = ".".join(str(p) for p in first.path) or "<root>"
-            raise ConfigInvalid(f"{location}: {first.message}")
+            path, message = errors[0]
+            raise ConfigInvalid(f"{'.'.join(map(str, path)) or '<root>'}: {message}")
         values = {}
         for entry in CONFIG_FIELDS:
             if entry.key in data:

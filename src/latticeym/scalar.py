@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 
@@ -202,7 +201,11 @@ def _ive(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     term is at most (nu^2 / 2z)^k / k! <= 20^{-k} / k!, so the series is
     exact to rounding.  Elsewhere scipy's value stands, NaN included (high
     orders at z > 1.1e9, which the convergence check then reports).
+    scipy.special is imported here, on the first Bessel value, so that the
+    other suites start without it.
     """
+    from scipy import special
+
     hankel = (z > _HANKEL_Z) & (z >= 10.0 * orders**2)
     values = special.ive(orders, np.where(hankel, 0.0, z))
     if not hankel.any():

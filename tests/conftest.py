@@ -1,5 +1,5 @@
-"""Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, and a
-QR oracle for the Haar sampler.
+"""Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, a
+QR oracle for the Haar sampler, and the angular spectra of sampled unitaries.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -14,7 +14,7 @@ import pytest
 
 from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
                                   flat_vandermonde, vandermonde_density)
-from latticeym.groups import GroupSpec
+from latticeym.groups import GroupSpec, require_unitary
 
 _CHUNK = 1 << 19
 ORACLE_MAX_RANK = 3
@@ -66,6 +66,19 @@ def qr_haar_sample(group, rng, count):
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     diag = np.einsum("bii->bi", r)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _principal_angles(eigvals):
+    """Map unit-modulus eigenvalues to angles in (-pi, pi], in the given order."""
+    angles = np.angle(eigvals)
+    # np.angle can return exactly -pi (negative real axis approached from
+    # below); fold that endpoint onto +pi so the branch is half-open.
+    return np.where(angles <= -np.pi, angles + 2.0 * np.pi, angles)
+
+
+def angular_eigenvalues(u):
+    """Sorted eigenvalue angles in (-pi, pi] of each unitary in a stack (..., n, n)."""
+    return np.sort(_principal_angles(np.linalg.eigvals(require_unitary(u))), axis=-1)
 
 
 def product_of(w):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
-from latticeym.groups import (GroupSpec, angular_eigenvalues, generator_basis,
-                              haar_sample_batch, quadratic_bound_scan,
-                              quadratic_bound_sides, unitary_from_coefficients,
-                              unitarity_defect)
+from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
+                              quadratic_bound_scan, quadratic_bound_sides,
+                              unitary_from_coefficients, unitarity_defect)
 from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
 
-from conftest import qr_haar_sample, tensor_weyl
+from conftest import angular_eigenvalues, qr_haar_sample, tensor_weyl
 
 
 def test_haar_sample_deterministic():

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from scipy.special import gammaln
 
 from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import (EnsembleConstants, QuadratureSpec,
+from latticeym.quadrature import (EnsembleConstants, QuadratureSpec, _gaussian_moments,
                                   ensemble_constants, flat_vandermonde,
                                   i_beta, vandermonde_density, weyl_integrate,
                                   weyl_moments)
@@ -38,6 +39,19 @@ def test_ensemble_constants_small_rank_values():
     c2 = ensemble_constants(GroupSpec(2))
     assert c2.cue == pytest.approx((2.0 * np.pi) ** 2 * 2.0, rel=1e-15)
     assert c2.gue == pytest.approx(np.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("u", [1e-3, 0.5, 1.0, 3.0, 30.0, 1e150, np.inf])
+def test_gaussian_moments_match_mpmath(rate, u):
+    # q = 0..14 covers the 2 * 8 - 1 moments of I_4 at rank 8; at u = 1e150
+    # the rate u^2 is 1e300 or 2e300, and P = 1 must come out of the logarithms
+    got = _gaussian_moments(15, rate, u)
+    with mpmath.workdps(40):
+        for q, value in enumerate(got):
+            a = mpmath.mpf(q) + mpmath.mpf(1) / 2
+            expected = mpmath.gammainc(a, 0, rate * mpmath.mpf(u) ** 2) / mpmath.mpf(rate) ** a
+            assert abs(value / expected - 1) <= 1e-13, (q, value, expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])

@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticeym
 from latticeym import __version__
@@ -17,14 +19,55 @@ from latticeym.errors import ConfigInvalid
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
 from latticeym.reporting import (
+    _ANNOTATIONS,
+    _KEYWORDS,
     RUN_CONFIG_SCHEMA,
+    SUITE_NAMES,
     ReportRecord,
     RunConfig,
+    _schema_errors,
     write_reports,
 )
 from latticeym.single_bond import CouplingSpec, log_z, log_zeta_lower, log_zeta_upper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(code):
+    """Run `code` in a fresh interpreter that imports this package, so modules
+    the test session loaded do not count; raises unless it exits 0."""
+    src = str(Path(latticeym.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+MALFORMED = [
+    {"suite": "no-such-suite"},
+    {"suite": "approx", "d": 5},
+    {"suite": "approx", "a": [2.0]},
+    {"suite": "approx", "a": []},
+    {"suite": "approx", "unknown_key": 1},
+    {},
+]
+
+# Schema-valid, since NaN passes every bound, but rejected at the location
+# given by the finite and float-range checks that follow the schema.
+NON_FINITE = [
+    ({"a": [float("nan")]}, "a.0"),
+    ({"a": [0.5, float("nan")]}, "a.1"),
+    ({"g2": [float("nan")]}, "g2.0"),
+    ({"g2": [1.0, float("inf")]}, "g2.1"),
+    ({"g0_sq": float("nan")}, "g0_sq"),
+    ({"g0_sq": float("inf")}, "g0_sq"),
+    # a**-d or beta = a**(d-4)/g2 beyond the float range
+    ({"d": 2, "a": [1e-300]}, "a.0"),
+    ({"d": 3, "a": [0.5, 1e-300]}, "a.1"),
+    ({"g2": [5e-324], "g0_sq": 1.0}, "g2.0"),
+    ({"d": 2, "a": [1e-150], "g2": [1.0, 1e-10]}, "g2.1"),
+    # beta finite, the lower bound's rate 8 n (d-1) beta = 192 beta is not
+    ({"d": 4, "n": [1, 8], "g2": [1.0, 1e-307]}, "g2.1"),
+]
 
 
 class TestRunConfig:
@@ -52,39 +95,12 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid, match="L"):
             RunConfig.from_mapping({"suite": "stability", "L": 5})
 
-    @pytest.mark.parametrize(
-        "mapping",
-        [
-            {"suite": "no-such-suite"},
-            {"suite": "approx", "d": 5},
-            {"suite": "approx", "a": [2.0]},
-            {"suite": "approx", "a": []},
-            {"suite": "approx", "unknown_key": 1},
-            {},
-        ],
-    )
+    @pytest.mark.parametrize("mapping", MALFORMED)
     def test_rejects_malformed(self, mapping):
         with pytest.raises(ConfigInvalid):
             RunConfig.from_mapping(mapping)
 
-    @pytest.mark.parametrize(
-        "mapping,location",
-        [
-            ({"a": [float("nan")]}, "a.0"),
-            ({"a": [0.5, float("nan")]}, "a.1"),
-            ({"g2": [float("nan")]}, "g2.0"),
-            ({"g2": [1.0, float("inf")]}, "g2.1"),
-            ({"g0_sq": float("nan")}, "g0_sq"),
-            ({"g0_sq": float("inf")}, "g0_sq"),
-            # a**-d or beta = a**(d-4)/g2 beyond the float range
-            ({"d": 2, "a": [1e-300]}, "a.0"),
-            ({"d": 3, "a": [0.5, 1e-300]}, "a.1"),
-            ({"g2": [5e-324], "g0_sq": 1.0}, "g2.0"),
-            ({"d": 2, "a": [1e-150], "g2": [1.0, 1e-10]}, "g2.1"),
-            # beta finite, the lower bound's rate 8 n (d-1) beta = 192 beta is not
-            ({"d": 4, "n": [1, 8], "g2": [1.0, 1e-307]}, "g2.1"),
-        ],
-    )
+    @pytest.mark.parametrize("mapping,location", NON_FINITE)
     def test_rejects_non_finite_numbers(self, mapping, location):
         with pytest.raises(ConfigInvalid, match=rf"^{location}: "):
             RunConfig.from_mapping({"suite": "approx", **mapping})
@@ -100,6 +116,99 @@ class TestRunConfig:
         )
         again = RunConfig.from_mapping(config.to_mapping())
         assert again == config
+
+
+def schema_keywords(schema):
+    """Every keyword of a schema and of its subschemas, with its argument."""
+    for keyword, argument in schema.items():
+        yield keyword, argument
+        if keyword == "properties":
+            for subschema in argument.values():
+                yield from schema_keywords(subschema)
+        elif keyword == "items":
+            yield from schema_keywords(argument)
+
+
+_TOP_KEYS = list(RUN_CONFIG_SCHEMA["properties"])
+_NESTED_KEYS = [key for name in ("mc", "quadrature")
+                for key in RUN_CONFIG_SCHEMA["properties"][name]["properties"]]
+_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(float),  # integral floats are JSON integers
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 0.5, 1.0,
+                     1.5, 5e-324, 1e300]),
+    st.booleans(),  # a bool is neither an integer nor a number
+    st.none(),
+    st.sampled_from(list(SUITE_NAMES) + ["free", "periodic", "", "x"]),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),  # empty lists included
+    st.lists(st.lists(_SCALARS, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.sampled_from(_NESTED_KEYS + ["bogus"]), _SCALARS, max_size=4),
+)
+_MAPPINGS = st.one_of(
+    # mostly a valid suite, so the other fields' errors come first
+    st.builds(lambda suite, rest: {**rest, **suite},
+              st.one_of(st.just({"suite": "approx"}),
+                        st.dictionaries(st.just("suite"), _SCALARS)),
+              st.dictionaries(st.sampled_from(_TOP_KEYS + ["bogus", "Suite"]), _VALUES,
+                              max_size=5)),
+    _VALUES,  # a root that is not an object
+)
+
+
+class TestSchemaValidator:
+    """The in-house validator against jsonschema's Draft 2020-12 one."""
+
+    @staticmethod
+    def assert_same_verdict(data):
+        import jsonschema  # a test-only dependency, needed by these tests alone
+
+        ours = [list(path) for path, _ in _schema_errors(data, RUN_CONFIG_SCHEMA)]
+        validator = jsonschema.Draft202012Validator(RUN_CONFIG_SCHEMA)
+        theirs = [list(error.path) for error in validator.iter_errors(data)]
+        assert (not ours) == validator.is_valid(data)
+        key = lambda path: list(map(str, path))  # noqa: E731
+        assert sorted(ours, key=key) == sorted(theirs, key=key)
+        if theirs:
+            location = ".".join(map(str, min(theirs, key=key))) or "<root>"
+            with pytest.raises(ConfigInvalid, match=rf"^{re.escape(location)}: "):
+                RunConfig.from_mapping(data)
+        else:
+            # a schema-valid mapping builds a config or names its field
+            try:
+                RunConfig.from_mapping(data)
+            except ConfigInvalid:
+                pass
+
+    def test_implements_every_schema_keyword(self):
+        used = list(schema_keywords(RUN_CONFIG_SCHEMA))
+        assert {keyword for keyword, _ in used} <= set(_KEYWORDS) | set(_ANNOTATIONS)
+        # the argument forms the validator reads
+        assert all(isinstance(arg, str) for keyword, arg in used if keyword == "type")
+        assert all(arg is False for keyword, arg in used if keyword == "additionalProperties")
+
+    @pytest.mark.parametrize(
+        "mapping",
+        MALFORMED + [mapping for mapping, _ in NON_FINITE] + [
+            {"suite": "all"},
+            {"suite": "stability", "L": 6.0, "d": 3.0, "n": [1, 2.0], "seed": 0},
+            {"suite": "stability", "mc": {"sweeps": True, "chains": 0, "bogus": 1}},
+            {"suite": "approx", "quadrature": {"points": 7, "rtol": 0}, "seed": -1},
+            {"suite": True, "L": False, "a": [True], "g2": [0], "g0_sq": None},
+            {"suite": "scalar", "boundary": "open", "d": 2.5, "out": 1, "extra": {}},
+            [], "approx", None,
+        ],
+    )
+    def test_known_mappings(self, mapping):
+        self.assert_same_verdict(mapping)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_MAPPINGS)
+    def test_mutations(self, data):
+        self.assert_same_verdict(data)
 
 
 class TestReportRecord:
@@ -352,15 +461,23 @@ class TestCLI:
         assert set(record["errors"]) == {"derivative", "window"}
         assert all(0.0 <= v <= 1e-10 for v in record["errors"].values())
 
-    def test_cold_start_skips_quadpack_and_sparse(self):
-        # a fresh interpreter, so modules the test session loaded do not count
-        src = str(Path(latticeym.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = ("import sys, latticeym.cli; print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.integrate', 'scipy.sparse'))))")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert done.stdout.strip() == "[]"
+    def test_cold_start_loads_no_scipy_or_jsonschema(self):
+        code = ("import sys, latticeym.cli, latticeym.scalar; print(sorted(m for m in "
+                "sys.modules if m.startswith(('scipy', 'jsonschema'))))")
+        assert fresh_python(code).stdout.strip() == "[]"
+
+    def test_suites_run_with_scipy_and_jsonschema_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every import of that package fail
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 60, "thermalization": 20}}))
+        runs = [["group-check"], ["weyl-check"], ["single-bond"], ["approx"],
+                ["stability", "--d", "2", "--L", "2", "--config", str(config)]]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = sys.modules['jsonschema'] = None\n"
+                "from latticeym.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n")
+        fresh_python(code)
 
     def test_weyl_check_rank_five_exit_zero(self, tmp_path):
         assert main(["weyl-check", "--N", "5", "--out", str(tmp_path)]) == 0
