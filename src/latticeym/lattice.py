@@ -21,10 +21,12 @@ checkerboard classes keyed by (direction mu, parity of sum(x) at the origin).
 Two bonds of one plaquette either point in different directions or sit at x
 and x + e_nu, whose parities differ for even L (a periodic wrap moves x_nu
 by L - 1, which is odd), so no class holds two bonds of one plaquette and a
-whole class can be updated at once.  Per class the builder precomputes the
-three-leg staples of every containing plaquette, arranged so that
-A_p = 2n - 2 Re tr(U_b M_p), as rows into the stacked table
-[U, U^dag, 0] of `dagger_table`.
+whole class can be updated at once.  Per class the builder precomputes one
+gather list, the rows of the stacked table [U, U^dag, 0] of `dagger_table`
+that hold the three-leg staples M_p of every containing plaquette, arranged
+so that A_p = 2n - 2 Re tr(U_b M_p), followed by the bond's own row; and
+one scatter list, the rows of U_b and U_b^dag, so that a class is read and
+written back with one fancy index each.
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +61,8 @@ class LatticeGeometry:
     plaq_legs: np.ndarray       # (n_plaquettes, 4) bond indices
     fixed_mask: np.ndarray      # (n_bonds,) bool
     classes: list = field(default_factory=list)        # arrays of bond idx
-    staple_legs: list = field(default_factory=list)    # (n_c, P, 3) table rows
+    gather_rows: list = field(default_factory=list)    # (3 P + 1, n_c) table rows
+    scatter_rows: list = field(default_factory=list)   # (2 n_c,) table rows
 
     @property
     def n_sites(self):
@@ -217,12 +220,15 @@ def _check_spanning_tree(n_sites: int, tails: np.ndarray, heads: np.ndarray) -> 
 
 
 def _attach_update_tables(geom: LatticeGeometry) -> None:
-    """Checkerboard classes plus per-class padded staple tables.
+    """Checkerboard classes plus their gather and scatter rows.
 
-    Staple legs are rows of the table [U, U^dag, 0] (`dagger_table`): leg
-    b enters as row b, or as row b + n_bonds when daggered.  Bonds in fewer
-    plaquettes than the class maximum are padded with the zero row
-    2 n_bonds, whose staples vanish.
+    Rows index the table [U, U^dag, 0] (`dagger_table`): bond b enters as
+    row b, or as row b + n_bonds when daggered.  A class of n_c bonds in at
+    most P plaquettes each gets a (3 P + 1, n_c) gather array: row k P + p
+    holds leg k of the staple in slot p, and row 3 P the bond itself.  Bonds
+    in fewer than P plaquettes are padded with the zero row 2 n_bonds, whose
+    staples vanish.  The scatter array [members, members + n_bonds] writes
+    U and U^dag back together.
     """
     n_b = geom.n_bonds
     parity = geom.coords[geom.bond_site].sum(axis=1) % 2
@@ -248,10 +254,12 @@ def _attach_update_tables(geom: LatticeGeometry) -> None:
         members = np.flatnonzero(key == k)
         row[members] = np.arange(members.size)
         sel = key[bond] == k
-        legs = np.full((members.size, slot[sel].max() + 1, 3), 2 * n_b, dtype=np.int64)
-        legs[row[bond[sel]], slot[sel]] = staples[sel]
+        legs = np.full((3, slot[sel].max() + 1, members.size), 2 * n_b, dtype=np.int64)
+        legs[:, slot[sel], row[bond[sel]]] = staples[sel].T
         geom.classes.append(members)
-        geom.staple_legs.append(legs)
+        geom.gather_rows.append(np.concatenate([legs.reshape(-1, members.size),
+                                                members[None]]))
+        geom.scatter_rows.append(np.concatenate([members, members + n_b]))
 
 
 class GaugeConfig:
@@ -279,13 +287,18 @@ def cold_start(geom: LatticeGeometry, n: int) -> GaugeConfig:
 
 
 def dagger_table(u: np.ndarray) -> np.ndarray:
-    """Stacked [U, U^dag, 0] along the bond axis: shape (..., 2 n_bonds + 1, n, n).
+    """Entries-leading stacked [U, U^dag, 0]: bonds (..., n_bonds, n, n) to
+    a table of shape (n, n, ..., 2 n_bonds + 1).
 
-    Row b holds U_b, row b + n_bonds holds U_b^dag and the last row is zero;
-    the staple tables of `LatticeGeometry` index these rows.
+    Entry (i, j) of row b holds U_b[i, j], of row b + n_bonds U_b^dag[i, j],
+    and the last row is zero; the gather and scatter rows of
+    `LatticeGeometry` index the last axis.  With the matrix entries leading,
+    every elementwise step of an update runs over contiguous runs of
+    replicas x bonds.
     """
-    zero = np.zeros(u.shape[:-3] + (1,) + u.shape[-2:], dtype=u.dtype)
-    return np.concatenate([u, dagger(u), zero], axis=-3)
+    u = np.moveaxis(u, (-2, -1), (0, 1))
+    zero = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
+    return np.concatenate([u, np.conj(np.swapaxes(u, 0, 1)), zero], axis=-1)
 
 
 def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:

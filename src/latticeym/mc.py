@@ -19,15 +19,23 @@ Both verdicts fail when some replica never accepted a move.
 
 One sampler drives every chain: the state of R replicas (every beta point
 and chain of a thermodynamic integration, or the chains of one estimate) is
-a single (R, n_bonds, n, n) array, kept as its stacked [U, U^dag, 0] table.
-Each replica has its own beta, its own tuned step size and its own random
-generator, which it calls a fixed number of times per sweep, so a
-replica's trajectory does not depend on which replicas share its batch.
+a single complex array of shape (n, n, R, 2 n_bonds + 1), the stacked
+[U, U^dag, 0] table of `lattice.dagger_table` with the matrix entries
+leading.  So every elementwise step of an update runs over contiguous runs
+of replicas x bonds rather than over 1 x 1 to 3 x 3 matrices.  Products and
+traces are spelled out entry by entry, and every sum adds in the order
+np.sum takes over trailing (n, n) axes, so the trajectories do not depend
+on the layout.  Measurements see the usual (R, n_bonds, n, n) GaugeConfig,
+copied out once per sweep.  Each replica has its own beta, its own tuned step size and its
+own random generator, which it calls a fixed number of times per sweep, so
+a replica's trajectory does not depend on which replicas share its batch.
 
 Updates are vectorized over the checkerboard classes of the geometry:
 within a class no two bonds share a plaquette, so simultaneous Metropolis
 decisions with staples gathered from the pre-update configuration are
-equivalent to a sequential scan.  Proposals multiply a bond by
+equivalent to a sequential scan.  A class is read with one gather (its
+staple legs and its own bonds) and written back with one scatter (U and
+U^dag).  Proposals multiply a bond by
 exp(i eps u H) with H a Gaussian-direction Lie-algebra element of unit
 Hilbert-Schmidt norm and u drawn uniformly from [0.5, 1.5); the direction
 law is sign-symmetric, so the proposal kernel is symmetric and the
@@ -40,8 +48,7 @@ import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
-from .groups import (GroupSpec, dagger, matmul, unitarity_defect,
-                     unitary_from_coefficients)
+from .groups import GroupSpec, unitarity_defect, unitary_from_coefficients
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
                       dagger_table, scaled_field_traces, wilson_action)
 from .quadrature import QuadratureSpec
@@ -77,70 +84,119 @@ class MCParams:
                 f"beta_grid_points: must be odd and >= 3, got {self.beta_grid_points}")
 
 
-def _proposals(theta, x, n):
-    """Symmetric unitary proposal factors exp(i theta H), shape theta.shape + (n, n).
+def _pairwise_sum(terms):
+    """Sum over the leading axis in the order np.sum adds along a contiguous
+    trailing axis, its pairwise sum: in sequence below eight terms, else
+    eight running sums combined as a binary tree, then the rest in sequence.
 
-    H = sum_a x_a T_a / |x| in the basis T_a of `generator_basis(n)`; for
-    n = 1, x is a uniform draw whose side of 1/2 picks the sign of H.
+    The update keeps matrix entries and Lie-algebra components first, and
+    this order keeps its sums bit-identical to sums over trailing axes.
+    """
+    m = terms.shape[0]
+    if m < 8:
+        return terms.sum(axis=0)
+    partial = terms[:8]
+    for i in range(8, m - m % 8, 8):
+        partial = partial + terms[i:i + 8]
+    while partial.shape[0] > 1:
+        partial = partial[0::2] + partial[1::2]
+    total = partial[0]
+    for term in terms[m - m % 8:]:
+        total = total + term
+    return total
+
+
+def _proposals(theta, x, n):
+    """Symmetric unitary proposal factors exp(i theta H), entries first:
+    shape (n, n) + theta.shape.
+
+    H = sum_a x_a T_a / |x| in the basis T_a of `generator_basis(n)`, with
+    the components on the last axis of x; for n = 1, x is a uniform draw
+    whose side of 1/2 picks the sign of H.
     """
     if n == 1:
-        return np.exp(1j * theta * np.where(x < 0.5, 1.0, -1.0))[..., None, None]
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return np.exp(1j * theta * np.where(x < 0.5, 1.0, -1.0))[None, None]
+    x = np.moveaxis(x, -1, 0).copy()  # contiguous, components first
+    x = x / np.sqrt(_pairwise_sum(x * x))
     if n == 2:
         # T_a = (sigma_1, sigma_2, sigma_3, 1) / sqrt(2), so exp(i theta H) =
         # e^{i h x_3} (cos(h r) + i sin(h r) x_vec.sigma / r), h = theta / sqrt(2).
         h = theta / np.sqrt(2.0)
-        r = np.linalg.norm(x[..., :3], axis=-1)
+        r = np.sqrt(_pairwise_sum(x[:3] * x[:3]))
         c = np.cos(h * r)
         s = h * np.sinc(h * r / np.pi)  # sin(h r) / r, finite at r = 0
-        out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-        out[..., 0, 0] = c + 1j * s * x[..., 2]
-        out[..., 0, 1] = s * (x[..., 1] + 1j * x[..., 0])
-        out[..., 1, 0] = s * (-x[..., 1] + 1j * x[..., 0])
-        out[..., 1, 1] = c - 1j * s * x[..., 2]
-        return np.exp(1j * h * x[..., 3])[..., None, None] * out
+        out = np.empty((2, 2) + theta.shape, dtype=np.complex128)
+        out[0, 0] = c + 1j * s * x[2]
+        out[0, 1] = s * (x[1] + 1j * x[0])
+        out[1, 0] = s * (-x[1] + 1j * x[0])
+        out[1, 1] = c - 1j * s * x[2]
+        return np.exp(1j * h * x[3]) * out
     # No closed form beyond U(2): diagonalize theta H.
-    return unitary_from_coefficients(theta[..., None] * x, GroupSpec(n))
+    u = unitary_from_coefficients(np.moveaxis(theta * x, 0, -1), GroupSpec(n))
+    return np.moveaxis(u, (-2, -1), (0, 1))
 
 
-def _draws(rng, count, n):
-    """One sweep's random numbers for one replica, in three generator calls."""
-    amplitudes = rng.uniform(0.5, 1.5, size=count)
-    directions = rng.random(count) if n == 1 else rng.standard_normal((count, n * n))
-    return amplitudes, directions, rng.random(count)
+def _draws(rngs, count, n):
+    """One sweep's random numbers, three generator calls per replica.
+
+    Returns amplitudes and acceptance thresholds of shape (R, count) and
+    directions of shape (R, count), uniform, for n = 1, else (R, count, n^2)
+    standard normal.
+    """
+    shape = (len(rngs), count)
+    amplitudes, thresholds = np.empty(shape), np.empty(shape)
+    directions = np.empty(shape if n == 1 else shape + (n * n,))
+    for rng, a, x, t in zip(rngs, amplitudes, directions, thresholds):
+        a[...] = rng.uniform(0.5, 1.5, size=count)
+        (rng.random if n == 1 else rng.standard_normal)(out=x)
+        rng.random(out=t)
+    return amplitudes, directions, thresholds
+
+
+def _product(a, b):
+    """Matrix product of entries-leading stacks (n, n, ...), accumulated over
+    the inner index in the order of `groups.matmul`."""
+    out = a[:, 0:1] * b[0:1, :]
+    for k in range(1, a.shape[0]):
+        out = out + a[:, k:k + 1] * b[k:k + 1, :]
+    return out
+
+
+def _re_trace(a, b):
+    """Re tr(a b) of entries-leading stacks (n, n, ...), shape (...), summed
+    as np.sum sums over trailing (n, n) axes."""
+    return _pairwise_sum((a * np.swapaxes(b, 0, 1)).real.reshape((-1,) + a.shape[2:]))
 
 
 def _sweep(table, geom, group, beta, epsilon, rngs):
     """One update pass over all retained bonds of every replica.
 
-    `table` is the (R, 2 n_bonds + 1, n, n) stacked [U, U^dag, 0] state,
-    updated in place; beta and epsilon are (R,) arrays and rngs holds one
-    generator per replica.  Returns the acceptance rate of each replica.
+    `table` is the entries-leading (n, n, R, 2 n_bonds + 1) stacked
+    [U, U^dag, 0] state of `dagger_table`, updated in place; beta and
+    epsilon are (R,) arrays and rngs holds one generator per replica.
+    Returns the acceptance rate of each replica.
     """
-    n_b = geom.n_bonds
     count = geom.retained.size  # the classes partition the retained bonds
-    amplitudes, directions, thresholds = (
-        np.stack(parts) for parts in zip(*(_draws(rng, count, group.n) for rng in rngs)))
+    amplitudes, directions, thresholds = _draws(rngs, count, group.n)
     factors = _proposals(epsilon[:, None] * amplitudes, directions, group.n)
-    accepted = np.zeros(len(rngs))
+    two_beta = 2.0 * beta[:, None]  # -beta dA = 2 beta Re tr((U_new - U_old) M)
+    accept = np.empty((len(rngs), count), dtype=bool)
     start = 0
-    for members, legs in zip(geom.classes, geom.staple_legs):
-        stop = start + members.size
-        g = table[:, legs]
-        staples = matmul(matmul(g[..., 0, :, :], g[..., 1, :, :]), g[..., 2, :, :])
-        t = staples.sum(axis=2)
-        u_old = table[:, members]
-        u_new = matmul(factors[:, start:stop], u_old)
-        delta_a = -2.0 * np.sum(((u_new - u_old) * np.swapaxes(t, -1, -2)).real,
-                                axis=(-2, -1))
-        accept = thresholds[:, start:stop] < np.exp(
-            np.minimum(0.0, -beta[:, None] * delta_a))
-        u = np.where(accept[..., None, None], u_new, u_old)
-        table[:, members] = u
-        table[:, members + n_b] = dagger(u)
-        accepted += accept.sum(axis=1)
+    for gather, scatter in zip(geom.gather_rows, geom.scatter_rows):
+        stop = start + gather.shape[1]
+        slots = (gather.shape[0] - 1) // 3
+        g = table[..., gather]
+        staples = _product(_product(g[..., :slots, :], g[..., slots:2 * slots, :]),
+                           g[..., 2 * slots:3 * slots, :])
+        u_old = g[..., -1, :]
+        u_new = _product(factors[..., start:stop], u_old)
+        exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=-2))
+        ok = accept[:, start:stop] = thresholds[:, start:stop] < np.exp(
+            np.minimum(0.0, exponent))
+        u = np.where(ok, u_new, u_old)
+        table[..., scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=-1)
         start = stop
-    return accepted / count
+    return accept.sum(axis=1) / count
 
 
 def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
@@ -148,9 +204,9 @@ def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
     """One full update pass over all retained bonds; returns acceptance rate."""
     if config.u.shape != (geom.n_bonds, group.n, group.n):
         raise ShapeMismatch("configuration does not match geometry/group")
-    table = dagger_table(config.u)[None]
+    table = dagger_table(config.u[None])
     rate = _sweep(table, geom, group, np.array([beta]), np.array([epsilon]), [rng])
-    config.u[...] = table[0, :geom.n_bonds]
+    config.u[...] = np.moveaxis(table[:, :, 0, :geom.n_bonds], -1, 0)
     return float(rate[0])
 
 
@@ -179,8 +235,7 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
-    table = np.repeat(dagger_table(cold_start(geom, group.n).u)[None], len(rngs), axis=0)
-    batch = GaugeConfig(table[:, :geom.n_bonds])
+    table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
     epsilon = np.full(len(rngs), params.epsilon)
     window = np.zeros(len(rngs))
     for sweep in range(1, params.thermalization + 1):
@@ -195,6 +250,9 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     samples = []
     for _ in range(n_meas):
         accepted += _sweep(table, geom, group, betas, epsilon, rngs)
+        # a C-contiguous copy, so the measurement sums in its usual order
+        batch = GaugeConfig(np.ascontiguousarray(
+            table[..., :geom.n_bonds].transpose(2, 3, 0, 1)))
         samples.append(measure(batch))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),

@@ -1,5 +1,6 @@
 """Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, a
-QR oracle for the Haar sampler, and the angular spectra of sampled unitaries.
+QR oracle for the Haar sampler, the angular spectra of sampled unitaries,
+and a serial reference for the batched Metropolis sweep.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -12,9 +13,11 @@ routes give the same number up to rounding.
 import numpy as np
 import pytest
 
+from latticeym import mc
 from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
                                   flat_vandermonde, vandermonde_density)
 from latticeym.groups import GroupSpec, require_unitary
+from latticeym.lattice import GaugeConfig, wilson_action
 
 _CHUNK = 1 << 19
 ORACLE_MAX_RANK = 3
@@ -102,6 +105,35 @@ def tensor_ensemble(beta, u, n, points=96):
         total += float(np.sum(weights * np.exp(-0.5 * beta * np.sum(coords**2, axis=-1))
                               * dens))
     return total
+
+
+def serial_sweep(u, geom, group, beta, epsilon, rngs):
+    """Metropolis sweep of a replica batch, one bond at a time, without
+    staple tables.
+
+    u is an (R, n_bonds, n, n) batch, updated in place; beta and epsilon
+    are (R,) arrays.  The random numbers come from `mc._draws` and
+    `mc._proposals` and are spent on the bonds in the order of
+    `geom.classes`, as the batched sweep spends them.  Delta A is the change
+    of the Wilson action of the whole configuration.  Returns the number of
+    accepted moves of each replica.
+    """
+    amplitudes, directions, thresholds = mc._draws(rngs, geom.retained.size, group.n)
+    factors = np.moveaxis(mc._proposals(epsilon[:, None] * amplitudes, directions, group.n),
+                          (0, 1), (-2, -1))
+    order = np.concatenate(geom.classes)
+    accepted = np.zeros(len(rngs), dtype=int)
+    for r in range(len(rngs)):
+        config = GaugeConfig(u[r])  # a view: updates of u[r] show in config
+        for k, bond in enumerate(order):
+            old_u, old_action = u[r, bond].copy(), wilson_action(config, geom)
+            u[r, bond] = factors[r, k] @ old_u
+            delta = wilson_action(config, geom) - old_action
+            if thresholds[r, k] < np.exp(min(0.0, -beta[r] * delta)):
+                accepted[r] += 1
+            else:
+                u[r, bond] = old_u
+    return accepted
 
 
 @pytest.fixture

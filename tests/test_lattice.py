@@ -132,13 +132,19 @@ def test_checkerboard_classes_partition_and_conflict_free(d, L, boundary):
 def test_staple_tables_reproduce_plaquette_traces(boundary, rng):
     # Re tr(U_b sum of staples) is the sum of Re tr U_p over the plaquettes
     # containing b, for every retained bond.
+    # The gather rows end with the bond's own row, and the scatter rows
+    # address U_b and U_b^dag.
     geom = build_geometry(3, 4, boundary)
     cfg = random_config(geom, 2, rng, include_fixed=True)
     table = dagger_table(cfg.u)
     re_tr = np.trace(plaquette_products(cfg, geom), axis1=-2, axis2=-1).real
-    for members, legs in zip(geom.classes, geom.staple_legs):
-        g = table[legs]
-        t = matmul(matmul(g[..., 0, :, :], g[..., 1, :, :]), g[..., 2, :, :]).sum(axis=1)
+    for members, gather, scatter in zip(geom.classes, geom.gather_rows,
+                                        geom.scatter_rows):
+        g = np.moveaxis(table[:, :, gather], (0, 1), (-2, -1))
+        slots = (gather.shape[0] - 1) // 3
+        assert np.array_equal(g[-1], cfg.u[members])
+        assert np.array_equal(scatter, np.concatenate([members, members + geom.n_bonds]))
+        t = matmul(matmul(g[:slots], g[slots:2 * slots]), g[2 * slots:3 * slots]).sum(axis=0)
         got = np.trace(matmul(cfg.u[members], t), axis1=-2, axis2=-1).real
         want = [re_tr[np.any(geom.plaq_legs == b, axis=1)].sum() for b in members]
         assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -18,8 +18,8 @@ from scipy.stats import chi2
 from latticeym import mc
 from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
-from latticeym.groups import GroupSpec, generator_basis, unitarity_defect
-from latticeym.lattice import build_geometry, cold_start, wilson_action
+from latticeym.groups import GroupSpec, generator_basis, haar_sample_batch, unitarity_defect
+from latticeym.lattice import build_geometry, cold_start, dagger_table, wilson_action
 from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
@@ -28,6 +28,8 @@ from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples
                           _run_replicas)
 from latticeym.quadrature import QuadratureSpec, weyl_integrate
 from latticeym.single_bond import CouplingSpec, z_lower, z_upper
+
+from conftest import serial_sweep
 
 # ln z(1) for N = 1, d = 2 (beta = 1), from the Bessel series oracle in
 # test_single_bond.py.
@@ -71,12 +73,14 @@ def test_fixed_seed_reproducible():
     assert first == second
 
 
-def test_sweep_preserves_unitarity():
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_preserves_unitarity(n):
+    # n = 2 is the closed-form proposal, n = 3 the eigh route.
     geom = build_geometry(2, 2, "periodic")
-    cfg = cold_start(geom, 2)
+    cfg = cold_start(geom, n)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        metropolis_sweep(cfg, geom, 0.8, 0.9, rng, GroupSpec(2))
+        metropolis_sweep(cfg, geom, 0.8, 0.9, rng, GroupSpec(n))
     assert unitarity_defect(cfg.u) < 1e-12
 
 
@@ -115,22 +119,46 @@ def test_detailed_balance_chi_square():
     assert stat < chi2.ppf(0.99, df=edges.size - 2)
 
 
-def test_replica_independent_of_its_batch():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_replica_independent_of_its_batch(n):
     # Each replica draws from its own generator a fixed number of times per
     # sweep, so its series must not depend on which replicas run beside it.
     geom = build_geometry(3, 2, "periodic")
     params = MCParams(sweeps=50, thermalization=30, seed=4, chains=4)
     seeds = _chain_seeds(params, salt=1)
     betas = [0.3, 0.9, 1.4, 2.0]
-    for n in (1, 2):
-        def run(which):
-            return _run_replicas(geom, GroupSpec(n), [betas[i] for i in which],
-                                 [seeds[i] for i in which], params,
-                                 lambda batch: wilson_action(batch, geom)).series
-        batch = run([0, 1, 2, 3])
-        for i in (0, 2):
-            alone = run([i])
-            np.testing.assert_allclose(alone[0], batch[i], rtol=1e-12, atol=0)
+
+    def run(which):
+        return _run_replicas(geom, GroupSpec(n), [betas[i] for i in which],
+                             [seeds[i] for i in which], params,
+                             lambda batch: wilson_action(batch, geom)).series
+    batch = run([0, 1, 2, 3])
+    for i in (0, 2):
+        alone = run([i])
+        np.testing.assert_allclose(alone[0], batch[i], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d,L,boundary", [(3, 4, "free"), (3, 4, "periodic"),
+                                          (4, 2, "periodic")])
+def test_sweep_matches_serial_reference(d, L, boundary, n):
+    # One batched sweep from a Haar-random start against the bond-by-bond
+    # reference of conftest: same acceptances, same bond matrices.
+    geom = build_geometry(d, L, boundary)
+    group = GroupSpec(n)
+    beta, epsilon = np.array([0.4, 1.0, 2.5]), np.array([1.2, 0.8, 0.5])
+    start = haar_sample_batch(group, np.random.default_rng(9), 3 * geom.n_bonds)
+    start = start.reshape(3, geom.n_bonds, n, n)
+    table = dagger_table(start)
+    rates = mc._sweep(table, geom, group, beta, epsilon,
+                      [np.random.default_rng(s) for s in (1, 2, 3)])
+    u = start.copy()
+    accepted = serial_sweep(u, geom, group, beta, epsilon,
+                            [np.random.default_rng(s) for s in (1, 2, 3)])
+    assert np.all((0 < accepted) & (accepted < geom.retained.size))
+    assert np.array_equal(np.rint(rates * geom.retained.size), accepted)
+    batched = np.moveaxis(table[..., :geom.n_bonds], (0, 1), (-2, -1))
+    assert np.max(np.abs(batched - u)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -141,7 +169,7 @@ def test_proposal_matches_expm(n):
     x = rng.standard_normal((200, n * n))
     x[0, :-1] = 0.0  # pure phase: identity direction only
     x[1, -1] = 0.0  # traceless direction
-    got = _proposals(theta, x, n)
+    got = np.moveaxis(_proposals(theta, x, n), -1, 0)  # entries first to a stack
     h = np.einsum("ca,aij->cij", x / np.linalg.norm(x, axis=1, keepdims=True),
                   generator_basis(n))
     for k in range(theta.size):
