@@ -92,6 +92,39 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of stacks with the entries leading, (n, n, ...),
+    accumulated over the inner index in the order of `matmul`."""
+    out = a[:, 0:1] * b[0:1, :]
+    for k in range(1, a.shape[0]):
+        out = out + a[:, k:k + 1] * b[k:k + 1, :]
+    return out
+
+
+def leading_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in the order np.sum adds along a contiguous
+    trailing axis, its pairwise sum: in sequence below w terms, else w
+    running sums combined as a binary tree, then the rest in sequence, with
+    w = 8 for real and w = 4 for complex terms (up to 128 reals).
+
+    Stacks with the entries leading keep their sums bit-identical to sums
+    over trailing axes this way.
+    """
+    width = 4 if np.iscomplexobj(terms) else 8
+    m = terms.shape[0]
+    if m < width:
+        return terms.sum(axis=0)
+    partial = terms[:width]
+    for i in range(width, m - m % width, width):
+        partial = partial + terms[i:i + width]
+    while partial.shape[0] > 1:
+        partial = partial[0::2] + partial[1::2]
+    total = partial[0]
+    for term in terms[m - m % width:]:
+        total = total + term
+    return total
+
+
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Haar sample of shape (count, n, n).
 
@@ -140,6 +173,67 @@ def unitary_from_coefficients(coeffs: np.ndarray, group: GroupSpec) -> np.ndarra
     return matmul(v * np.exp(1j * w)[..., None, :], dagger(v))
 
 
+def traceless3_root(a, z):
+    """Trigonometric root of traceless Hermitian 3 x 3 matrices A, given
+    their diagonal a = (a_00, a_11, a_22) and upper entries z = (a_01, a_02,
+    a_12) as stacks.
+
+    Returns (x0, p, phi) with p = tr(A^2)/6 and phi = arccos(|det A| /
+    (2 p^{3/2}))/3 in [0, pi/6]: x0 = sign(det A) 2 sqrt(p) cos(phi) is the
+    eigenvalue farthest from the other two, -x0/2 +- sqrt(3 p) sin(phi)
+    (Smith, Commun. ACM 4, 168 (1961)).  Only x0 keeps the accuracy of
+    eigvalsh; near a degenerate pair the arccos loses digits of phi.
+    """
+    n01, n02, n12 = (v.real**2 + v.imag**2 for v in z)
+    p = (a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + 2.0 * (n01 + n02 + n12)) / 6.0
+    det = (a[0] * a[1] * a[2] + 2.0 * (z[0] * z[2] * np.conj(z[1])).real
+           - a[0] * n12 - a[1] * n02 - a[2] * n01)
+    r = np.divide(np.abs(det), 2.0 * p * np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
+    phi = np.arccos(np.minimum(r, 1.0)) / 3.0
+    return np.copysign(2.0 * np.sqrt(p) * np.cos(phi), det), p, phi
+
+
+def _cosines(us: np.ndarray) -> np.ndarray:
+    """Eigenvalues cos(lambda_j) of B = (U + U^dag)/2 for a stack (..., n, n),
+    shape (..., n) in no fixed order; one route per rank.
+
+    n = 1 is Re u and n = 2 is m +- sqrt(d**2 + |b_12|**2).  For n = 3,
+    `traceless3_root` gives the root x0 of A = B - m farthest from the
+    other two, and they are -x0/2 +- sqrt(D) with 2 D = ||A + (x0/2)(1 -
+    3 P)||_F**2, P = adj(A - x0)/tr adj(A - x0) the projector on the x0
+    eigenvector.  That norm is a sum of squares, so a near-degenerate pair
+    keeps an absolute error of a few eps, where the trigonometric pair loses
+    digits (Kopp, Int. J. Mod. Phys. C 19, 523 (2008), physics/0610206).
+    Larger ranks call eigvalsh.
+    """
+    n = us.shape[-1]
+    if n > 3:
+        return np.linalg.eigvalsh(0.5 * (us + dagger(us)))
+    b = [us[..., i, i].real for i in range(n)]
+    if n == 1:
+        return b[0][..., None]
+    if n == 2:
+        m, d = 0.5 * (b[0] + b[1]), 0.5 * (b[0] - b[1])
+        h = 0.5 * (us[..., 0, 1] + np.conj(us[..., 1, 0]))
+        s = np.sqrt(d * d + h.real**2 + h.imag**2)
+        return np.stack([m + s, m - s], axis=-1)
+    z = [0.5 * (us[..., i, j] + np.conj(us[..., j, i])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    m = (b[0] + b[1] + b[2]) / 3.0
+    a = [bi - m for bi in b]
+    x0 = traceless3_root(a, z)[0]
+    d0, d1, d2 = (ai - x0 for ai in a)
+    n01, n02, n12 = (v.real**2 + v.imag**2 for v in z)
+    # adj(A - x0), Hermitian: diagonal c and upper entries c_up
+    c = (d1 * d2 - n12, d0 * d2 - n02, d0 * d1 - n01)
+    c_up = (z[1] * np.conj(z[2]) - z[0] * d2, z[0] * z[2] - z[1] * d1,
+            z[1] * np.conj(z[0]) - d0 * z[2])
+    h = 0.5 * x0
+    w = np.divide(3.0 * h, c[0] + c[1] + c[2], out=np.zeros_like(h), where=h != 0.0)
+    s = np.sqrt(sum(0.5 * (ai + h - w * ci)**2 for ai, ci in zip(a, c))
+                + sum(np.abs(zk - w * ck)**2 for zk, ck in zip(z, c_up)))
+    return np.stack([m + x0, m - h + s, m - h - s], axis=-1)
+
+
 def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     """Both sides of A_p <= k n sum_j |x^j|^2 for each k-tuple of a stack (..., k, n, n).
 
@@ -150,11 +244,11 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     angular eigenvalues.  Returns (lhs, rhs), each of shape (...).
 
     As |lambda| = arccos(cos lambda) on (-pi, pi], sum_j lambda_j**2 is
-    sum_j arccos(mu_j)**2 over the eigenvalues mu_j of (U + U^dag)/2: no
-    eigenvectors, and no pairing of mirrored or repeated angles.  Rounding
-    eps in mu costs about 2 eps near lambda = 0 and 2 pi sqrt(2 eps) ~ 2e-7
-    at |lambda| = pi, where a scan (k = 4) has rhs >= 4 n pi**2 and
-    lhs <= 4 n, so it cannot fake a violation.
+    sum_j arccos(mu_j)**2 over the eigenvalues mu_j of (U + U^dag)/2
+    (`_cosines`): no eigenvectors of U, and no pairing of mirrored or
+    repeated angles.  Rounding eps in mu costs about 2 eps near lambda = 0 and
+    2 pi sqrt(2 eps) ~ 2e-7 at |lambda| = pi, where a scan (k = 4) has
+    rhs >= 4 n pi**2 and lhs <= 4 n, so it cannot fake a violation.
     """
     us = np.asarray(us, dtype=complex)
     n = group.n
@@ -168,8 +262,7 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     for leg in legs[1:]:
         holonomy = matmul(holonomy, leg)
     lhs = 2.0 * (n - np.trace(holonomy, axis1=-2, axis2=-1).real)
-    cosines = np.linalg.eigvalsh(0.5 * (us + dagger(us)))
-    rhs = k * n * np.sum(np.arccos(np.clip(cosines, -1.0, 1.0)) ** 2, axis=(-2, -1))
+    rhs = k * n * np.sum(np.arccos(np.clip(_cosines(us), -1.0, 1.0)) ** 2, axis=(-2, -1))
     return lhs, rhs
 
 

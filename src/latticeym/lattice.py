@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch
-from .groups import dagger, matmul, require_unitary
+from .groups import dagger, leading_matmul, leading_sum, matmul, require_unitary
 
 # Staple leg recipe: for a bond sitting at position l of a plaquette, the
 # matrix M with Re tr(U_b M) = Re tr(U_p) is the ordered product of the other
@@ -307,28 +307,41 @@ def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:
             f"config has {config.u.shape[-3]} bonds, geometry has {geom.n_bonds}")
 
 
-def _leg_products(u, legs):
-    """U_1 U_2 and U_4 U_3 for plaquette leg rows `legs`, so U_p = A B^dag."""
-    g = u[..., legs, :, :]
-    return (matmul(g[..., 0, :, :], g[..., 1, :, :]),
-            matmul(g[..., 3, :, :], g[..., 2, :, :]))
-
-
-def plaquette_traces(u: np.ndarray, legs: np.ndarray) -> np.ndarray:
+def leading_traces(u: np.ndarray, legs: np.ndarray) -> np.ndarray:
     """tr U_p for the plaquettes with leg rows `legs` (P, 4), shape (..., P).
 
-    u holds bond matrices (..., n_bonds, n, n), one configuration or a batch.
-    tr(A B^dag) is summed entry by entry, without forming U_p.
+    u holds bond matrices with the entries leading, (n, n, ..., rows): the
+    sampler's `dagger_table`, or a moveaxis view of one configuration or a
+    batch.  tr(A B^dag) with A = U_1 U_2 and B = U_4 U_3 is summed entry by
+    entry, without forming U_p, in the order np.sum takes over trailing
+    (n, n) axes.
     """
-    a, b = _leg_products(u, legs)
-    return np.sum(a * np.conj(b), axis=(-2, -1))
+    g = u[..., legs.T]
+    a = leading_matmul(g[..., 0, :], g[..., 1, :])
+    b = leading_matmul(g[..., 3, :], g[..., 2, :])
+    return leading_sum((a * np.conj(b)).reshape((-1,) + a.shape[2:]))
+
+
+def leading_action(u: np.ndarray, geom: LatticeGeometry):
+    """`wilson_action` of entries-leading bond matrices (n, n, ..., rows)."""
+    traces = leading_traces(u, geom.plaq_legs)
+    action = 2.0 * (u.shape[0] * geom.n_plaquettes - np.sum(traces.real, axis=-1))
+    return float(action) if action.ndim == 0 else action
+
+
+def leading_field_traces(u: np.ndarray, geom: LatticeGeometry, coupling,
+                         indices) -> np.ndarray:
+    """`scaled_field_traces` of entries-leading bond matrices (n, n, ..., rows)."""
+    legs = geom.plaq_legs[np.asarray(indices)]
+    return np.sqrt(coupling.beta) * leading_traces(u, legs).imag
 
 
 def plaquette_products(config: GaugeConfig, geom: LatticeGeometry) -> np.ndarray:
     """U_p for every plaquette, shape (..., n_plaquettes, n, n)."""
     _check_bonds(config, geom)
-    a, b = _leg_products(config.u, geom.plaq_legs)
-    return matmul(a, dagger(b))
+    g = config.u[..., geom.plaq_legs, :, :]
+    a = matmul(g[..., 0, :, :], g[..., 1, :, :])
+    return matmul(a, dagger(matmul(g[..., 3, :, :], g[..., 2, :, :])))
 
 
 def wilson_action(config: GaugeConfig, geom: LatticeGeometry):
@@ -337,17 +350,15 @@ def wilson_action(config: GaugeConfig, geom: LatticeGeometry):
     A float for one configuration, an (R,) array for a batch.
     """
     _check_bonds(config, geom)
-    traces = plaquette_traces(config.u, geom.plaq_legs)
-    action = 2.0 * (config.n * geom.n_plaquettes - np.sum(traces.real, axis=-1))
-    return float(action) if action.ndim == 0 else action
+    return leading_action(np.moveaxis(config.u, (-2, -1), (0, 1)), geom)
 
 
 def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
                         coupling, indices) -> np.ndarray:
     """sqrt(beta) Im tr U_p over the given plaquette indices, shape (..., r)."""
     _check_bonds(config, geom)
-    legs = geom.plaq_legs[np.asarray(indices)]
-    return np.sqrt(coupling.beta) * plaquette_traces(config.u, legs).imag
+    return leading_field_traces(np.moveaxis(config.u, (-2, -1), (0, 1)), geom, coupling,
+                                indices)
 
 
 def gauge_transform(config: GaugeConfig, geom: LatticeGeometry, site: int,

@@ -25,19 +25,20 @@ leading.  So every elementwise step of an update runs over contiguous runs
 of replicas x bonds rather than over 1 x 1 to 3 x 3 matrices.  Products and
 traces are spelled out entry by entry, and every sum adds in the order
 np.sum takes over trailing (n, n) axes, so the trajectories do not depend
-on the layout.  Measurements see the usual (R, n_bonds, n, n) GaugeConfig,
-copied out once per sweep.  Each replica has its own beta, its own tuned step size and its
-own random generator, which it calls a fixed number of times per sweep, so
-a replica's trajectory does not depend on which replicas share its batch.
+on the layout.  Measurements read the same table, through the plaquette
+legs of `lattice.leading_traces`, the one trace route of the package.  Each
+replica has its own beta, its own tuned step size and its own random
+generator, which it calls a fixed number of times per sweep, so a
+replica's trajectory does not depend on which replicas share its batch.
 
 Updates are vectorized over the checkerboard classes of the geometry:
 within a class no two bonds share a plaquette, so simultaneous Metropolis
 decisions with staples gathered from the pre-update configuration are
 equivalent to a sequential scan.  A class is read with one gather (its
 staple legs and its own bonds) and written back with one scatter (U and
-U^dag).  Proposals multiply a bond by
-exp(i eps u H) with H a Gaussian-direction Lie-algebra element of unit
-Hilbert-Schmidt norm and u drawn uniformly from [0.5, 1.5); the direction
+U^dag).  Proposals multiply a bond by exp(i eps u H) with H a
+Gaussian-direction Lie-algebra element of unit Hilbert-Schmidt norm and u
+drawn uniformly from [0.5, 1.5), in closed form up to U(3); the direction
 law is sign-symmetric, so the proposal kernel is symmetric and the
 acceptance is min(1, e^{-beta dA}).
 """
@@ -48,9 +49,10 @@ import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
-from .groups import GroupSpec, unitarity_defect, unitary_from_coefficients
+from .groups import (GroupSpec, leading_matmul, leading_sum, traceless3_root,
+                     unitarity_defect, unitary_from_coefficients)
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
-                      dagger_table, scaled_field_traces, wilson_action)
+                      dagger_table, leading_action, leading_field_traces)
 from .quadrature import QuadratureSpec
 from .single_bond import (CouplingSpec, log_z, log_zeta_envelope, log_zeta_lower,
                           log_zeta_upper)
@@ -84,28 +86,6 @@ class MCParams:
                 f"beta_grid_points: must be odd and >= 3, got {self.beta_grid_points}")
 
 
-def _pairwise_sum(terms):
-    """Sum over the leading axis in the order np.sum adds along a contiguous
-    trailing axis, its pairwise sum: in sequence below eight terms, else
-    eight running sums combined as a binary tree, then the rest in sequence.
-
-    The update keeps matrix entries and Lie-algebra components first, and
-    this order keeps its sums bit-identical to sums over trailing axes.
-    """
-    m = terms.shape[0]
-    if m < 8:
-        return terms.sum(axis=0)
-    partial = terms[:8]
-    for i in range(8, m - m % 8, 8):
-        partial = partial + terms[i:i + 8]
-    while partial.shape[0] > 1:
-        partial = partial[0::2] + partial[1::2]
-    total = partial[0]
-    for term in terms[m - m % 8:]:
-        total = total + term
-    return total
-
-
 def _proposals(theta, x, n):
     """Symmetric unitary proposal factors exp(i theta H), entries first:
     shape (n, n) + theta.shape.
@@ -117,12 +97,12 @@ def _proposals(theta, x, n):
     if n == 1:
         return np.exp(1j * theta * np.where(x < 0.5, 1.0, -1.0))[None, None]
     x = np.moveaxis(x, -1, 0).copy()  # contiguous, components first
-    x = x / np.sqrt(_pairwise_sum(x * x))
+    x = x / np.sqrt(leading_sum(x * x))
     if n == 2:
         # T_a = (sigma_1, sigma_2, sigma_3, 1) / sqrt(2), so exp(i theta H) =
         # e^{i h x_3} (cos(h r) + i sin(h r) x_vec.sigma / r), h = theta / sqrt(2).
         h = theta / np.sqrt(2.0)
-        r = np.sqrt(_pairwise_sum(x[:3] * x[:3]))
+        r = np.sqrt(leading_sum(x[:3] * x[:3]))
         c = np.cos(h * r)
         s = h * np.sinc(h * r / np.pi)  # sin(h r) / r, finite at r = 0
         out = np.empty((2, 2) + theta.shape, dtype=np.complex128)
@@ -131,9 +111,44 @@ def _proposals(theta, x, n):
         out[1, 0] = s * (-x[1] + 1j * x[0])
         out[1, 1] = c - 1j * s * x[2]
         return np.exp(1j * h * x[3]) * out
-    # No closed form beyond U(2): diagonalize theta H.
+    if n == 3:
+        return np.exp(1j * theta * x[8] / np.sqrt(3.0)) * _exp_traceless3(theta * x[:8])
     u = unitary_from_coefficients(np.moveaxis(theta * x, 0, -1), GroupSpec(n))
     return np.moveaxis(u, (-2, -1), (0, 1))
+
+
+def _exp_traceless3(y):
+    """exp(iQ) for the traceless Q = sum_a y_a T_a of su(3), components
+    first (8, ...) to entries first (3, 3, ...).
+
+    Cayley-Hamilton: exp(iQ) = f0 + f1 Q + f2 Q^2, with the f_j in closed
+    form in the eigenvalues 2u and -u +- w of Q (Morningstar & Peardon,
+    Phys. Rev. D 69, 054501 (2004), hep-lat/0311018, eqs. 19-33); a signed u
+    covers their c0 < 0 branch.  The f_j see w only through w**2, cos w and
+    sin(w)/w, so a degenerate pair costs no accuracy; Q = 0 gives 1.
+    """
+    diag = (y[6] / np.sqrt(2.0) + y[7] / np.sqrt(6.0), -y[6] / np.sqrt(2.0) + y[7] / np.sqrt(6.0),
+            -2.0 * y[7] / np.sqrt(6.0))
+    upper = [(y[a] - 1j * y[a + 1]) / np.sqrt(2.0) for a in (0, 2, 4)]
+    q = np.empty((3, 3) + y.shape[1:], dtype=np.complex128)
+    for i in range(3):
+        q[i, i] = diag[i]
+    for (i, j), v in zip(((0, 1), (0, 2), (1, 2)), upper):
+        q[i, j], q[j, i] = v, np.conj(v)
+    x0, p, phi = traceless3_root(diag, upper)
+    u, w = 0.5 * x0, np.sqrt(3.0 * p) * np.sin(phi)
+    xi0, cos_w = np.sinc(w / np.pi), np.cos(w)
+    e2, e1 = np.exp(2j * u), np.exp(-1j * u)
+    h = ((u * u - w * w) * e2 + e1 * (8.0 * u * u * cos_w + 2j * u * (3.0 * u * u + w * w) * xi0),
+         2.0 * u * e2 - e1 * (2.0 * u * cos_w - 1j * (3.0 * u * u - w * w) * xi0),
+         e2 - e1 * (cos_w + 3j * u * xi0))
+    den = 9.0 * u * u - w * w  # >= 6 p: vanishes only at Q = 0
+    f = [np.divide(hj, den, out=np.full_like(hj, float(j == 0)), where=den > 0.0)
+         for j, hj in enumerate(h)]
+    out = f[1] * q + f[2] * leading_matmul(q, q)
+    for i in range(3):
+        out[i, i] += f[0]
+    return out
 
 
 def _draws(rngs, count, n):
@@ -153,19 +168,10 @@ def _draws(rngs, count, n):
     return amplitudes, directions, thresholds
 
 
-def _product(a, b):
-    """Matrix product of entries-leading stacks (n, n, ...), accumulated over
-    the inner index in the order of `groups.matmul`."""
-    out = a[:, 0:1] * b[0:1, :]
-    for k in range(1, a.shape[0]):
-        out = out + a[:, k:k + 1] * b[k:k + 1, :]
-    return out
-
-
 def _re_trace(a, b):
     """Re tr(a b) of entries-leading stacks (n, n, ...), shape (...), summed
     as np.sum sums over trailing (n, n) axes."""
-    return _pairwise_sum((a * np.swapaxes(b, 0, 1)).real.reshape((-1,) + a.shape[2:]))
+    return leading_sum((a * np.swapaxes(b, 0, 1)).real.reshape((-1,) + a.shape[2:]))
 
 
 def _sweep(table, geom, group, beta, epsilon, rngs):
@@ -186,10 +192,10 @@ def _sweep(table, geom, group, beta, epsilon, rngs):
         stop = start + gather.shape[1]
         slots = (gather.shape[0] - 1) // 3
         g = table[..., gather]
-        staples = _product(_product(g[..., :slots, :], g[..., slots:2 * slots, :]),
-                           g[..., 2 * slots:3 * slots, :])
+        staples = leading_matmul(leading_matmul(g[..., :slots, :], g[..., slots:2 * slots, :]),
+                                 g[..., 2 * slots:3 * slots, :])
         u_old = g[..., -1, :]
-        u_new = _product(factors[..., start:stop], u_old)
+        u_new = leading_matmul(factors[..., start:stop], u_old)
         exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=-2))
         ok = accept[:, start:stop] = thresholds[:, start:stop] < np.exp(
             np.minimum(0.0, exponent))
@@ -230,8 +236,8 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
 
     Every 10 thermalization sweeps a replica's step size grows by 1.2 (at
     most pi) if its acceptance exceeded 0.6 and shrinks by 1.2 if it fell
-    below 0.4.  `measure` maps the (R, n_bonds, n, n) batch GaugeConfig to
-    one row per replica.
+    below 0.4.  `measure` maps the sampler's (n, n, R, 2 n_bonds + 1) table
+    to one row per replica.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
@@ -250,13 +256,11 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     samples = []
     for _ in range(n_meas):
         accepted += _sweep(table, geom, group, betas, epsilon, rngs)
-        # a C-contiguous copy, so the measurement sums in its usual order
-        batch = GaugeConfig(np.ascontiguousarray(
-            table[..., :geom.n_bonds].transpose(2, 3, 0, 1)))
-        samples.append(measure(batch))
+        samples.append(measure(table))
+    bonds = np.moveaxis(table[..., :geom.n_bonds], (0, 1), (-2, -1))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=unitarity_defect(batch.u))
+                        unitarity_defect=unitarity_defect(bonds))
 
 
 def _blocked_se(series, n_blocks=20):
@@ -303,7 +307,7 @@ def estimate_mean_action(geom: LatticeGeometry, group: GroupSpec, beta: float,
     """
     samples = _run_replicas(geom, group, [beta] * params.chains,
                             _chain_seeds(params, salt=0), params,
-                            lambda batch: wilson_action(batch, geom))
+                            lambda table: leading_action(table, geom))
     return _chain_mean(samples.series)
 
 
@@ -335,7 +339,7 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
     betas = np.repeat(grid[1:], params.chains)
     seeds = [seed for i in range(1, grid.size) for seed in _chain_seeds(params, salt=i)]
     samples = _run_replicas(geom, group, betas, seeds, params,
-                            lambda batch: wilson_action(batch, geom))
+                            lambda table: leading_action(table, geom))
     per_point = samples.series.reshape(grid.size - 1, params.chains, -1)
     means = [2.0 * group.n * geom.n_plaquettes]
     errors = [0.0]
@@ -453,7 +457,7 @@ def sample_source_fields(geom: LatticeGeometry, coupling: CouplingSpec,
     indices = np.asarray(plaquettes)
     return _run_replicas(
         geom, group, [coupling.beta] * params.chains, _chain_seeds(params, salt=101),
-        params, lambda batch: scaled_field_traces(batch, geom, coupling, indices))
+        params, lambda table: leading_field_traces(table, geom, coupling, indices))
 
 
 def generating_function_from_samples(chains, strengths):
@@ -522,4 +526,5 @@ def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec
         log_env = log_z(log_zeta_envelope(r * complex(j), coupling, group, quad)[0],
                         coupling, group)
         log_rhs += num_exp * log_env - den_exp * log_zl
-    return float(np.exp(log_rhs))
+    with np.errstate(over="ignore"):  # an inf ceiling is reported as non-finite
+        return float(np.exp(log_rhs))

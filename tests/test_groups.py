@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
-from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
+from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch, leading_sum,
                               quadratic_bound_scan, quadratic_bound_sides,
                               unitary_from_coefficients, unitarity_defect)
 from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
@@ -35,6 +35,19 @@ def test_haar_sample_matches_qr_oracle(n):
     # Both consumed the same Ginibre draws.
     assert fast.standard_normal() == oracle.standard_normal()
     assert unitarity_defect(us) <= 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_leading_sum_adds_in_numpy_order(dtype):
+    # Bit-identical to np.sum over a contiguous trailing axis, which keeps
+    # the entries-leading sampler and measurements on the rounding of the
+    # trailing layout.
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 64):
+        terms = rng.standard_normal((m, 300)) * 10.0 ** rng.integers(-8, 9, (m, 300))
+        if dtype is complex:
+            terms = terms + 1j * rng.standard_normal((m, 300))
+        assert np.array_equal(leading_sum(terms), np.sum(np.ascontiguousarray(terms.T), axis=-1))
 
 
 def test_unitarity_defect_is_largest_per_matrix_norm(rng):
@@ -213,6 +226,8 @@ MIRROR_AXES = (0.0, 0.4, np.arctan(1 / np.sqrt(2)), 1.0, np.pi / 2, 2.5)
         ((1e-4, -2e-4, 3e-4), 1e-14),       # near the identity
         ((np.pi, 0.5), 2e-7),               # arccos conditioning at -1
         ((np.pi - 1e-6, -0.3), 1e-8),
+        ((-1e-8, 0.5, 1e-8), 1e-14),        # cos-degenerate pair at mu = 1
+        ((-2.98921484, -0.43159139, 2.98937057), 1e-12),  # and near pi
     ],
 )
 def test_sum_squared_angles_known_spectrum(angles, tol):

@@ -10,6 +10,7 @@ Statistical assertions use 3-4 sigma windows on seeded chains, so they are
 deterministic in practice.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,8 +19,9 @@ from scipy.stats import chi2
 from latticeym import mc
 from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
-from latticeym.groups import GroupSpec, generator_basis, haar_sample_batch, unitarity_defect
-from latticeym.lattice import build_geometry, cold_start, dagger_table, wilson_action
+from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
+                              quadratic_bound_sides, unitarity_defect)
+from latticeym.lattice import build_geometry, cold_start, dagger_table, leading_action
 from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
@@ -75,7 +77,7 @@ def test_fixed_seed_reproducible():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sweep_preserves_unitarity(n):
-    # n = 2 is the closed-form proposal, n = 3 the eigh route.
+    # n = 2 and n = 3 are the two closed-form proposals.
     geom = build_geometry(2, 2, "periodic")
     cfg = cold_start(geom, n)
     rng = np.random.default_rng(7)
@@ -131,7 +133,7 @@ def test_replica_independent_of_its_batch(n):
     def run(which):
         return _run_replicas(geom, GroupSpec(n), [betas[i] for i in which],
                              [seeds[i] for i in which], params,
-                             lambda batch: wilson_action(batch, geom)).series
+                             lambda table: leading_action(table, geom)).series
     batch = run([0, 1, 2, 3])
     for i in (0, 2):
         alone = run([i])
@@ -161,9 +163,9 @@ def test_sweep_matches_serial_reference(d, L, boundary, n):
     assert np.max(np.abs(batched - u)) < 1e-13
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_proposal_matches_expm(n):
-    # n = 2 is the closed form, n = 3 the eigh route.
+    # n = 2 and n = 3 are the closed forms, n = 4 the eigh route.
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, np.pi, size=200)
     x = rng.standard_normal((200, n * n))
@@ -175,6 +177,49 @@ def test_proposal_matches_expm(n):
     for k in range(theta.size):
         assert np.max(np.abs(got[k] - expm(1j * theta[k] * h[k]))) < 1e-13
         assert unitarity_defect(got[k]) < 1e-13
+
+
+def _mp_expm(h):
+    """exp(i h) of a Hermitian matrix in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix([[1j * complex(v) for v in row] for row in h]))
+        return np.array([[complex(e[i, j]) for j in range(len(h))] for i in range(len(h))])
+
+
+def test_u3_proposal_matches_mpmath():
+    # The Cayley-Hamilton branch at Q = 0, at the degenerate spectrum
+    # 0.3 (1, 1, -2), which has c0 = -c0_max, at c0 = +c0_max, and at random
+    # directions with and without a trace part, across the amplitudes of a
+    # tuned chain.
+    rng = np.random.default_rng(11)
+    basis = generator_basis(3)
+    x = np.vstack([np.eye(9)[[0, 7, 7]], rng.standard_normal((12, 9))])
+    x[3:6, 8] = 0.0
+    theta = np.concatenate([[0.0, 0.3 * np.sqrt(6.0), -0.3 * np.sqrt(6.0)],
+                            rng.uniform(0.0, 1.5 * np.pi, 12)])
+    got = np.moveaxis(_proposals(theta, x, 3), -1, 0)
+    h = np.einsum("ca,aij->cij", x / np.linalg.norm(x, axis=1, keepdims=True), basis)
+    for k in range(theta.size):
+        assert np.max(np.abs(got[k] - _mp_expm(theta[k] * h[k]))) < 1e-14
+        assert unitarity_defect(got[k]) < 1e-14
+    assert np.array_equal(got[0], np.eye(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_forms_call_no_eigensolver(n, monkeypatch):
+    # Up to U(3) the quadratic-bound sides and the proposals are closed forms.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolver called")
+
+    rng = np.random.default_rng(n)
+    us = haar_sample_batch(GroupSpec(n), rng, 40).reshape(10, 4, n, n)
+    amplitudes = rng.uniform(0.0, np.pi, (2, 5))
+    directions = rng.random((2, 5)) if n == 1 else rng.standard_normal((2, 5, n * n))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    lhs, rhs = quadratic_bound_sides(us, GroupSpec(n))
+    assert np.all(lhs <= rhs)
+    assert _proposals(amplitudes, directions, n).shape == (n, n, 2, 5)
 
 
 def test_u2_single_plaquette_matches_heine_oracle():
