@@ -221,11 +221,12 @@ def _suite_genfun(config: RunConfig):
     for group, coupling in _grid(config):
         # One set of chains serves every source strength.
         samples = sample_source_fields(geom, coupling, group, (plaquette,), config.mc)
+        log_zeta_l = log_zeta_lower(coupling, group, config.quadrature)[0]
         for strength in (0.1, 0.5):
             sources = SourceSpec(plaquettes=(plaquette,), strengths=(strength,))
             value, error = generating_function_from_samples(samples.series, sources.strengths)
             ceiling = generating_function_ceiling(
-                config.L, coupling, group, sources, config.quadrature)
+                config.L, coupling, group, sources, config.quadrature, log_zeta_l=log_zeta_l)
             abs_g = abs(value)
             # A frozen chain measures its cold start with error 0.
             passed = samples.accept_min > 0.0 and abs_g <= ceiling + 3.0 * error
@@ -306,7 +307,8 @@ def run_suite(config: RunConfig) -> dict:
     """Run the configured suite(s), write report files, return the records.
 
     Returns a mapping of suite name to its record list.  Raises SuiteFailed
-    after all files are written if any verdict failed.
+    after all files are written if any verdict failed, and a MemoryError
+    naming the suite, which writes no files, if it runs out of memory.
     """
     names = list(_SUITE_RUNNERS) if config.suite == "all" else [config.suite]
     results = {}
@@ -314,7 +316,10 @@ def run_suite(config: RunConfig) -> dict:
     for name in names:
         suite_config = dataclasses.replace(config, suite=name)
         started = time.perf_counter()
-        records = _SUITE_RUNNERS[name](suite_config)
+        try:
+            records = _SUITE_RUNNERS[name](suite_config)
+        except MemoryError as exc:
+            raise MemoryError(f"{name}: {str(exc) or 'allocation failed'}") from None
         elapsed = time.perf_counter() - started
         write_reports(config.out, name, records, elapsed)
         results[name] = records
@@ -378,7 +383,7 @@ def main(argv=None) -> int:
     except SuiteFailed as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except LatticeYMError as exc:
+    except (LatticeYMError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for name, records in results.items():

@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
-from .groups import (GroupSpec, leading_matmul, leading_sum, traceless3_root,
-                     unitarity_defect, unitary_from_coefficients)
+from .groups import (GroupSpec, leading_matmul, leading_sum, leading_unitarity_defect,
+                     traceless3_root, unitary_from_coefficients)
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
                       dagger_table, leading_action, leading_field_traces)
 from .quadrature import QuadratureSpec
@@ -257,10 +257,9 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     for _ in range(n_meas):
         accepted += _sweep(table, geom, group, betas, epsilon, rngs)
         samples.append(measure(table))
-    bonds = np.moveaxis(table[..., :geom.n_bonds], (0, 1), (-2, -1))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=unitarity_defect(bonds))
+                        unitarity_defect=leading_unitarity_defect(table[..., :geom.n_bonds]))
 
 
 def _blocked_se(series, n_blocks=20):
@@ -508,11 +507,14 @@ def correlation_from_generating(geom: LatticeGeometry, coupling: CouplingSpec,
 
 
 def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec,
-                 sources: SourceSpec, quad: QuadratureSpec) -> float:
+                 sources: SourceSpec, quad: QuadratureSpec, *,
+                 log_zeta_l: float | None = None) -> float:
     """Product bound on |G(J)| from single-bond quadrature.
 
     prod_j envelope(r J_j)^(2^d R / (r S)) / z_low^(2^d (R + E) / (r S))
     with R retained bonds, E wrap bonds, S sites of the periodic lattice.
+    z_low does not depend on the sources; a caller that evaluates several
+    sources at one (group, coupling) passes its ln zeta_l as `log_zeta_l`.
     """
     counts = lattice_counts(coupling.d, L)
     s = counts.sites
@@ -520,7 +522,9 @@ def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec
     num_exp = 2.0**coupling.d * counts.retained_bonds / (r * s)
     den_exp = (2.0**coupling.d * (counts.retained_bonds + counts.extra_bonds)
                / (r * s))
-    log_zl = log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)
+    if log_zeta_l is None:
+        log_zeta_l = log_zeta_lower(coupling, group, quad)[0]
+    log_zl = log_z(log_zeta_l, coupling, group)
     log_rhs = 0.0  # summed in logarithms: each power alone can leave float range
     for j in sources.strengths:
         log_env = log_z(log_zeta_envelope(r * complex(j), coupling, group, quad)[0],

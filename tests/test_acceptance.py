@@ -1,4 +1,5 @@
-"""Acceptance gate: the fourteen headline checks, one printed line each.
+"""Acceptance gate: the fourteen headline checks, one printed line each,
+and a determinism check of the group-check reports next to C14.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines. Each check prints ``[acceptance] C<n> PASS/FAIL: detail`` and then
@@ -326,3 +327,13 @@ def test_c14_deterministic_reports(tmp_path):
         f"two single-bond runs wrote byte-identical JSONL "
         f"({len(bytes_a)} bytes, exit codes {codes})",
     )
+
+
+def test_group_check_reports_deterministic(tmp_path):
+    # N <= 3 samples take the closed-form last column, N = 4 Gram-Schmidt.
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli_main(["group-check", "--N", "1,2,3,4", "--seed", "7", "--out", str(out)]) == 0
+    bytes_a, bytes_b = ((out / "group-check.jsonl").read_bytes() for out in outs)
+    assert bytes_a == bytes_b
+    assert len(bytes_a.splitlines()) == 4

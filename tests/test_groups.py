@@ -273,3 +273,19 @@ def test_quadratic_bound_scan_no_violations(rng):
     violations, max_ratio = quadratic_bound_scan(GroupSpec(2), rng, 20_000)
     assert violations == 0
     assert max_ratio <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_bound_scan_matches_oracle(n):
+    # The scan's quadruples are haar_sample_batch draws, so the QR oracle
+    # rebuilds them from the same seed; np.matmul holonomies and the
+    # eigenvalue angles then give both sides independently.
+    g, count = GroupSpec(n), 20_000
+    violations, max_ratio = quadratic_bound_scan(g, np.random.default_rng(31), count)
+    us = qr_haar_sample(g, np.random.default_rng(31), 4 * count).reshape(count, 4, n, n)
+    u1, u2, u3, u4 = (us[:, j] for j in range(4))
+    holonomy = u1 @ u2 @ np.conj(np.swapaxes(u3, -1, -2)) @ np.conj(np.swapaxes(u4, -1, -2))
+    lhs = 2.0 * (n - np.trace(holonomy, axis1=-2, axis2=-1).real)
+    rhs = 4 * n * np.sum(angular_eigenvalues(us) ** 2, axis=(-2, -1))
+    assert violations == np.count_nonzero(lhs > rhs + 1e-12) == 0
+    assert max_ratio == pytest.approx(np.max(lhs / np.maximum(rhs, 1e-30)), rel=1e-12, abs=0)

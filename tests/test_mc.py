@@ -20,7 +20,7 @@ from latticeym import mc
 from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
-                              quadratic_bound_sides, unitarity_defect)
+                              quadratic_bound_scan, quadratic_bound_sides, unitarity_defect)
 from latticeym.lattice import build_geometry, cold_start, dagger_table, leading_action
 from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
@@ -207,7 +207,8 @@ def test_u3_proposal_matches_mpmath():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_forms_call_no_eigensolver(n, monkeypatch):
-    # Up to U(3) the quadratic-bound sides and the proposals are closed forms.
+    # Up to U(3) the quadratic-bound sides, its scan and the proposals are
+    # closed forms.
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK eigensolver called")
 
@@ -219,6 +220,7 @@ def test_closed_forms_call_no_eigensolver(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     lhs, rhs = quadratic_bound_sides(us, GroupSpec(n))
     assert np.all(lhs <= rhs)
+    assert quadratic_bound_scan(GroupSpec(n), rng, 100)[0] == 0
     assert _proposals(amplitudes, directions, n).shape == (n, n, 2, 5)
 
 

@@ -524,6 +524,53 @@ class TestCLI:
         assert len(run_suite(config)["approx"]) == 2
         assert couplings == [0.5, 1.0]
 
+    def test_genfun_reads_zeta_lower_once_per_point(self, tmp_path, monkeypatch):
+        # ln zeta_l does not depend on the source strength, so each
+        # (group, coupling) evaluates it once for both strengths.
+        import latticeym.cli as cli_module
+        import latticeym.mc as mc_module
+
+        calls = []
+
+        def counted(coupling, group, quad):
+            calls.append((group.n, coupling.g2))
+            return log_zeta_lower(coupling, group, quad)
+
+        monkeypatch.setattr(cli_module, "log_zeta_lower", counted)
+        monkeypatch.setattr(mc_module, "log_zeta_lower", counted)
+        config = RunConfig.from_mapping(
+            {"suite": "genfun", "L": 2, "n": [1, 2], "g2": [2.0, 4.0], "seed": 2,
+             "mc": {"sweeps": 60, "thermalization": 20}, "out": str(tmp_path)})
+        records = run_suite(config)["genfun"]
+        assert calls == [(1, 2.0), (1, 4.0), (2, 2.0), (2, 4.0)]
+        # The ceiling is the one it computes without the hoisted value.
+        calls.clear()
+        points = [point for point in cli_module._grid(config) for _ in range(2)]
+        assert len(points) == len(records) == 8
+        for (group, coupling), record in zip(points, records):
+            sources = mc_module.SourceSpec(plaquettes=(record.inputs["plaquette"],),
+                                           strengths=(record.inputs["strength"],))
+            assert record.values["ceiling"] == mc_module.generating_function_ceiling(
+                config.L, coupling, group, sources, config.quadrature)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 71.1 PiB", ""])
+    @pytest.mark.parametrize("suite", ["approx", "all"])
+    def test_memory_error_exit_three(self, suite, message, tmp_path, capsys, monkeypatch):
+        # The runner raises at once: the test allocates nothing large.
+        import latticeym.cli as cli_module
+
+        def exhausted(config):
+            raise MemoryError(message)
+
+        name = "approx" if suite == "approx" else "group-check"
+        monkeypatch.setitem(cli_module._SUITE_RUNNERS, name, exhausted)
+        assert main([suite, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"MemoryError: {name}: {message or 'allocation failed'}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("suite,per_point", [("stability", 1), ("genfun", 2)])
     def test_mc_suites_cover_grid_with_diagnostics(self, suite, per_point, tmp_path):
         args = [suite, "--L", "2", "--N", "1,2", "--g2", "2,4", "--seed", "2",
