@@ -26,7 +26,8 @@ gather list, the rows of the stacked table [U, U^dag, 0] of `dagger_table`
 that hold the three-leg staples M_p of every containing plaquette, arranged
 so that A_p = 2n - 2 Re tr(U_b M_p), followed by the bond's own row; and
 one scatter list, the rows of U_b and U_b^dag, so that a class is read and
-written back with one fancy index each.
+written back with one index along the row axis of the (n, n, rows, R)
+table each.
 """
 
 from dataclasses import dataclass, field
@@ -222,13 +223,13 @@ def _check_spanning_tree(n_sites: int, tails: np.ndarray, heads: np.ndarray) -> 
 def _attach_update_tables(geom: LatticeGeometry) -> None:
     """Checkerboard classes plus their gather and scatter rows.
 
-    Rows index the table [U, U^dag, 0] (`dagger_table`): bond b enters as
-    row b, or as row b + n_bonds when daggered.  A class of n_c bonds in at
-    most P plaquettes each gets a (3 P + 1, n_c) gather array: row k P + p
-    holds leg k of the staple in slot p, and row 3 P the bond itself.  Bonds
-    in fewer than P plaquettes are padded with the zero row 2 n_bonds, whose
-    staples vanish.  The scatter array [members, members + n_bonds] writes
-    U and U^dag back together.
+    Rows index axis 2 of the table [U, U^dag, 0] (`dagger_table`): bond b
+    enters as row b, or as row b + n_bonds when daggered.  A class of n_c
+    bonds in at most P plaquettes each gets a (3 P + 1, n_c) gather array:
+    row k P + p holds leg k of the staple in slot p, and row 3 P the bond
+    itself.  Bonds in fewer than P plaquettes are padded with the zero row
+    2 n_bonds, whose staples vanish.  The scatter array [members, members +
+    n_bonds] writes U and U^dag back together.
     """
     n_b = geom.n_bonds
     parity = geom.coords[geom.bond_site].sum(axis=1) % 2
@@ -286,19 +287,25 @@ def cold_start(geom: LatticeGeometry, n: int) -> GaugeConfig:
     return GaugeConfig(u)
 
 
+def _entries_leading(u: np.ndarray) -> np.ndarray:
+    """View of bond matrices (..., n_bonds, n, n) as (n, n, n_bonds, ...)."""
+    return np.moveaxis(u, (-2, -1, -3), (0, 1, 2))
+
+
 def dagger_table(u: np.ndarray) -> np.ndarray:
     """Entries-leading stacked [U, U^dag, 0]: bonds (..., n_bonds, n, n) to
-    a table of shape (n, n, ..., 2 n_bonds + 1).
+    a C-ordered table of shape (n, n, 2 n_bonds + 1, ...).
 
     Entry (i, j) of row b holds U_b[i, j], of row b + n_bonds U_b^dag[i, j],
     and the last row is zero; the gather and scatter rows of
-    `LatticeGeometry` index the last axis.  With the matrix entries leading,
-    every elementwise step of an update runs over contiguous runs of
-    replicas x bonds.
+    `LatticeGeometry` index axis 2.  With the entries leading and the
+    replicas last, each leg of a class gathered along axis 2 is one
+    contiguous run of plaquettes x bonds x replicas per matrix entry.
     """
-    u = np.moveaxis(u, (-2, -1), (0, 1))
-    zero = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
-    return np.concatenate([u, np.conj(np.swapaxes(u, 0, 1)), zero], axis=-1)
+    u = _entries_leading(u)
+    zero = np.zeros(u.shape[:2] + (1,) + u.shape[3:], dtype=u.dtype)
+    table = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1)), zero], axis=2)
+    return np.ascontiguousarray(table)  # concatenate keeps the inputs' memory order
 
 
 def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:
@@ -308,32 +315,35 @@ def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:
 
 
 def leading_traces(u: np.ndarray, legs: np.ndarray) -> np.ndarray:
-    """tr U_p for the plaquettes with leg rows `legs` (P, 4), shape (..., P).
+    """tr U_p for the plaquettes with leg rows `legs` (P, 4), shape (P, ...).
 
-    u holds bond matrices with the entries leading, (n, n, ..., rows): the
-    sampler's `dagger_table`, or a moveaxis view of one configuration or a
-    batch.  tr(A B^dag) with A = U_1 U_2 and B = U_4 U_3 is summed entry by
-    entry, without forming U_p, in the order np.sum takes over trailing
-    (n, n) axes.
+    u holds bond matrices with the entries leading and the rows on axis 2,
+    (n, n, rows, ...): the sampler's `dagger_table`, or an `_entries_leading`
+    view of one configuration or a batch.  tr(A B^dag) with A = U_1 U_2 and
+    B = U_4 U_3 is summed entry by entry, without forming U_p, in the order
+    np.sum takes over trailing (n, n) axes.
     """
-    g = u[..., legs.T]
-    a = leading_matmul(g[..., 0, :], g[..., 1, :])
-    b = leading_matmul(g[..., 3, :], g[..., 2, :])
+    g = np.take(u, legs.T, axis=2)
+    a = leading_matmul(g[:, :, 0], g[:, :, 1])
+    b = leading_matmul(g[:, :, 3], g[:, :, 2])
     return leading_sum((a * np.conj(b)).reshape((-1,) + a.shape[2:]))
 
 
 def leading_action(u: np.ndarray, geom: LatticeGeometry):
-    """`wilson_action` of entries-leading bond matrices (n, n, ..., rows)."""
+    """`wilson_action` of entries-leading bond matrices (n, n, rows, ...),
+    the plaquettes added in index order at every batch size (np.sum would
+    add a lone configuration's pairwise)."""
     traces = leading_traces(u, geom.plaq_legs)
-    action = 2.0 * (u.shape[0] * geom.n_plaquettes - np.sum(traces.real, axis=-1))
+    action = 2.0 * (u.shape[0] * geom.n_plaquettes - np.cumsum(traces.real, axis=0)[-1])
     return float(action) if action.ndim == 0 else action
 
 
 def leading_field_traces(u: np.ndarray, geom: LatticeGeometry, coupling,
                          indices) -> np.ndarray:
-    """`scaled_field_traces` of entries-leading bond matrices (n, n, ..., rows)."""
+    """`scaled_field_traces` of entries-leading bond matrices (n, n, rows, ...):
+    shape (..., r)."""
     legs = geom.plaq_legs[np.asarray(indices)]
-    return np.sqrt(coupling.beta) * leading_traces(u, legs).imag
+    return np.sqrt(coupling.beta) * leading_traces(u, legs).imag.T
 
 
 def plaquette_products(config: GaugeConfig, geom: LatticeGeometry) -> np.ndarray:
@@ -350,15 +360,14 @@ def wilson_action(config: GaugeConfig, geom: LatticeGeometry):
     A float for one configuration, an (R,) array for a batch.
     """
     _check_bonds(config, geom)
-    return leading_action(np.moveaxis(config.u, (-2, -1), (0, 1)), geom)
+    return leading_action(_entries_leading(config.u), geom)
 
 
 def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
                         coupling, indices) -> np.ndarray:
     """sqrt(beta) Im tr U_p over the given plaquette indices, shape (..., r)."""
     _check_bonds(config, geom)
-    return leading_field_traces(np.moveaxis(config.u, (-2, -1), (0, 1)), geom, coupling,
-                                indices)
+    return leading_field_traces(_entries_leading(config.u), geom, coupling, indices)
 
 
 def gauge_transform(config: GaugeConfig, geom: LatticeGeometry, site: int,

@@ -19,17 +19,20 @@ Both verdicts fail when some replica never accepted a move.
 
 One sampler drives every chain: the state of R replicas (every beta point
 and chain of a thermodynamic integration, or the chains of one estimate) is
-a single complex array of shape (n, n, R, 2 n_bonds + 1), the stacked
+a single complex array of shape (n, n, 2 n_bonds + 1, R), the stacked
 [U, U^dag, 0] table of `lattice.dagger_table` with the matrix entries
-leading.  So every elementwise step of an update runs over contiguous runs
-of replicas x bonds rather than over 1 x 1 to 3 x 3 matrices.  Products and
-traces are spelled out entry by entry, and every sum adds in the order
-np.sum takes over trailing (n, n) axes, so the trajectories do not depend
-on the layout.  Measurements read the same table, through the plaquette
-legs of `lattice.leading_traces`, the one trace route of the package.  Each
+leading and the replicas last.  So every elementwise step of an update
+runs over one contiguous run of plaquettes x bonds x replicas per matrix
+entry rather than over 1 x 1 to 3 x 3 matrices.  Products and traces are
+spelled out entry by entry, and every sum adds in the order np.sum takes
+over trailing (n, n) axes, so the trajectories do not depend on the
+layout.  Measurements read the same table, through the plaquette legs of
+`lattice.leading_traces`, the one trace route of the package.  Each
 replica has its own beta, its own tuned step size and its own random
-generator, which it calls a fixed number of times per sweep, so a
-replica's trajectory does not depend on which replicas share its batch.
+generator, which it calls a fixed number of times per sweep, and the
+action adds its plaquettes in index order at every batch size, so a
+replica's series is bit for bit the same whichever replicas share its
+batch.
 
 Updates are vectorized over the checkerboard classes of the geometry:
 within a class no two bonds share a plaquette, so simultaneous Metropolis
@@ -177,32 +180,33 @@ def _re_trace(a, b):
 def _sweep(table, geom, group, beta, epsilon, rngs):
     """One update pass over all retained bonds of every replica.
 
-    `table` is the entries-leading (n, n, R, 2 n_bonds + 1) stacked
-    [U, U^dag, 0] state of `dagger_table`, updated in place; beta and
-    epsilon are (R,) arrays and rngs holds one generator per replica.
-    Returns the acceptance rate of each replica.
+    `table` is the (n, n, 2 n_bonds + 1, R) stacked [U, U^dag, 0] state of
+    `dagger_table`, updated in place; beta and epsilon are (R,) arrays and
+    rngs holds one generator per replica, whose (R, count) draws are turned
+    once to the table's replicas-last order.  Returns the acceptance rate
+    of each replica.
     """
     count = geom.retained.size  # the classes partition the retained bonds
-    amplitudes, directions, thresholds = _draws(rngs, count, group.n)
-    factors = _proposals(epsilon[:, None] * amplitudes, directions, group.n)
-    two_beta = 2.0 * beta[:, None]  # -beta dA = 2 beta Re tr((U_new - U_old) M)
-    accept = np.empty((len(rngs), count), dtype=bool)
+    amplitudes, directions, thresholds = (np.swapaxes(a, 0, 1).copy()
+                                          for a in _draws(rngs, count, group.n))
+    factors = _proposals(epsilon * amplitudes, directions, group.n)
+    two_beta = 2.0 * beta  # -beta dA = 2 beta Re tr((U_new - U_old) M)
+    accept = np.empty((count, len(rngs)), dtype=bool)
     start = 0
     for gather, scatter in zip(geom.gather_rows, geom.scatter_rows):
         stop = start + gather.shape[1]
         slots = (gather.shape[0] - 1) // 3
-        g = table[..., gather]
-        staples = leading_matmul(leading_matmul(g[..., :slots, :], g[..., slots:2 * slots, :]),
-                                 g[..., 2 * slots:3 * slots, :])
-        u_old = g[..., -1, :]
-        u_new = leading_matmul(factors[..., start:stop], u_old)
-        exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=-2))
-        ok = accept[:, start:stop] = thresholds[:, start:stop] < np.exp(
-            np.minimum(0.0, exponent))
+        g = np.take(table, gather, axis=2)  # (n, n, 3 P + 1, n_c, R)
+        staples = leading_matmul(leading_matmul(g[:, :, :slots], g[:, :, slots:2 * slots]),
+                                 g[:, :, 2 * slots:3 * slots])
+        u_old = g[:, :, -1]
+        u_new = leading_matmul(factors[:, :, start:stop], u_old)
+        exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=2))
+        ok = accept[start:stop] = thresholds[start:stop] < np.exp(np.minimum(0.0, exponent))
         u = np.where(ok, u_new, u_old)
-        table[..., scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=-1)
+        table[:, :, scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=2)
         start = stop
-    return accept.sum(axis=1) / count
+    return accept.sum(axis=0) / count
 
 
 def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
@@ -212,7 +216,7 @@ def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
         raise ShapeMismatch("configuration does not match geometry/group")
     table = dagger_table(config.u[None])
     rate = _sweep(table, geom, group, np.array([beta]), np.array([epsilon]), [rng])
-    config.u[...] = np.moveaxis(table[:, :, 0, :geom.n_bonds], -1, 0)
+    config.u[...] = np.moveaxis(table[:, :, :geom.n_bonds, 0], 2, 0)
     return float(rate[0])
 
 
@@ -236,7 +240,7 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
 
     Every 10 thermalization sweeps a replica's step size grows by 1.2 (at
     most pi) if its acceptance exceeded 0.6 and shrinks by 1.2 if it fell
-    below 0.4.  `measure` maps the sampler's (n, n, R, 2 n_bonds + 1) table
+    below 0.4.  `measure` maps the sampler's (n, n, 2 n_bonds + 1, R) table
     to one row per replica.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -259,7 +263,7 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
         samples.append(measure(table))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=leading_unitarity_defect(table[..., :geom.n_bonds]))
+                        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]))
 
 
 def _blocked_se(series, n_blocks=20):

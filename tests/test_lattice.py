@@ -10,6 +10,7 @@ from latticeym.groups import (GroupSpec, haar_sample_batch, matmul, require_unit
                               unitarity_defect)
 from latticeym.lattice import (GaugeConfig, _check_spanning_tree, build_geometry,
                                cold_start, dagger_table, gauge_transform,
+                               leading_action, leading_field_traces,
                                plaquette_products, scaled_field_traces,
                                wilson_action)
 from latticeym.single_bond import CouplingSpec
@@ -305,3 +306,36 @@ def test_batched_config_matches_each_replica(rng):
         assert np.allclose(traces[r], scaled_field_traces(cfg, geom, cp, [0, 5]),
                            rtol=1e-14, atol=0)
     assert unitarity_defect(batch.u) < 1e-12
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampler_table_layout_contract(n, replicas):
+    # dagger_table keeps the rows before the replicas, (n, n, 2 n_bonds + 1,
+    # R), and the measurements read it bit for bit as the configuration
+    # views do, one row per replica.
+    geom = build_geometry(3, 2, "periodic")
+    n_b = geom.n_bonds
+    u = haar_sample_batch(GroupSpec(n), np.random.default_rng(11), replicas * n_b)
+    u = u.reshape(replicas, n_b, n, n)
+    table = dagger_table(u)
+    assert table.shape == (n, n, 2 * n_b + 1, replicas) and table.flags.c_contiguous
+    assert np.array_equal(np.moveaxis(table[:, :, :n_b], (0, 1, 2), (-2, -1, -3)), u)
+    assert np.array_equal(np.moveaxis(table[:, :, n_b:2 * n_b], (0, 1, 2), (-1, -2, -3)),
+                          np.conj(u))
+    assert np.all(table[:, :, -1] == 0.0)
+    single = dagger_table(u[0])
+    assert single.shape == (n, n, 2 * n_b + 1)
+    assert np.array_equal(single, table[..., 0])
+
+    actions = leading_action(table, geom)
+    assert np.array_equal(wilson_action(GaugeConfig(u), geom), actions)
+    cp = CouplingSpec(d=3, a=1.0, g2=1.0)
+    indices = [0, 5, 5, geom.n_plaquettes - 1]
+    traces = leading_field_traces(table, geom, cp, indices)
+    assert traces.shape == (replicas, len(indices))
+    assert np.array_equal(scaled_field_traces(GaugeConfig(u), geom, cp, indices), traces)
+    for r in range(replicas):
+        alone = GaugeConfig(u[r])
+        assert wilson_action(alone, geom) == actions[r]
+        assert np.array_equal(scaled_field_traces(alone, geom, cp, indices), traces[r])
