@@ -306,10 +306,17 @@ _SUITE_RUNNERS = {
 def run_suite(config: RunConfig) -> dict:
     """Run the configured suite(s), write report files, return the records.
 
-    Returns a mapping of suite name to its record list.  Raises SuiteFailed
-    after all files are written if any verdict failed, and a MemoryError
-    naming the suite, which writes no files, if it runs out of memory.
+    Returns a mapping of suite name to its record list.  Raises
+    ConfigInvalid before any suite runs if the report directory cannot be
+    created, SuiteFailed after all files are written if any verdict failed,
+    and a MemoryError naming the suite, which writes no files, if it runs
+    out of memory.
     """
+    try:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(
+            f"out: cannot create report directory {config.out!r}: {exc}") from exc
     names = list(_SUITE_RUNNERS) if config.suite == "all" else [config.suite]
     results = {}
     failures = []

@@ -82,25 +82,13 @@ def generator_basis(n: int) -> np.ndarray:
     return basis
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked matrix product a @ b, summed component-wise over the inner index.
-
-    For the 1x1 to 3x3 matrices of a lattice this is several times faster
-    than np.matmul, which dispatches one small product per matrix.
-    """
-    out = a[..., :, 0:1] * b[..., 0:1, :]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
-    return out
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
 def leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of stacks with the entries leading, (n, n, ...),
-    accumulated over the inner index in the order of `matmul`."""
+    accumulated over the inner index in sequence."""
     out = a[:, 0:1] * b[0:1, :]
     for k in range(1, a.shape[0]):
         out = out + a[:, k:k + 1] * b[k:k + 1, :]
@@ -221,7 +209,7 @@ def unitary_from_coefficients(coeffs: np.ndarray, group: GroupSpec) -> np.ndarra
     if coeffs.shape[-1:] != (group.dim,):
         raise ShapeMismatch(f"expected {group.dim} coefficients, got shape {coeffs.shape}")
     w, v = np.linalg.eigh(np.einsum("...a,aij->...ij", coeffs, generator_basis(group.n)))
-    return matmul(v * np.exp(1j * w)[..., None, :], dagger(v))
+    return (v * np.exp(1j * w)[..., None, :]) @ dagger(v)
 
 
 def traceless3_root(a, z):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch
-from .groups import dagger, leading_matmul, leading_sum, matmul, require_unitary
+from .groups import leading_matmul, leading_sum, require_unitary
 
 # Staple leg recipe: for a bond sitting at position l of a plaquette, the
 # matrix M with Re tr(U_b M) = Re tr(U_p) is the ordered product of the other
@@ -344,14 +344,6 @@ def leading_field_traces(u: np.ndarray, geom: LatticeGeometry, coupling,
     shape (..., r)."""
     legs = geom.plaq_legs[np.asarray(indices)]
     return np.sqrt(coupling.beta) * leading_traces(u, legs).imag.T
-
-
-def plaquette_products(config: GaugeConfig, geom: LatticeGeometry) -> np.ndarray:
-    """U_p for every plaquette, shape (..., n_plaquettes, n, n)."""
-    _check_bonds(config, geom)
-    g = config.u[..., geom.plaq_legs, :, :]
-    a = matmul(g[..., 0, :, :], g[..., 1, :, :])
-    return matmul(a, dagger(matmul(g[..., 3, :, :], g[..., 2, :, :])))
 
 
 def wilson_action(config: GaugeConfig, geom: LatticeGeometry):

@@ -60,23 +60,22 @@ from .quadrature import QuadratureSpec
 from .single_bond import (CouplingSpec, log_z, log_zeta_envelope, log_zeta_lower,
                           log_zeta_upper)
 
+START_EPSILON = 0.7  # every replica's step size before tuning
+
 
 @dataclass(frozen=True)
 class MCParams:
-    """Chain-length and proposal parameters shared by all estimators."""
+    """Chain-length parameters shared by all estimators."""
 
     sweeps: int = 400
     thermalization: int = 120
-    epsilon: float = 0.7
     chains: int = 2
     seed: int = 0
     beta_grid_points: int = 17
 
     def __post_init__(self):
         # Each message starts with the field it names, so a configuration
-        # error can prefix the path ("mc.epsilon: ...").
-        if not 0.0 < self.epsilon <= np.pi:
-            raise ValueError(f"epsilon: must lie in (0, pi], got {self.epsilon}")
+        # error can prefix the path ("mc.sweeps: ...").
         if self.sweeps - self.thermalization < 2:
             # the fewest measurements the blocked error can use
             raise ValueError(f"sweeps: must exceed thermalization ({self.thermalization}) "
@@ -235,8 +234,8 @@ class ChainSamples:
 
 
 def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
-    """Thermalize R replicas from a cold start, tuning each step size, then
-    measure once per sweep.
+    """Thermalize R replicas from a cold start, tuning each step size from
+    START_EPSILON, then measure once per sweep.
 
     Every 10 thermalization sweeps a replica's step size grows by 1.2 (at
     most pi) if its acceptance exceeded 0.6 and shrinks by 1.2 if it fell
@@ -246,7 +245,7 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
     table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
-    epsilon = np.full(len(rngs), params.epsilon)
+    epsilon = np.full(len(rngs), START_EPSILON)
     window = np.zeros(len(rngs))
     for sweep in range(1, params.thermalization + 1):
         window += _sweep(table, geom, group, betas, epsilon, rngs)

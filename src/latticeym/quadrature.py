@@ -48,22 +48,23 @@ import numpy as np
 from .errors import ResolutionTooLow
 from .groups import GroupSpec
 
+# Allowed disagreement of the two internal resolutions, relative and absolute,
+# before ResolutionTooLow is raised.
+RTOL = 1e-6
+ATOL = 1e-13
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate Weyl-reduced integrals.
 
-    points is the Gauss-Legendre order per panel of the one-angle rule;
-    rtol/atol bound the allowed disagreement between the two internal
-    resolutions before ResolutionTooLow is raised.  `method` names the one
-    route, the Gauss-Legendre Heine determinant; it is a constant, not a
-    setting.
+    points is the Gauss-Legendre order per panel of the one-angle rule.
+    `method` names the one route, the Gauss-Legendre Heine determinant; it
+    is a constant, not a setting.
     """
 
     method: ClassVar[str] = "tensor"
     points: int = 96
-    rtol: float = 1e-6
-    atol: float = 1e-13
 
     def __post_init__(self):
         if self.points < 4:
@@ -71,8 +72,9 @@ class QuadratureSpec:
 
     @property
     def coarse_points(self) -> int:
-        """Order of the companion rule used by the resolution check."""
-        return max(8, (2 * self.points) // 3)
+        """Order of the companion rule used by the resolution check, always
+        below `points`."""
+        return (2 * self.points) // 3
 
 
 @dataclass(frozen=True)
@@ -164,12 +166,12 @@ def _gram(phi, weights):
 def _checked(fine, coarse, quad, what, size=None):
     """Two-resolution agreement check; returns |fine - coarse|.
 
-    The allowed difference is rtol * size + atol, with size |fine| unless
+    The allowed difference is RTOL * size + ATOL, with size |fine| unless
     given.
     """
     err = np.abs(fine - coarse)
     size = np.abs(fine) if size is None else size
-    if np.any(err > quad.rtol * size + quad.atol):
+    if np.any(err > RTOL * size + ATOL):
         raise ResolutionTooLow(
             f"{what}: {quad.points} vs {quad.coarse_points} points per panel differ by "
             f"{np.max(err):.3e} (value {np.max(np.abs(fine)):.6e})")
@@ -188,7 +190,7 @@ def weyl_integrate(w, group: GroupSpec, quad: QuadratureSpec, *,
     expectation itself.
 
     Runs at two resolutions, returns the finer value with their difference,
-    and raises ResolutionTooLow if they disagree beyond quad.rtol/atol.
+    and raises ResolutionTooLow if they disagree beyond RTOL/ATOL.
     """
     def value(points):
         lam, weights, phi = _heine_rule(group.n, points, scale, cutoff)
@@ -240,7 +242,7 @@ def weyl_moments(w, s, order: int, group: GroupSpec, quad: QuadratureSpec, *,
     real array when w and s are real.
 
     Runs at two resolutions like `weyl_integrate`; errors[k] is the k-th
-    moment's |fine - coarse|.  It is checked against rtol times the
+    moment's |fine - coarse|.  It is checked against RTOL times the
     moment's own size or m_2^(k/2), whichever is larger, so odd moments
     that vanish by symmetry are held to the rounding level of their even
     neighbours rather than to zero.

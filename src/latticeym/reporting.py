@@ -96,7 +96,6 @@ RUN_CONFIG_SCHEMA = {
             "properties": {
                 "sweeps": {"type": "integer", "minimum": 1},
                 "thermalization": {"type": "integer", "minimum": 0},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "chains": {"type": "integer", "minimum": 1},
                 "beta_grid_points": {"type": "integer", "minimum": 3},
             },
@@ -106,8 +105,6 @@ RUN_CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "points": {"type": "integer", "minimum": 8},
-                "rtol": {"type": "number", "exclusiveMinimum": 0},
-                "atol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "out": {"type": "string"},
@@ -259,7 +256,7 @@ class RunConfig:
                 try:
                     values[entry.attribute] = entry.convert(data[entry.key])
                 except ValueError as exc:
-                    # spec messages start with their field: "mc.epsilon: ..."
+                    # spec messages start with their field: "mc.sweeps: ..."
                     raise ConfigInvalid(f"{entry.key}.{exc}") from exc
         config = cls(**values)
         # JSON Schema bounds let NaN through, and +inf where no maximum is set.

@@ -6,13 +6,11 @@ import pytest
 
 from latticeym.errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from latticeym.factorized import lattice_counts
-from latticeym.groups import (GroupSpec, haar_sample_batch, matmul, require_unitary,
-                              unitarity_defect)
+from latticeym.groups import GroupSpec, haar_sample_batch, require_unitary, unitarity_defect
 from latticeym.lattice import (GaugeConfig, _check_spanning_tree, build_geometry,
                                cold_start, dagger_table, gauge_transform,
                                leading_action, leading_field_traces,
-                               plaquette_products, scaled_field_traces,
-                               wilson_action)
+                               scaled_field_traces, wilson_action)
 from latticeym.single_bond import CouplingSpec
 
 GRID = [(d, L) for d in (2, 3, 4) for L in (2, 4)]
@@ -24,6 +22,14 @@ def random_config(geom, n, rng, include_fixed=False):
     for b in bonds:
         cfg.u[b] = haar_sample_batch(GroupSpec(n), rng, 1)[0]
     return cfg
+
+
+def plaquette_oracle(cfg, geom):
+    """U_p = U_1 U_2 U_3^dag U_4^dag of every plaquette by np.matmul,
+    shape (..., n_plaquettes, n, n)."""
+    g = cfg.u[..., geom.plaq_legs, :, :]
+    dag = np.conj(np.swapaxes(g, -1, -2))
+    return g[..., 0, :, :] @ g[..., 1, :, :] @ dag[..., 2, :, :] @ dag[..., 3, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +144,15 @@ def test_staple_tables_reproduce_plaquette_traces(boundary, rng):
     geom = build_geometry(3, 4, boundary)
     cfg = random_config(geom, 2, rng, include_fixed=True)
     table = dagger_table(cfg.u)
-    re_tr = np.trace(plaquette_products(cfg, geom), axis1=-2, axis2=-1).real
+    re_tr = np.trace(plaquette_oracle(cfg, geom), axis1=-2, axis2=-1).real
     for members, gather, scatter in zip(geom.classes, geom.gather_rows,
                                         geom.scatter_rows):
         g = np.moveaxis(table[:, :, gather], (0, 1), (-2, -1))
         slots = (gather.shape[0] - 1) // 3
         assert np.array_equal(g[-1], cfg.u[members])
         assert np.array_equal(scatter, np.concatenate([members, members + geom.n_bonds]))
-        t = matmul(matmul(g[:slots], g[slots:2 * slots]), g[2 * slots:3 * slots]).sum(axis=0)
-        got = np.trace(matmul(cfg.u[members], t), axis1=-2, axis2=-1).real
+        t = (g[:slots] @ g[slots:2 * slots] @ g[2 * slots:3 * slots]).sum(axis=0)
+        got = np.trace(cfg.u[members] @ t, axis1=-2, axis2=-1).real
         want = [re_tr[np.any(geom.plaq_legs == b, axis=1)].sum() for b in members]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -234,7 +240,7 @@ def test_config_shape_validation():
         GaugeConfig(np.zeros((5, 2, 3)))
     short = GaugeConfig(np.stack([np.eye(2, dtype=complex)] * 5))
     with pytest.raises(ShapeMismatch):
-        plaquette_products(short, geom)
+        wilson_action(short, geom)
 
 
 def test_require_unitary_flags_drift():
@@ -257,7 +263,7 @@ def test_require_unitary_flags_drift():
 def field_variants(cfg, geom, cp):
     m = scaled_field_traces(cfg, geom, cp, np.arange(geom.n_plaquettes))
     f = cp.a ** (-cp.d / 2.0) * m
-    tr = np.trace(plaquette_products(cfg, geom), axis1=-2, axis2=-1)
+    tr = np.trace(plaquette_oracle(cfg, geom), axis1=-2, axis2=-1)
     s = cp.a ** (cp.d - 4) * 2.0 * (cfg.n - tr.real) / np.sqrt(cp.g2)
     return m, f, s, tr
 

@@ -315,7 +315,6 @@ class TestCLI:
         # Schema-valid values that break a parameter invariant name their field.
         config_path = tmp_path / "run.json"
         for mc, location in [
-            ({"epsilon": 4.0}, "mc.epsilon: "),
             ({"beta_grid_points": 4}, "mc.beta_grid_points: "),
             ({"sweeps": 100, "thermalization": 100}, "mc.sweeps: "),
             ({"sweeps": 21, "thermalization": 20}, "mc.sweeps: "),  # one measurement
@@ -570,6 +569,24 @@ class TestCLI:
         assert err.startswith(f"MemoryError: {name}: {message or 'allocation failed'}")
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_out_not_a_directory_exit_two(self, below_file, tmp_path, capsys, monkeypatch):
+        # An --out that cannot become a directory is reported before any
+        # suite runs.
+        import latticeym.cli as cli_module
+
+        def never(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(cli_module._SUITE_RUNNERS, "weyl-check", never)
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        out = existing / "sub" if below_file else existing
+        assert main(["weyl-check", "--N", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration -- out: cannot create report directory")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("suite,per_point", [("stability", 1), ("genfun", 2)])
     def test_mc_suites_cover_grid_with_diagnostics(self, suite, per_point, tmp_path):

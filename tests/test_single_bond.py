@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import QuadratureSpec, ensemble_constants, weyl_integrate
+from latticeym.quadrature import RTOL, QuadratureSpec, ensemble_constants, weyl_integrate
 from latticeym.single_bond import (BoundConstants, CouplingSpec, _quadratic_scale,
                                    _source_weight, _wilson_scale, bound_constants, log_z,
                                    log_zeta_envelope, log_zeta_lower, log_zeta_upper,
@@ -118,7 +119,7 @@ def test_log_forms_match_linear_integrals(n, beta, quad):
     ]
     checked = 0
     for (log_zeta, err), linear, w, (scale, cutoff) in cases:
-        assert 0.0 <= err <= quad.rtol
+        assert 0.0 <= err <= RTOL
         value = weyl_integrate(w, g, quad, scale=scale, cutoff=cutoff)[0] * scale ** -g.dim
         for z in (linear, value):
             if np.finfo(float).tiny <= z < np.inf:
@@ -136,7 +137,16 @@ def test_log_lower_finite_where_linear_underflows(quad):
     assert z_lower(cp, g, quad) == 0.0
     assert log_zeta - 32.0 * np.log(1e12) == pytest.approx(-1056.4, abs=0.05)
     assert log_z(log_zeta, cp, g) == log_zeta - 32.0 * np.log(1e12)
-    assert 0.0 <= err <= quad.rtol
+    assert 0.0 <= err <= RTOL
+
+
+def test_coarse_rule_below_fine_rule():
+    # The companion rule of the resolution check has fewer nodes than the
+    # rule it checks, so at 8 points it compares 8 with 5 nodes, not the
+    # rule with itself, and the unresolved integral fails.
+    assert all(QuadratureSpec(points=p).coarse_points < p for p in range(4, 200))
+    with pytest.raises(ResolutionTooLow):
+        log_zeta_lower(CouplingSpec(2, 1.0, 1.0), U2, QuadratureSpec(points=8))
 
 
 def test_bound_constants_frozen_abelian(quad):
