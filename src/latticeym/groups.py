@@ -18,6 +18,7 @@ Conventions used throughout the package:
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from .errors import NonUnitaryInput, ShapeMismatch
 
 UNITARITY_TOL = 1e-8
 _SCAN_BATCH = 50_000
+_SCAN_BLOCK = 120_000  # largest pooled block of the scan, in stack entries (4 n**2 per quadruple)
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,21 @@ def leading_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def leading_haar(n: int, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Haar sample with the entries leading, (n, n) + shape[::-1]: the
-    matrices `haar_sample_batch` would draw for a stack `shape`, in the
-    reversed layout, so that the first axis of `shape` varies fastest.
+def _ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from the real and imaginary normals of a
+    stack, shape + (n, n), laid out (column, row) + shape[::-1], so that
+    each column is one contiguous block."""
+    z = np.empty(re.shape[::-1], dtype=complex)
+    # Transposed about 1024 matrices at a time, whose strided reads stay in cache.
+    step = max(1, 1024 // math.prod(re.shape[1:-2]))
+    for s in range(0, re.shape[0], step):
+        z.real[..., s:s + step], z.imag[..., s:s + step] = re[s:s + step].T, im[s:s + step].T
+    return z
+
+
+def _orthonormalize(z: np.ndarray) -> None:
+    """Haar Q, in place, of Ginibre matrices laid out (column, row, ...);
+    it works sample by sample, so any slice of the trailing axes may go alone.
 
     Gram-Schmidt, applied twice per column, on the columns of a complex
     Ginibre matrix.  It yields the Q of the QR decomposition whose R has a
@@ -134,15 +147,7 @@ def leading_haar(n: int, rng: np.random.Generator, shape: tuple) -> np.ndarray:
     the phase of w^dag v, v the last Ginibre column; Gram-Schmidt gives the
     same column, with R's diagonal entry |w^dag v| > 0.
     """
-    draws = shape + (n, n)
-    re, im = rng.standard_normal(draws), rng.standard_normal(draws)
-    # Laid out (column, row, ...), so each column is one contiguous block;
-    # transposed about 1024 matrices at a time, whose strided reads stay in cache.
-    z = np.empty(draws[::-1], dtype=complex)
-    step = max(1, 1024 // math.prod(shape[1:]))
-    for s in range(0, shape[0], step):
-        z.real[..., s:s + step], z.imag[..., s:s + step] = re[s:s + step].T, im[s:s + step].T
-    del re, im
+    n = z.shape[0]
     closed = n in (2, 3)
     for j, v in enumerate(z[:n - 1] if closed else z):
         for _ in range(2):
@@ -161,6 +166,15 @@ def leading_haar(n: int, rng: np.random.Generator, shape: tuple) -> np.ndarray:
         c /= np.abs(c)
         for i, a in enumerate(conj_w):
             v[i] = np.conj(a) * c
+
+
+def leading_haar(n: int, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Haar sample with the entries leading, (n, n) + shape[::-1]: the
+    matrices `haar_sample_batch` would draw for a stack `shape`, in the
+    reversed layout, so that the first axis of `shape` varies fastest."""
+    draws = shape + (n, n)
+    z = _ginibre(rng.standard_normal(draws), rng.standard_normal(draws))
+    _orthonormalize(z)
     return np.swapaxes(z, 0, 1)
 
 
@@ -328,6 +342,19 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     return tuple(side.reshape(us.shape[:-3]) for side in _leading_bound_sides(flat))
 
 
+def _scan_block(re: np.ndarray, im: np.ndarray):
+    """(violations, max_ratio) of the Haar quadruples of one block of
+    Ginibre normals, shape (m, 4, n, n)."""
+    z = _ginibre(re, im)
+    _orthonormalize(z)
+    lhs, rhs = _leading_bound_sides(np.swapaxes(z, 0, 1))
+    # Absolute cushion: near lambda = 0 both sides vanish quadratically and
+    # the trace form of lhs loses all significant digits, so a relative
+    # comparison is meaningless there.
+    return (int(np.count_nonzero(lhs > rhs + 1e-12)),
+            float(np.max(lhs / np.maximum(rhs, 1e-30))))
+
+
 def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int):
     """Sample `count` random quadruples of Haar matrices and count violations (k = 4).
 
@@ -335,17 +362,37 @@ def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int)
     lhs/rhs; the bound holds when max_ratio <= 1.  The quadruples are
     `haar_sample_batch` draws laid out (n, n, 4, count), one contiguous
     block per leg, and checked for unitarity like any other input.
+
+    Each batch of _SCAN_BATCH quadruples draws its normals on the calling
+    thread, in the order of `leading_haar`: all real parts, then the
+    imaginary parts block by block.  Each block goes to one of a pool of
+    worker threads, one per usable core, as soon as its normals are drawn;
+    the worker orthonormalizes, checks and bounds it (`_scan_block`).  Every
+    step after the draws works sample by sample, so the result does not
+    depend on the block size or the number of workers.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = group.n
+    # Usable cores; platforms without CPU affinity (macOS, Windows) count all.
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     violations = 0
     max_ratio = 0.0
-    remaining = count
-    while remaining > 0:
-        m = min(_SCAN_BATCH, remaining)
-        remaining -= m
-        lhs, rhs = _leading_bound_sides(leading_haar(group.n, rng, (m, 4)))
-        # Absolute cushion: near lambda = 0 both sides vanish quadratically and
-        # the trace form of lhs loses all significant digits, so a relative
-        # comparison is meaningless there.
-        violations += int(np.count_nonzero(lhs > rhs + 1e-12))
-        max_ratio = max(max_ratio, float(np.max(lhs / np.maximum(rhs, 1e-30))))
+    with ThreadPoolExecutor(workers) as pool:
+        remaining = count
+        while remaining > 0:
+            m = min(_SCAN_BATCH, remaining)
+            remaining -= m
+            # The fewest blocks of at most _SCAN_BLOCK entries, in a multiple of
+            # the worker count, so that the workers finish together.
+            blocks = workers * -(-4 * n * n * m // (workers * _SCAN_BLOCK))
+            block = -(-m // blocks)
+            re = rng.standard_normal((m, 4, n, n))
+            parts = [re[s:s + block] for s in range(0, m, block)]
+            # map submits each block as soon as its imaginary parts are drawn.
+            ims = (rng.standard_normal(part.shape) for part in parts)
+            for v, r in pool.map(_scan_block, parts, ims):
+                violations += v
+                max_ratio = max(max_ratio, r)
     return violations, max_ratio

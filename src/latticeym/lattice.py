@@ -77,10 +77,6 @@ class LatticeGeometry:
     def n_plaquettes(self):
         return self.plaq_site.shape[0]
 
-    @property
-    def retained(self):
-        return np.flatnonzero(~self.fixed_mask)
-
     def site_index(self, coords):
         coords = np.asarray(coords)
         if coords.shape != (self.d,) or np.any(coords < 0) or np.any(coords >= self.L):

@@ -185,7 +185,7 @@ def _sweep(table, geom, group, beta, epsilon, rngs):
     once to the table's replicas-last order.  Returns the acceptance rate
     of each replica.
     """
-    count = geom.retained.size  # the classes partition the retained bonds
+    count = sum(gather.shape[1] for gather in geom.gather_rows)  # every retained bond
     amplitudes, directions, thresholds = (np.swapaxes(a, 0, 1).copy()
                                           for a in _draws(rngs, count, group.n))
     factors = _proposals(epsilon * amplitudes, directions, group.n)

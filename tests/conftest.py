@@ -118,7 +118,8 @@ def serial_sweep(u, geom, group, beta, epsilon, rngs):
     of the Wilson action of the whole configuration.  Returns the number of
     accepted moves of each replica.
     """
-    amplitudes, directions, thresholds = mc._draws(rngs, geom.retained.size, group.n)
+    count = np.count_nonzero(~geom.fixed_mask)
+    amplitudes, directions, thresholds = mc._draws(rngs, count, group.n)
     factors = np.moveaxis(mc._proposals(epsilon[:, None] * amplitudes, directions, group.n),
                           (0, 1), (-2, -1))
     order = np.concatenate(geom.classes)

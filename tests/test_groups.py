@@ -1,7 +1,12 @@
+import itertools
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticeym import groups as groups_module
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch, leading_sum,
                               quadratic_bound_scan, quadratic_bound_sides,
@@ -289,3 +294,43 @@ def test_quadratic_bound_scan_matches_oracle(n):
     rhs = 4 * n * np.sum(angular_eigenvalues(us) ** 2, axis=(-2, -1))
     assert violations == np.count_nonzero(lhs > rhs + 1e-12) == 0
     assert max_ratio == pytest.approx(np.max(lhs / np.maximum(rhs, 1e-30)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n,count", [(1, 20_000), (2, 7_777), (3, 5_001), (4, 3_333),
+                                     (1, groups_module._SCAN_BATCH + 123)])
+def test_quadratic_bound_scan_independent_of_blocks_and_workers(n, count, monkeypatch):
+    # Every step after the serial draws works sample by sample, so every
+    # usable core, one core, more workers than cores and many small ragged
+    # blocks all give the same bits.
+    def scan():
+        return quadratic_bound_scan(GroupSpec(n), np.random.default_rng(23), count)
+
+    all_cores = scan()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert scan() == all_cores
+    monkeypatch.setattr(groups_module, "_SCAN_BLOCK", 4 * n * n * 997)
+    assert scan() == all_cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert scan() == all_cores
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert scan() == all_cores
+
+
+def test_quadratic_bound_scan_raises_from_worker(monkeypatch):
+    # The second block turns non-unitary on its worker thread; the scan
+    # raises and leaves no thread behind.
+    orthonormalize, calls, workers = groups_module._orthonormalize, itertools.count(), []
+
+    def spoiled(z):
+        orthonormalize(z)
+        workers.append(threading.current_thread() is not threading.main_thread())
+        if next(calls) == 1:
+            z[0, 0, 0, -1] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(groups_module, "_orthonormalize", spoiled)
+    monkeypatch.setattr(groups_module, "_SCAN_BLOCK", 4 * 4 * 1000)
+    threads = threading.active_count()
+    with pytest.raises(NonUnitaryInput):
+        quadratic_bound_scan(GroupSpec(2), np.random.default_rng(3), 5_000)
+    assert len(workers) > 1 and all(workers)
+    assert threading.active_count() == threads

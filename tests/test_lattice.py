@@ -18,7 +18,7 @@ GRID = [(d, L) for d in (2, 3, 4) for L in (2, 4)]
 
 def random_config(geom, n, rng, include_fixed=False):
     cfg = cold_start(geom, n)
-    bonds = range(geom.n_bonds) if include_fixed else geom.retained
+    bonds = range(geom.n_bonds) if include_fixed else np.flatnonzero(~geom.fixed_mask)
     for b in bonds:
         cfg.u[b] = haar_sample_batch(GroupSpec(n), rng, 1)[0]
     return cfg
@@ -43,7 +43,7 @@ def test_free_counts_match_closed_forms(d, L):
     c = lattice_counts(d, L)
     assert geom.n_bonds == c.bonds
     assert geom.n_plaquettes == c.plaquettes
-    assert geom.retained.size == c.retained_bonds
+    assert np.count_nonzero(~geom.fixed_mask) == c.retained_bonds
     assert int(geom.fixed_mask.sum()) == L**d - 1
 
 
@@ -52,7 +52,7 @@ def test_periodic_counts(d, L):
     geom = build_geometry(d, L, "periodic")
     c = lattice_counts(d, L)
     assert geom.n_bonds == c.bonds + c.extra_bonds
-    assert geom.retained.size == c.retained_bonds + c.extra_bonds
+    assert np.count_nonzero(~geom.fixed_mask) == c.retained_bonds + c.extra_bonds
     # wraparound multiplies plaquettes; never fewer than the free count
     assert geom.n_plaquettes == (d * (d - 1) // 2) * L**d
     assert geom.n_plaquettes >= c.plaquettes
@@ -116,7 +116,7 @@ def test_d2_plaquette_bond_bijection():
     assert np.all(~geom.fixed_mask[leg1])
     assert np.all(geom.fixed_mask[geom.plaq_legs[:, 0]])
     assert np.all(geom.fixed_mask[geom.plaq_legs[:, 2]])
-    assert sorted(leg1) == sorted(geom.retained)
+    assert sorted(leg1) == sorted(np.flatnonzero(~geom.fixed_mask))
 
 
 @pytest.mark.parametrize("d,L", GRID)
@@ -124,7 +124,9 @@ def test_d2_plaquette_bond_bijection():
 def test_checkerboard_classes_partition_and_conflict_free(d, L, boundary):
     geom = build_geometry(d, L, boundary)
     members = np.concatenate(geom.classes)
-    assert np.array_equal(np.sort(members), geom.retained)  # each bond once
+    assert np.array_equal(np.sort(members), np.flatnonzero(~geom.fixed_mask))  # each bond once
+    # The sweep counts its bonds from the gather tables.
+    assert [g.shape[1] for g in geom.gather_rows] == [cls.size for cls in geom.classes]
     assert len(geom.classes) <= 2 * d
     for cls in geom.classes:
         inside = set(int(b) for b in cls)
@@ -293,7 +295,7 @@ def test_abelian_field_is_root_beta_sine():
     geom = build_geometry(2, 2, "free")
     cfg = cold_start(geom, 1)
     theta = 0.37
-    cfg.u[int(geom.retained[0])] = np.exp(1j * theta)
+    cfg.u[int(np.flatnonzero(~geom.fixed_mask)[0])] = np.exp(1j * theta)
     cp = CouplingSpec(d=2, a=0.5, g2=0.9)
     expected = np.sqrt(cp.beta) * np.sin(theta)
     assert scaled_field_traces(cfg, geom, cp, [0])[0] == pytest.approx(expected, rel=1e-13)

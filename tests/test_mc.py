@@ -94,7 +94,7 @@ def test_detailed_balance_chi_square():
     # Empirical stationary law of the single retained angle vs the Boltzmann
     # density exp(-2 beta (1 - cos theta)), 20 bins, 1% level.
     geom = build_geometry(2, 2, "free")
-    bond = int(geom.retained[0])
+    bond = int(np.flatnonzero(~geom.fixed_mask)[0])
     beta, epsilon = 1.0, 1.8
     rng = np.random.default_rng(314)
     cfg = cold_start(geom, 1)
@@ -157,8 +157,9 @@ def test_sweep_matches_serial_reference(d, L, boundary, n):
     u = start.copy()
     accepted = serial_sweep(u, geom, group, beta, epsilon,
                             [np.random.default_rng(s) for s in (1, 2, 3)])
-    assert np.all((0 < accepted) & (accepted < geom.retained.size))
-    assert np.array_equal(np.rint(rates * geom.retained.size), accepted)
+    retained = np.count_nonzero(~geom.fixed_mask)
+    assert np.all((0 < accepted) & (accepted < retained))
+    assert np.array_equal(np.rint(rates * retained), accepted)
     batched = np.moveaxis(table[:, :, :geom.n_bonds], (0, 1, 2), (-2, -1, -3))
     assert np.max(np.abs(batched - u)) < 1e-13
 
@@ -229,7 +230,7 @@ def test_u2_single_plaquette_matches_heine_oracle():
     # so <Re tr U_p> is the Haar average of sum_j cos(lam_j) under
     # prod_j exp(2 beta cos lam_j), d/dt log Z(2 beta + t) at t = 0.
     geom = build_geometry(2, 2, "free")
-    assert geom.retained.size == 1 and geom.n_plaquettes == 1
+    assert np.count_nonzero(~geom.fixed_mask) == 1 and geom.n_plaquettes == 1
     beta, group = 1.0, GroupSpec(2)
     params = MCParams(sweeps=4000, thermalization=300, seed=8, chains=2)
     mean_action, se = estimate_mean_action(geom, group, beta, params)

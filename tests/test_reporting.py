@@ -465,6 +465,12 @@ class TestCLI:
                 "sys.modules if m.startswith(('scipy', 'jsonschema'))))")
         assert fresh_python(code).stdout.strip() == "[]"
 
+    def test_cold_start_loads_no_thread_pool(self):
+        # The quadratic-bound scan imports its pool when it runs.
+        code = ("import sys, latticeym.cli, latticeym.groups; print(sorted(m for m in "
+                "sys.modules if m.startswith('concurrent')))")
+        assert fresh_python(code).stdout.strip() == "[]"
+
     def test_suites_run_with_scipy_and_jsonschema_blocked(self, tmp_path):
         # a None entry in sys.modules makes every import of that package fail
         config = tmp_path / "short.json"
@@ -567,6 +573,26 @@ class TestCLI:
         assert main([suite, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"MemoryError: {name}: {message or 'allocation failed'}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_memory_error_in_scan_worker_exit_three(self, tmp_path, capsys, monkeypatch):
+        # Raised on a worker thread of the quadratic-bound scan, it still
+        # reaches the CLI named after the suite, and no thread outlives it.
+        import threading
+
+        import latticeym.groups as groups_module
+
+        def exhausted(u):
+            assert threading.current_thread() is not threading.main_thread()
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(groups_module, "_leading_bound_sides", exhausted)
+        threads = threading.active_count()
+        assert main(["group-check", "--N", "2", "--out", str(tmp_path)]) == 3
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: group-check: Unable to allocate 1.00 TiB")
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
