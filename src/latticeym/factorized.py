@@ -139,18 +139,6 @@ def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
     return float(moments[alpha]), float(errors[alpha])
 
 
-def physical_coincident_moment(alpha: int, coupling: CouplingSpec,
-                               group: GroupSpec, quad: QuadratureSpec) -> float:
-    """a**(-d alpha / 2) <(tr M)^alpha>: the unscaled-field moment.
-
-    The spacing dependence is exactly the prefactor; the scaled moment is
-    bounded uniformly in a, so coincident correlations blow up as a**-d for
-    alpha = 2 and no faster.
-    """
-    return coupling.a ** (-coupling.d * alpha / 2.0) * plaquette_moment(
-        alpha, coupling, group, quad)[0]
-
-
 def moment_limit(alpha: int, d: int, g2: float, group: GroupSpec,
                  quad: QuadratureSpec, k_max: int = 10,
                  tolerance: float = 1e-4) -> LimitSequence:

@@ -16,18 +16,27 @@ boundary slab until the fixed set is a maximal tree (L^d - 1 bonds).  The
 builder verifies the tree property (L^d - 1 bonds forming one connected
 component) rather than trusting the counting.
 
-For Metropolis updates the builder also groups the retained bonds into
-checkerboard classes keyed by (direction mu, parity of sum(x) at the origin).
-Two bonds of one plaquette either point in different directions or sit at x
-and x + e_nu, whose parities differ for even L (a periodic wrap moves x_nu
-by L - 1, which is odd), so no class holds two bonds of one plaquette and a
-whole class can be updated at once.  Per class the builder precomputes one
-gather list, the rows of the stacked table [U, U^dag, 0] of `dagger_table`
-that hold the three-leg staples M_p of every containing plaquette, arranged
-so that A_p = 2n - 2 Re tr(U_b M_p), followed by the bond's own row; and
-one scatter list, the rows of U_b and U_b^dag, so that a class is read and
-written back with one index along the row axis of the (n, n, rows, R)
-table each.
+For Metropolis updates the builder also groups the retained bonds into at
+most four checkerboard classes in any dimension.  Read a direction mu < 4 as
+an element of GF(4) = {0, 1, w, w^2 = w + 1}, written as a 2-bit code so
+that addition is XOR; the bond (x, mu) falls in class
+
+    c(x, mu) = mu + w sum_nu (x_nu mod 2) (mu + nu).
+
+A step x -> x + e_nu flips x_nu mod 2 (a periodic wrap moves x_nu by L - 1,
+odd for even L) and so adds w (mu + nu) to c(., mu).  The legs of the
+plaquette (mu, nu) at x therefore fall in the classes X, X + B, Y + B and Y,
+with X = c(x, mu), Y = c(x, nu) and B = w (mu + nu) != 0.  Since
+X + Y = (mu + nu)(1 + w s), with s the parity of sum(x), is mu + nu or
+w^2 (mu + nu), neither 0 nor B, the four classes differ: no class holds two
+bonds of one plaquette, and a whole class can be updated at once.
+
+Per class the builder precomputes one gather list, the rows of the stacked
+table [U, U^dag, 0] of `dagger_table` that hold the three-leg staples M_p
+of every containing plaquette, arranged so that A_p = 2n - 2 Re tr(U_b M_p),
+followed by the bond's own row; and one scatter list, the rows of U_b and
+U_b^dag, so that a class is read and written back with one index along the
+row axis of the (n, n, rows, R) table each.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidLattice, ShapeMismatch
-from .groups import leading_matmul, leading_sum, require_unitary
+from .groups import leading_matmul, leading_sum
 
 # Staple leg recipe: for a bond sitting at position l of a plaquette, the
 # matrix M with Re tr(U_b M) = Re tr(U_p) is the ordered product of the other
@@ -44,6 +53,10 @@ from .groups import leading_matmul, leading_sum, require_unitary
 # via Re tr(U^dag S) = Re tr(U S^dag).
 _STAPLE_LEGS = np.array([[1, 2, 3], [2, 3, 0], [1, 0, 3], [2, 1, 0]])
 _STAPLE_DAGS = np.array([[0, 1, 1], [1, 1, 0], [1, 1, 0], [0, 1, 1]])
+
+# Multiplication by a generator w of GF(4) = {0, 1, w, w^2 = w + 1}, the
+# elements written as 2-bit codes (w = 2) so that addition is XOR.
+_TIMES_OMEGA = np.array([0, 2, 3, 1])
 
 
 @dataclass
@@ -219,6 +232,12 @@ def _check_spanning_tree(n_sites: int, tails: np.ndarray, heads: np.ndarray) -> 
 def _attach_update_tables(geom: LatticeGeometry) -> None:
     """Checkerboard classes plus their gather and scatter rows.
 
+    Bond (x, mu) joins class mu + w sum_nu (x_nu mod 2)(mu + nu) of GF(4):
+    along plaquette (mu, nu) the class moves by w (mu + nu) != 0 per step,
+    and the classes of the two directions at one corner differ by mu + nu or
+    w^2 (mu + nu), so the four legs of a plaquette land in four classes
+    (module docstring).  The clash check guards that argument.
+
     Rows index axis 2 of the table [U, U^dag, 0] (`dagger_table`): bond b
     enters as row b, or as row b + n_bonds when daggered.  A class of n_c
     bonds in at most P plaquettes each gets a (3 P + 1, n_c) gather array:
@@ -228,8 +247,10 @@ def _attach_update_tables(geom: LatticeGeometry) -> None:
     n_bonds] writes U and U^dag back together.
     """
     n_b = geom.n_bonds
-    parity = geom.coords[geom.bond_site].sum(axis=1) % 2
-    key = np.where(geom.fixed_mask, -1, 2 * geom.bond_dir + parity)
+    mu = geom.bond_dir
+    shift = np.bitwise_xor.reduce(geom.coords[geom.bond_site] % 2
+                                  * (mu[:, None] ^ np.arange(geom.d)), axis=1)
+    key = np.where(geom.fixed_mask, -1, mu ^ _TIMES_OMEGA[shift])
     leg_key = key[geom.plaq_legs]
     clash = (leg_key[:, :, None] == leg_key[:, None, :]) & (leg_key[:, :, None] >= 0)
     if np.any(clash & ~np.eye(4, dtype=bool)):
@@ -356,15 +377,3 @@ def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
     """sqrt(beta) Im tr U_p over the given plaquette indices, shape (..., r)."""
     _check_bonds(config, geom)
     return leading_field_traces(_entries_leading(config.u), geom, coupling, indices)
-
-
-def gauge_transform(config: GaugeConfig, geom: LatticeGeometry, site: int,
-                    v: np.ndarray) -> GaugeConfig:
-    """Apply U_b -> V U_b (b leaving `site`) and U_b -> U_b V^dag (b entering)."""
-    v = require_unitary(v, 1e-10)
-    out = config.u.copy()
-    leaving = np.flatnonzero(geom.bond_site == site)
-    entering = np.flatnonzero(geom.bond_head == site)
-    out[leaving] = v @ out[leaving]
-    out[entering] = out[entering] @ np.conj(v.T)
-    return GaugeConfig(out)

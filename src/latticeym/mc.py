@@ -39,11 +39,11 @@ within a class no two bonds share a plaquette, so simultaneous Metropolis
 decisions with staples gathered from the pre-update configuration are
 equivalent to a sequential scan.  A class is read with one gather (its
 staple legs and its own bonds) and written back with one scatter (U and
-U^dag).  Proposals multiply a bond by exp(i eps u H) with H a
-Gaussian-direction Lie-algebra element of unit Hilbert-Schmidt norm and u
-drawn uniformly from [0.5, 1.5), in closed form up to U(3); the direction
-law is sign-symmetric, so the proposal kernel is symmetric and the
-acceptance is min(1, e^{-beta dA}).
+U^dag), in pieces of bounded size where it is large.  Proposals multiply a
+bond by exp(i eps u H) with H a Gaussian-direction Lie-algebra element of
+unit Hilbert-Schmidt norm and u drawn uniformly from [0.5, 1.5), in closed
+form up to U(3); the direction law is sign-symmetric, so the proposal
+kernel is symmetric and the acceptance is min(1, e^{-beta dA}).
 """
 
 from dataclasses import dataclass
@@ -61,6 +61,14 @@ from .single_bond import (CouplingSpec, log_z, log_zeta_envelope, log_zeta_lower
                           log_zeta_upper)
 
 START_EPSILON = 0.7  # every replica's step size before tuning
+# A piece of a class holds at most _PIECE_ENTRIES gathered stack entries,
+# n^2 (3 P + 1) bonds R (192 KiB), unless that leaves it fewer than
+# _PIECE_BONDS bonds.  Whole classes at d = 4, L = 4 page-fault their
+# temporaries afresh on every class; each piece costs a fixed ~40 us of
+# calls at N = 3.  Measured against 8192 to 65,536 entries, whole classes
+# and floors of 1 and 32 bonds.
+_PIECE_ENTRIES = 12_288
+_PIECE_BONDS = 48
 
 
 @dataclass(frozen=True)
@@ -182,8 +190,10 @@ def _sweep(table, geom, group, beta, epsilon, rngs):
     `table` is the (n, n, 2 n_bonds + 1, R) stacked [U, U^dag, 0] state of
     `dagger_table`, updated in place; beta and epsilon are (R,) arrays and
     rngs holds one generator per replica, whose (R, count) draws are turned
-    once to the table's replicas-last order.  Returns the acceptance rate
-    of each replica.
+    once to the table's replicas-last order.  Each class is walked in
+    consecutive pieces of near-equal size (see _PIECE_ENTRIES); its members
+    share no plaquette, so the pieces see the same staples as the whole
+    class would.  Returns the acceptance rate of each replica.
     """
     count = sum(gather.shape[1] for gather in geom.gather_rows)  # every retained bond
     amplitudes, directions, thresholds = (np.swapaxes(a, 0, 1).copy()
@@ -192,19 +202,25 @@ def _sweep(table, geom, group, beta, epsilon, rngs):
     two_beta = 2.0 * beta  # -beta dA = 2 beta Re tr((U_new - U_old) M)
     accept = np.empty((count, len(rngs)), dtype=bool)
     start = 0
-    for gather, scatter in zip(geom.gather_rows, geom.scatter_rows):
-        stop = start + gather.shape[1]
-        slots = (gather.shape[0] - 1) // 3
-        g = np.take(table, gather, axis=2)  # (n, n, 3 P + 1, n_c, R)
-        staples = leading_matmul(leading_matmul(g[:, :, :slots], g[:, :, slots:2 * slots]),
-                                 g[:, :, 2 * slots:3 * slots])
-        u_old = g[:, :, -1]
-        u_new = leading_matmul(factors[:, :, start:stop], u_old)
-        exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=2))
-        ok = accept[start:stop] = thresholds[start:stop] < np.exp(np.minimum(0.0, exponent))
-        u = np.where(ok, u_new, u_old)
-        table[:, :, scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=2)
-        start = stop
+    for rows, scatter_rows in zip(geom.gather_rows, geom.scatter_rows):
+        slots, n_c = (rows.shape[0] - 1) // 3, rows.shape[1]
+        width = max(_PIECE_BONDS, _PIECE_ENTRIES // (group.n**2 * rows.shape[0] * len(rngs)))
+        pieces = -(-n_c // width)  # as few as fit, of near-equal size
+        for k in range(pieces):
+            bonds = slice(k * n_c // pieces, (k + 1) * n_c // pieces)
+            gather, scatter = ((rows, scatter_rows) if pieces == 1 else
+                               (rows[:, bonds], scatter_rows.reshape(2, -1)[:, bonds].ravel()))
+            stop = start + gather.shape[1]
+            g = np.take(table, gather, axis=2)  # (n, n, 3 P + 1, bonds, R)
+            staples = leading_matmul(leading_matmul(g[:, :, :slots], g[:, :, slots:2 * slots]),
+                                     g[:, :, 2 * slots:3 * slots])
+            u_old = g[:, :, -1]
+            u_new = leading_matmul(factors[:, :, start:stop], u_old)
+            exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=2))
+            ok = accept[start:stop] = thresholds[start:stop] < np.exp(np.minimum(0.0, exponent))
+            u = np.where(ok, u_new, u_old)
+            table[:, :, scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=2)
+            start = stop
     return accept.sum(axis=0) / count
 
 

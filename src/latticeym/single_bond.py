@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupSpec
-from .quadrature import (QuadratureSpec, ensemble_constants, flat_vandermonde,
-                         i_beta, vandermonde_density, weyl_integrate)
+from .quadrature import QuadratureSpec, ensemble_constants, i_beta, weyl_integrate
 
 # Truncation radii in concentrated coordinates y = sqrt(beta) lam.  The
 # Wilson action obeys action >= (4/pi^2) y^2 wherever truncation is active,
@@ -216,55 +215,3 @@ def bound_constants(coupling: CouplingSpec, group: GroupSpec,
     c_upper_source = (n * n + 0.25 * n) * np.log(np.pi) + 0.5 * np.log(consts.gse) - log_nc
     return BoundConstants(c_upper=float(c_upper), c_lower=float(c_lower),
                           c_upper_source=float(c_upper_source))
-
-
-def source_bound(j: complex, coupling: CouplingSpec, group: GroupSpec,
-                 quad: QuadratureSpec) -> float:
-    """Closed-form ceiling for |z_upper_source(j)|."""
-    n = group.n
-    c = bound_constants(coupling, group, quad).c_upper_source
-    return float(np.exp(c + (np.pi**2 / 8.0) * n * abs(complex(j)) ** 2
-                        - 0.5 * n * n * np.log(coupling.beta)))
-
-
-@dataclass(frozen=True)
-class TrigReport:
-    """Largest violations of the pointwise inequalities behind the sandwich."""
-
-    max_lower_violation: float
-    max_upper_violation: float
-    max_density_violation: float
-    points_checked: int
-
-    @property
-    def ok(self) -> bool:
-        worst = max(self.max_lower_violation, self.max_upper_violation,
-                    self.max_density_violation)
-        return worst <= 1e-12
-
-
-def trig_inequality_report() -> TrigReport:
-    """Grid check of (4/pi^2) u^2 <= 2(1 - cos u) <= u^2 on |u| <= pi,
-    plus the induced Vandermonde sandwich on random angle vectors with all
-    |lam_j| <= pi/2 for ranks 1..3."""
-    n_grid, n_random = 20001, 2000
-    u = np.linspace(-np.pi, np.pi, n_grid)
-    f = 4.0 * np.sin(0.5 * u) ** 2
-    lower = (4.0 / np.pi**2) * u * u
-    upper = u * u
-    max_low = float(np.max(lower - f))
-    max_up = float(np.max(f - upper))
-
-    rng = np.random.default_rng(11)
-    max_dens = -np.inf
-    checked = n_grid
-    for n in (1, 2, 3):
-        lam = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(n_random, n))
-        rho = vandermonde_density(lam)
-        flat = flat_vandermonde(lam)
-        n_pairs = n * (n - 1) // 2
-        low = (4.0 / np.pi**2) ** n_pairs * flat
-        max_dens = max(max_dens, float(np.max(low - rho)), float(np.max(rho - flat)))
-        checked += n_random
-    return TrigReport(max_lower_violation=max_low, max_upper_violation=max_up,
-                      max_density_violation=max_dens, points_checked=checked)

@@ -16,9 +16,7 @@ from latticeym.factorized import (GaussianityReport, LatticeCounts,
                                   free_energy_limit, gaussianity_report,
                                   gue_moment, lattice_counts,
                                   log_partition_normalized, moment_limit,
-                                  normalized_free_energy,
-                                  physical_coincident_moment,
-                                  plaquette_moment)
+                                  normalized_free_energy, plaquette_moment)
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
 from latticeym.single_bond import CouplingSpec, bound_constants, log_zeta_upper
@@ -182,6 +180,17 @@ def test_fourth_moment_u2_weak_coupling(quad):
     assert t2 == pytest.approx(1.0, abs=1e-6)
     assert t4 == pytest.approx(3.0, abs=1e-6)
     assert t4 - 3 * t2**2 == pytest.approx(0.0, abs=1e-8)
+
+
+def physical_coincident_moment(alpha, coupling, group, quad):
+    """a**(-d alpha / 2) <(tr M)^alpha>: the unscaled-field moment.
+
+    The spacing dependence is exactly the prefactor; the scaled moment is
+    bounded uniformly in a, so coincident correlations blow up as a**-d for
+    alpha = 2 and no faster.
+    """
+    return coupling.a ** (-coupling.d * alpha / 2.0) * plaquette_moment(
+        alpha, coupling, group, quad)[0]
 
 
 def test_physical_moment_small_coupling(quad):

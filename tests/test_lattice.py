@@ -8,9 +8,8 @@ from latticeym.errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from latticeym.factorized import lattice_counts
 from latticeym.groups import GroupSpec, haar_sample_batch, require_unitary, unitarity_defect
 from latticeym.lattice import (GaugeConfig, _check_spanning_tree, build_geometry,
-                               cold_start, dagger_table, gauge_transform,
-                               leading_action, leading_field_traces,
-                               scaled_field_traces, wilson_action)
+                               cold_start, dagger_table, leading_action,
+                               leading_field_traces, scaled_field_traces, wilson_action)
 from latticeym.single_bond import CouplingSpec
 
 GRID = [(d, L) for d in (2, 3, 4) for L in (2, 4)]
@@ -30,6 +29,17 @@ def plaquette_oracle(cfg, geom):
     g = cfg.u[..., geom.plaq_legs, :, :]
     dag = np.conj(np.swapaxes(g, -1, -2))
     return g[..., 0, :, :] @ g[..., 1, :, :] @ dag[..., 2, :, :] @ dag[..., 3, :, :]
+
+
+def gauge_transform(config, geom, site, v):
+    """Apply U_b -> V U_b (b leaving `site`) and U_b -> U_b V^dag (b entering)."""
+    v = require_unitary(v, 1e-10)
+    out = config.u.copy()
+    leaving = np.flatnonzero(geom.bond_site == site)
+    entering = np.flatnonzero(geom.bond_head == site)
+    out[leaving] = v @ out[leaving]
+    out[entering] = out[entering] @ np.conj(v.T)
+    return GaugeConfig(out)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +129,14 @@ def test_d2_plaquette_bond_bijection():
     assert sorted(leg1) == sorted(np.flatnonzero(~geom.fixed_mask))
 
 
-@pytest.mark.parametrize("d,L", GRID)
+def gf4_times(a, b):
+    """Product in GF(4) = GF(2)[w] / (w^2 + w + 1), elements as 2-bit codes."""
+    product = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+    return product ^ 0b111 if product & 0b100 else product
+
+
+@pytest.mark.parametrize("d,L", [(d, L) for d in (2, 3, 4) for L in (2, 4, 6)
+                                 if d < 4 or L <= 4])
 @pytest.mark.parametrize("boundary", ["free", "periodic"])
 def test_checkerboard_classes_partition_and_conflict_free(d, L, boundary):
     geom = build_geometry(d, L, boundary)
@@ -127,14 +144,27 @@ def test_checkerboard_classes_partition_and_conflict_free(d, L, boundary):
     assert np.array_equal(np.sort(members), np.flatnonzero(~geom.fixed_mask))  # each bond once
     # The sweep counts its bonds from the gather tables.
     assert [g.shape[1] for g in geom.gather_rows] == [cls.size for cls in geom.classes]
-    assert len(geom.classes) <= 2 * d
+    assert len(geom.classes) <= 4
+    label = np.full(geom.n_bonds, -1)
+    for k, cls in enumerate(geom.classes):
+        label[cls] = k
+    legs = label[geom.plaq_legs]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert not np.any((legs[:, i] == legs[:, j]) & (legs[:, i] >= 0))
+    # keyed by mu + w sum_nu (x_nu mod 2)(mu + nu) in GF(4), one key per class
+    keys = []
     for cls in geom.classes:
-        inside = set(int(b) for b in cls)
-        for legs in geom.plaq_legs:
-            assert len(inside.intersection(int(b) for b in legs)) <= 1
-        # keyed by (direction, parity of the origin's coordinate sum)
-        assert np.unique(geom.bond_dir[cls]).size == 1
-        assert np.unique(geom.coords[geom.bond_site[cls]].sum(axis=1) % 2).size == 1
+        key = set()
+        for b in cls:
+            mu, x = int(geom.bond_dir[b]), geom.coords[geom.bond_site[b]]
+            shift = 0
+            for nu in range(d):
+                shift ^= int(x[nu] % 2) * (mu ^ nu)
+            key.add(mu ^ gf4_times(2, shift))
+        assert len(key) == 1
+        keys += key
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("boundary", ["free", "periodic"])
@@ -160,9 +190,11 @@ def test_staple_tables_reproduce_plaquette_traces(boundary, rng):
 
 
 def test_class_counts_d3_l4():
-    # Free: no direction-0 bond is retained, so two directions x two parities.
-    assert len(build_geometry(3, 4, "free").classes) == 4
-    assert len(build_geometry(3, 4, "periodic").classes) == 6
+    # Four GF(4) classes cover every dimension and boundary; d=3, L=4 and
+    # d=4, L=4 use all four.
+    for d in (3, 4):
+        for boundary in ("free", "periodic"):
+            assert len(build_geometry(d, 4, boundary).classes) == 4
 
 
 @pytest.mark.parametrize("d,L,boundary", [(5, 4, "free"), (2, 3, "free"),

@@ -142,26 +142,55 @@ def test_replica_independent_of_its_batch(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d,L,boundary", [(3, 4, "free"), (3, 4, "periodic"),
-                                          (4, 2, "periodic")])
+                                          (4, 2, "periodic"), (2, 4, "periodic"),
+                                          (4, 2, "free")])
 def test_sweep_matches_serial_reference(d, L, boundary, n):
-    # One batched sweep from a Haar-random start against the bond-by-bond
-    # reference of conftest: same acceptances, same bond matrices.
+    # Two batched sweeps from a Haar-random start against the bond-by-bond
+    # reference of conftest: same acceptances, same bond matrices after each.
+    # Every replica accepts and rejects some move over the two sweeps.
     geom = build_geometry(d, L, boundary)
     group = GroupSpec(n)
     beta, epsilon = np.array([0.4, 1.0, 2.5]), np.array([1.2, 0.8, 0.5])
     start = haar_sample_batch(group, np.random.default_rng(9), 3 * geom.n_bonds)
     start = start.reshape(3, geom.n_bonds, n, n)
     table = dagger_table(start)
-    rates = mc._sweep(table, geom, group, beta, epsilon,
-                      [np.random.default_rng(s) for s in (1, 2, 3)])
     u = start.copy()
-    accepted = serial_sweep(u, geom, group, beta, epsilon,
-                            [np.random.default_rng(s) for s in (1, 2, 3)])
+    batched_rngs, serial_rngs = ([np.random.default_rng(s) for s in (1, 2, 3)]
+                                 for _ in range(2))
     retained = np.count_nonzero(~geom.fixed_mask)
-    assert np.all((0 < accepted) & (accepted < retained))
-    assert np.array_equal(np.rint(rates * retained), accepted)
-    batched = np.moveaxis(table[:, :, :geom.n_bonds], (0, 1, 2), (-2, -1, -3))
-    assert np.max(np.abs(batched - u)) < 1e-13
+    total = 0
+    for _ in range(2):
+        rates = mc._sweep(table, geom, group, beta, epsilon, batched_rngs)
+        accepted = serial_sweep(u, geom, group, beta, epsilon, serial_rngs)
+        assert np.array_equal(np.rint(rates * retained), accepted)
+        batched = np.moveaxis(table[:, :, :geom.n_bonds], (0, 1, 2), (-2, -1, -3))
+        assert np.max(np.abs(batched - u)) < 1e-13
+        total = total + accepted
+    assert np.all((0 < total) & (total < 2 * retained))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d,L", [(3, 4), (4, 2)])
+def test_sweep_independent_of_pieces(d, L, n, monkeypatch):
+    # Members of a class share no plaquette and no staple, so one bond per
+    # piece gives the same table bit for bit as whole classes.
+    geom = build_geometry(d, L, "periodic")
+    group = GroupSpec(n)
+    beta, epsilon = np.array([0.4, 1.0, 2.5]), np.array([1.2, 0.8, 0.5])
+    start = haar_sample_batch(group, np.random.default_rng(9), 3 * geom.n_bonds)
+
+    def run():
+        table = dagger_table(start.reshape(3, geom.n_bonds, n, n))
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        rates = [mc._sweep(table, geom, group, beta, epsilon, rngs) for _ in range(5)]
+        return table, np.array(rates)
+
+    whole = run()
+    monkeypatch.setattr(mc, "_PIECE_ENTRIES", 1)
+    monkeypatch.setattr(mc, "_PIECE_BONDS", 1)
+    pieces = run()
+    np.testing.assert_array_equal(pieces[0], whole[0])
+    np.testing.assert_array_equal(pieces[1], whole[1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

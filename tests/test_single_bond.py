@@ -1,16 +1,18 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import RTOL, QuadratureSpec, ensemble_constants, weyl_integrate
+from latticeym.quadrature import (RTOL, QuadratureSpec, ensemble_constants, flat_vandermonde,
+                                  vandermonde_density, weyl_integrate)
 from latticeym.single_bond import (BoundConstants, CouplingSpec, _quadratic_scale,
                                    _source_weight, _wilson_scale, bound_constants, log_z,
                                    log_zeta_envelope, log_zeta_lower, log_zeta_upper,
-                                   quadratic_weight, source_bound, trig_inequality_report,
-                                   wilson_weight, z_lower, z_upper, z_upper_source,
-                                   z_upper_source_envelope)
+                                   quadratic_weight, wilson_weight, z_lower, z_upper,
+                                   z_upper_source, z_upper_source_envelope)
 
 U1 = GroupSpec(1)
 U2 = GroupSpec(2)
@@ -27,6 +29,57 @@ def bessel_series(x, terms=220):
 
 def abelian_coupling(beta, d=2):
     return CouplingSpec(d=d, a=1.0, g2=1.0 / beta)
+
+
+def source_bound(j, coupling, group, quad):
+    """Closed-form ceiling for |z_upper_source(j)|."""
+    n = group.n
+    c = bound_constants(coupling, group, quad).c_upper_source
+    return float(np.exp(c + (np.pi**2 / 8.0) * n * abs(complex(j)) ** 2
+                        - 0.5 * n * n * np.log(coupling.beta)))
+
+
+@dataclass(frozen=True)
+class TrigReport:
+    """Largest violations of the pointwise inequalities behind the sandwich."""
+
+    max_lower_violation: float
+    max_upper_violation: float
+    max_density_violation: float
+    points_checked: int
+
+    @property
+    def ok(self) -> bool:
+        worst = max(self.max_lower_violation, self.max_upper_violation,
+                    self.max_density_violation)
+        return worst <= 1e-12
+
+
+def trig_inequality_report():
+    """Grid check of (4/pi^2) u^2 <= 2(1 - cos u) <= u^2 on |u| <= pi,
+    plus the induced Vandermonde sandwich on random angle vectors with all
+    |lam_j| <= pi/2 for ranks 1..3."""
+    n_grid, n_random = 20001, 2000
+    u = np.linspace(-np.pi, np.pi, n_grid)
+    f = 4.0 * np.sin(0.5 * u) ** 2
+    lower = (4.0 / np.pi**2) * u * u
+    upper = u * u
+    max_low = float(np.max(lower - f))
+    max_up = float(np.max(f - upper))
+
+    rng = np.random.default_rng(11)
+    max_dens = -np.inf
+    checked = n_grid
+    for n in (1, 2, 3):
+        lam = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=(n_random, n))
+        rho = vandermonde_density(lam)
+        flat = flat_vandermonde(lam)
+        n_pairs = n * (n - 1) // 2
+        low = (4.0 / np.pi**2) ** n_pairs * flat
+        max_dens = max(max_dens, float(np.max(low - rho)), float(np.max(rho - flat)))
+        checked += n_random
+    return TrigReport(max_lower_violation=max_low, max_upper_violation=max_up,
+                      max_density_violation=max_dens, points_checked=checked)
 
 
 @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
