@@ -46,11 +46,6 @@ class GroupSpec:
         """Real dimension of the Lie algebra, n**2."""
         return self.n * self.n
 
-    @property
-    def c_squared(self) -> float:
-        """Constant 4n appearing in the quadratic lower bound on the action."""
-        return 4.0 * self.n
-
 
 @lru_cache(maxsize=None)
 def generator_basis(n: int) -> np.ndarray:

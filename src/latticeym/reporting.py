@@ -1,12 +1,14 @@
 """Run configuration, report records, and bit-stable report files.
 
-A run is described by a JSON document validated against
-``RUN_CONFIG_SCHEMA`` before any computation starts.  The schema is
+A run is described by a JSON document validated against the schema
+shipped beside this module, ``run_config.schema.json`` (read once at import
+as ``RUN_CONFIG_SCHEMA``), before any computation starts.  It is the one
+source of the constraints, the suite names included.  The schema is
 interpreted here, by a short recursive validator that implements the
 Draft 2020-12 keywords the schema uses and no others, so a run needs no JSON
-Schema library; the tests hold it to ``jsonschema``'s verdicts.  The dict,
-and ``docs/run_config.schema.json`` which mirrors it, stay the one source of
-the constraints.  ``CONFIG_FIELDS`` maps each of its keys to a
+Schema library; the tests hold it to ``jsonschema``'s verdicts.  Errors come
+in the schema's own keyword order, so the file keeps that order rather than
+sorted keys.  ``CONFIG_FIELDS`` maps each of its keys to a
 ``RunConfig`` attribute and, where there is one, to the command-line flag
 that overrides it.  Each suite emits a list of ``ReportRecord`` objects
 which are serialized three ways:
@@ -33,7 +35,7 @@ import math
 import operator
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Number
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -42,6 +44,7 @@ from . import __version__
 from .errors import ConfigInvalid
 from .mc import MCParams
 from .quadrature import QuadratureSpec
+from .single_bond import quadratic_rate
 
 __all__ = [
     "RUN_CONFIG_SCHEMA",
@@ -52,65 +55,8 @@ __all__ = [
     "write_reports",
 ]
 
-SUITE_NAMES = (
-    "group-check",
-    "weyl-check",
-    "single-bond",
-    "approx",
-    "stability",
-    "genfun",
-    "scalar",
-    "all",
-)
-
-RUN_CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "RunConfig",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["suite"],
-    "properties": {
-        "suite": {"type": "string", "enum": list(SUITE_NAMES)},
-        "n": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1, "maximum": 8},
-            "minItems": 1,
-        },
-        "d": {"type": "integer", "enum": [2, 3, 4]},
-        "L": {"type": "integer", "minimum": 2, "multipleOf": 2},
-        "boundary": {"type": "string", "enum": ["free", "periodic"]},
-        "a": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "minItems": 1,
-        },
-        "g2": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 1,
-        },
-        "g0_sq": {"type": "number", "exclusiveMinimum": 0},
-        "mc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sweeps": {"type": "integer", "minimum": 1},
-                "thermalization": {"type": "integer", "minimum": 0},
-                "chains": {"type": "integer", "minimum": 1},
-                "beta_grid_points": {"type": "integer", "minimum": 3},
-            },
-        },
-        "quadrature": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "points": {"type": "integer", "minimum": 8},
-            },
-        },
-        "out": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
+RUN_CONFIG_SCHEMA = json.loads(Path(__file__).with_name("run_config.schema.json").read_text())
+SUITE_NAMES = tuple(RUN_CONFIG_SCHEMA["properties"]["suite"]["enum"])
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -243,7 +189,7 @@ class RunConfig:
             With the offending field named, on a schema violation, a
             non-finite number, a coupling above ``g0_sq``, or a spacing or
             coupling whose a**-d, or beta = a**(d-4)/g2 times the quadratic
-            rate 8 n (d-1), overflows a float.
+            rate ``quadratic_rate(n, d)``, overflows a float.
         """
         errors = sorted(_schema_errors(data, RUN_CONFIG_SCHEMA),
                         key=lambda error: list(map(str, error[0])))
@@ -273,10 +219,9 @@ class RunConfig:
             if -d * math.log(a) > _LOG_FLOAT_MAX:
                 raise ConfigInvalid(f"a.{i}: a**-d overflows a float at d = {d}, got {a!r}")
         # a**(d-4) peaks at the smallest spacing, and is finite once a**-d is.
-        # The lower bound's Gaussian rate 2 C^2 (d-1) beta, C^2 = 4n, exceeds
-        # beta, so checking it covers beta too.
+        # The lower bound's Gaussian rate exceeds beta, so checking it covers beta too.
         n_max = max(config.n_values)
-        rate = 8 * n_max * (d - 1)
+        rate = quadratic_rate(n_max, d)
         for i, g2 in enumerate(config.g2_values):
             if math.log(rate) + (d - 4) * math.log(a_min) - math.log(g2) > _LOG_FLOAT_MAX:
                 raise ConfigInvalid(f"g2.{i}: the rate {rate} beta, beta = a**(d-4)/g2, "
@@ -284,18 +229,6 @@ class RunConfig:
                                     f"a = {a_min!r}, got {g2!r}")
         # The chains draw from the root seed.
         return replace(config, mc=replace(config.mc, seed=config.seed))
-
-    def to_mapping(self) -> dict:
-        mapping = {}
-        for entry in CONFIG_FIELDS:
-            value = getattr(self, entry.attribute)
-            if entry.many:
-                value = list(value)
-            elif is_dataclass(value):
-                keys = RUN_CONFIG_SCHEMA["properties"][entry.key]["properties"]
-                value = {key: getattr(value, key) for key in keys}
-            mapping[entry.key] = value
-        return mapping
 
 
 @dataclass(frozen=True)
@@ -320,10 +253,6 @@ class ReportRecord:
         # Every field, with the mappings copied to the plain dicts JSON needs.
         return {key: dict(value) if isinstance(value, Mapping) else value
                 for key, value in vars(self).items()}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "ReportRecord":
-        return cls(**data)
 
 
 def _format_cell(value) -> str:

@@ -77,9 +77,14 @@ def wilson_weight(beta: float):
     return w
 
 
+def quadratic_rate(n: int, d: int) -> int:
+    """The exact integer 2 C^2 (d-1), C^2 = 4n: the quadratic weight's rate per unit beta."""
+    return 2 * 4 * n * (d - 1)
+
+
 def quadratic_weight(beta: float, d: int, group: GroupSpec):
     """One-angle quadratic weight exp(-2 C^2 (d-1) beta lam^2) with C^2 = 4n."""
-    rate = 2.0 * group.c_squared * (d - 1) * beta
+    rate = quadratic_rate(group.n, d) * beta
 
     def w(lam):
         return np.exp(-rate * lam * lam)
@@ -87,18 +92,20 @@ def quadratic_weight(beta: float, d: int, group: GroupSpec):
     return w
 
 
+def _rule(rate: float, cutoff: float) -> tuple[float, float | None]:
+    """Rule scale and cutoff of a weight concentrating as exp(-rate lam^2)."""
+    if rate <= 1.0:
+        return 1.0, None
+    return np.sqrt(rate), cutoff
+
+
 def _wilson_scale(beta: float, reach: float = 0.0) -> tuple[float, float | None]:
     """Rule scale and cutoff; a source of modulus `reach` widens the cutoff."""
-    if beta <= 1.0:
-        return 1.0, None
-    return np.sqrt(beta), _WILSON_CUTOFF + reach
+    return _rule(beta, _WILSON_CUTOFF + reach)
 
 
 def _quadratic_scale(beta: float, d: int, group: GroupSpec) -> tuple[float, float | None]:
-    rate = 2.0 * group.c_squared * (d - 1) * beta
-    if rate <= 1.0:
-        return 1.0, None
-    return np.sqrt(rate), _QUADRATIC_CUTOFF
+    return _rule(quadratic_rate(group.n, d) * beta, _QUADRATIC_CUTOFF)
 
 
 def _bond_integral(w, rule, coupling, group, quad):
@@ -204,7 +211,7 @@ def bound_constants(coupling: CouplingSpec, group: GroupSpec,
     log_nc = np.log(consts.cue)
     c_upper = n * n * np.log(np.pi / 2.0) + np.log(consts.gue) - log_nc
 
-    rate = 2.0 * (d - 1) * group.c_squared
+    rate = quadratic_rate(n, d)
     u0 = 0.5 * np.pi * np.sqrt(rate) / np.sqrt(coupling.g0_sq)
     i_ell = i_beta(2, u0, group, quad)
     c_lower = (-log_nc
