@@ -203,6 +203,8 @@ def _suite_stability(config: RunConfig):
                     "upper_exponent": float(report.upper_exponent),
                     "accept_min": report.accept_min,
                     "unitarity_defect": report.unitarity_defect,
+                    "epsilon_min": report.epsilon_range[0],
+                    "epsilon_max": report.epsilon_range[1],
                 },
                 errors={"log_z_mc": report.mc_error},
                 lhs=report.lower,
@@ -247,6 +249,8 @@ def _suite_genfun(config: RunConfig):
                         "ceiling": ceiling,
                         "accept_min": samples.accept_min,
                         "unitarity_defect": samples.unitarity_defect,
+                        "epsilon_min": samples.epsilon_range[0],
+                        "epsilon_max": samples.epsilon_range[1],
                     },
                     errors={"abs_g": error},
                     lhs=abs_g,

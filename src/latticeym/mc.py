@@ -26,13 +26,15 @@ runs over one contiguous run of plaquettes x bonds x replicas per matrix
 entry rather than over 1 x 1 to 3 x 3 matrices.  Products and traces are
 spelled out entry by entry, and every sum adds in the order np.sum takes
 over trailing (n, n) axes, so the trajectories do not depend on the
-layout.  Measurements read the same table, through the plaquette legs of
-`lattice.leading_traces`, the one trace route of the package.  Each
-replica has its own beta, its own tuned step size and its own random
-generator, which it calls a fixed number of times per sweep, and the
-action adds its plaquettes in index order at every batch size, so a
-replica's series is bit for bit the same whichever replicas share its
-batch.
+layout.  Measurements read the same table once per sweep, through the
+plaquette legs of `lattice.leading_traces`, the one trace route of the
+package.  Each replica has its own beta, its own tuned step size and its
+own random generator, which it calls three times per sweep, sweep after
+sweep; the draws and proposal factors of a block of sweeps within one
+10-sweep tuning window are made in one go, and every step of them is
+elementwise.  The action adds its plaquettes in index order at every
+batch size, so a replica's series is bit for bit the same whichever
+replicas share its batch and however its sweeps are blocked.
 
 Updates are vectorized over the checkerboard classes of the geometry:
 within a class no two bonds share a plaquette, so simultaneous Metropolis
@@ -66,7 +68,9 @@ START_EPSILON = 0.7  # every replica's step size before tuning
 # _PIECE_BONDS bonds.  Whole classes at d = 4, L = 4 page-fault their
 # temporaries afresh on every class; each piece costs a fixed ~40 us of
 # calls at N = 3.  Measured against 8192 to 65,536 entries, whole classes
-# and floors of 1 and 32 bonds.
+# and floors of 1 and 32 bonds.  The same budget caps the n^2 count R k
+# proposal entries of a block of k sweeps (`_block_sweeps`): it measured as
+# fast as 24,576 entries, while no cap was up to 14% slower at N = 3.
 _PIECE_ENTRIES = 12_288
 _PIECE_BONDS = 48
 
@@ -101,12 +105,12 @@ def _proposals(theta, x, n):
     shape (n, n) + theta.shape.
 
     H = sum_a x_a T_a / |x| in the basis T_a of `generator_basis(n)`, with
-    the components on the last axis of x; for n = 1, x is a uniform draw
-    whose side of 1/2 picks the sign of H.
+    the components on the first axis of x, (n^2,) + theta.shape; for n = 1,
+    x is a uniform draw of theta's shape whose side of 1/2 picks the sign
+    of H.
     """
     if n == 1:
         return np.exp(1j * theta * np.where(x < 0.5, 1.0, -1.0))[None, None]
-    x = np.moveaxis(x, -1, 0).copy()  # contiguous, components first
     x = x / np.sqrt(leading_sum(x * x))
     if n == 2:
         # T_a = (sigma_1, sigma_2, sigma_3, 1) / sqrt(2), so exp(i theta H) =
@@ -161,21 +165,25 @@ def _exp_traceless3(y):
     return out
 
 
-def _draws(rngs, count, n):
-    """One sweep's random numbers, three generator calls per replica.
+def _draws(rngs, count, n, sweeps):
+    """The random numbers of `sweeps` sweeps, three generator calls per
+    replica and sweep, sweep after sweep.
 
-    Returns amplitudes and acceptance thresholds of shape (R, count) and
-    directions of shape (R, count), uniform, for n = 1, else (R, count, n^2)
-    standard normal.
+    Returns amplitudes in [0.5, 1.5) and acceptance thresholds of shape
+    (sweeps, count, R) and directions of shape (sweeps, count, R), uniform,
+    for n = 1, else (n^2, sweeps, count, R) standard normal, the layouts
+    `_proposals` and `_sweep` take.
     """
-    shape = (len(rngs), count)
+    shape = (sweeps, len(rngs), count)
     amplitudes, thresholds = np.empty(shape), np.empty(shape)
     directions = np.empty(shape if n == 1 else shape + (n * n,))
-    for rng, a, x, t in zip(rngs, amplitudes, directions, thresholds):
-        a[...] = rng.uniform(0.5, 1.5, size=count)
-        (rng.random if n == 1 else rng.standard_normal)(out=x)
-        rng.random(out=t)
-    return amplitudes, directions, thresholds
+    for s in range(sweeps):
+        for rng, a, x, t in zip(rngs, amplitudes[s], directions[s], thresholds[s]):
+            a[...] = rng.uniform(0.5, 1.5, size=count)
+            (rng.random if n == 1 else rng.standard_normal)(out=x)
+            rng.random(out=t)
+    directions = np.moveaxis(directions, -1, 0) if n > 1 else directions
+    return tuple(np.swapaxes(a, -1, -2).copy() for a in (amplitudes, directions, thresholds))
 
 
 def _re_trace(a, b):
@@ -184,27 +192,25 @@ def _re_trace(a, b):
     return leading_sum((a * np.swapaxes(b, 0, 1)).real.reshape((-1,) + a.shape[2:]))
 
 
-def _sweep(table, geom, group, beta, epsilon, rngs):
+def _sweep(table, geom, beta, factors, thresholds):
     """One update pass over all retained bonds of every replica.
 
     `table` is the (n, n, 2 n_bonds + 1, R) stacked [U, U^dag, 0] state of
-    `dagger_table`, updated in place; beta and epsilon are (R,) arrays and
-    rngs holds one generator per replica, whose (R, count) draws are turned
-    once to the table's replicas-last order.  Each class is walked in
-    consecutive pieces of near-equal size (see _PIECE_ENTRIES); its members
-    share no plaquette, so the pieces see the same staples as the whole
-    class would.  Returns the acceptance rate of each replica.
+    `dagger_table`, updated in place; beta is an (R,) array, and factors
+    (n, n, count, R) and thresholds (count, R) are one sweep of `_proposals`
+    and `_draws`, spent on the bonds in the order of `geom.classes`.  Each
+    class is walked in consecutive pieces of near-equal size (see
+    _PIECE_ENTRIES); its members share no plaquette, so the pieces see the
+    same staples as the whole class would.  Returns the acceptance rate of
+    each replica.
     """
-    count = sum(gather.shape[1] for gather in geom.gather_rows)  # every retained bond
-    amplitudes, directions, thresholds = (np.swapaxes(a, 0, 1).copy()
-                                          for a in _draws(rngs, count, group.n))
-    factors = _proposals(epsilon * amplitudes, directions, group.n)
+    n, count, replicas = table.shape[0], thresholds.shape[0], table.shape[-1]
     two_beta = 2.0 * beta  # -beta dA = 2 beta Re tr((U_new - U_old) M)
-    accept = np.empty((count, len(rngs)), dtype=bool)
+    accept = np.empty((count, replicas), dtype=bool)
     start = 0
     for rows, scatter_rows in zip(geom.gather_rows, geom.scatter_rows):
         slots, n_c = (rows.shape[0] - 1) // 3, rows.shape[1]
-        width = max(_PIECE_BONDS, _PIECE_ENTRIES // (group.n**2 * rows.shape[0] * len(rngs)))
+        width = max(_PIECE_BONDS, _PIECE_ENTRIES // (n * n * rows.shape[0] * replicas))
         pieces = -(-n_c // width)  # as few as fit, of near-equal size
         for k in range(pieces):
             bonds = slice(k * n_c // pieces, (k + 1) * n_c // pieces)
@@ -230,7 +236,7 @@ def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
     if config.u.shape != (geom.n_bonds, group.n, group.n):
         raise ShapeMismatch("configuration does not match geometry/group")
     table = dagger_table(config.u[None])
-    rate = _sweep(table, geom, group, np.array([beta]), np.array([epsilon]), [rng])
+    rate = next(_sweeps(table, geom, np.array([beta]), np.array([epsilon]), [rng], 1))
     config.u[...] = np.moveaxis(table[:, :, :geom.n_bonds, 0], 2, 0)
     return float(rate[0])
 
@@ -241,12 +247,34 @@ class ChainSamples:
 
     series: (R, measurements, ...) array, one row per replica;
     accept_min: lowest measurement-phase acceptance rate over replicas;
-    unitarity_defect: largest end-of-chain ||U^dag U - 1|| over replicas.
+    unitarity_defect: largest end-of-chain ||U^dag U - 1|| over replicas;
+    epsilon_range: lowest and highest tuned step size over replicas.
     """
 
     series: np.ndarray
     accept_min: float
     unitarity_defect: float
+    epsilon_range: tuple
+
+
+def _block_sweeps(count, n, replicas):
+    """Sweeps per block, a divisor of the 10-sweep window: the largest k of
+    10, 5, 2 whose k n^2 count R proposal entries fit _PIECE_ENTRIES, else 1."""
+    return next((k for k in (10, 5, 2) if k * n * n * count * replicas <= _PIECE_ENTRIES), 1)
+
+
+def _sweeps(table, geom, beta, epsilon, rngs, total):
+    """Yield the acceptance rates of `total` sweeps, made in blocks of one
+    `_draws` and one `_proposals` call that tile each 10-sweep window.  A
+    block reads the (R,) step sizes `epsilon` when it is drawn, so a caller
+    may retune them in place between windows."""
+    n, count = table.shape[0], sum(c.size for c in geom.classes)
+    block = _block_sweeps(count, n, len(rngs))
+    for first in range(0, total, block):
+        amplitudes, directions, thresholds = _draws(rngs, count, n, min(block, total - first))
+        factors = _proposals(epsilon * amplitudes, directions, n)
+        for j in range(thresholds.shape[0]):
+            yield _sweep(table, geom, beta, factors[:, :, j], thresholds[j])
 
 
 def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
@@ -263,22 +291,25 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
     table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
     epsilon = np.full(len(rngs), START_EPSILON)
     window = np.zeros(len(rngs))
-    for sweep in range(1, params.thermalization + 1):
-        window += _sweep(table, geom, group, betas, epsilon, rngs)
+    for sweep, rate in enumerate(
+            _sweeps(table, geom, betas, epsilon, rngs, params.thermalization), 1):
+        window += rate
         if sweep % 10 == 0:
             rate = window / 10
-            epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
-                               np.where(rate < 0.4, epsilon / 1.2, epsilon))
+            # in place: _sweeps reads it when it draws the next block
+            epsilon[:] = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
+                                  np.where(rate < 0.4, epsilon / 1.2, epsilon))
             window[:] = 0.0
     n_meas = params.sweeps - params.thermalization
     accepted = np.zeros(len(rngs))
     samples = []
-    for _ in range(n_meas):
-        accepted += _sweep(table, geom, group, betas, epsilon, rngs)
+    for rate in _sweeps(table, geom, betas, epsilon, rngs, n_meas):
+        accepted += rate
         samples.append(measure(table))
     return ChainSamples(series=np.stack(samples, axis=1),
                         accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]))
+                        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
+                        epsilon_range=(float(np.min(epsilon)), float(np.max(epsilon))))
 
 
 def _blocked_se(series, n_blocks=20):
@@ -340,6 +371,7 @@ class LogZEstimate:
     action_errors: tuple
     accept_min: float
     unitarity_defect: float
+    epsilon_range: tuple
 
 
 def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
@@ -378,7 +410,8 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
                         stat_error=stat, grid_error=grid_err,
                         grid=tuple(grid), action_means=tuple(means),
                         action_errors=tuple(errors), accept_min=samples.accept_min,
-                        unitarity_defect=samples.unitarity_defect)
+                        unitarity_defect=samples.unitarity_defect,
+                        epsilon_range=samples.epsilon_range)
 
 
 @dataclass(frozen=True)
@@ -398,6 +431,7 @@ class StabilityReport:
     upper_exponent: int
     accept_min: float
     unitarity_defect: float
+    epsilon_range: tuple
 
     @property
     def lower_margin_sigma(self) -> float:
@@ -441,7 +475,8 @@ def verify_stability(L: int, boundary: str, coupling: CouplingSpec,
         d=coupling.d, L=L, boundary=boundary, n=group.n, beta=coupling.beta,
         mc_value=est.value, mc_error=est.error, lower=lower, upper=upper,
         lower_exponent=lower_exp, upper_exponent=upper_exp,
-        accept_min=est.accept_min, unitarity_defect=est.unitarity_defect)
+        accept_min=est.accept_min, unitarity_defect=est.unitarity_defect,
+        epsilon_range=est.epsilon_range)
 
 
 @dataclass(frozen=True)

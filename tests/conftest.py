@@ -1,6 +1,7 @@
 """Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, a
 QR oracle for the Haar sampler, the angular spectra of sampled unitaries,
-and a serial reference for the batched Metropolis sweep.
+a serial reference for the batched Metropolis sweep, and a per-sweep
+reference for the blocked draws of the replica sampler.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -16,8 +17,8 @@ import pytest
 from latticeym import mc
 from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
                                   flat_vandermonde, vandermonde_density)
-from latticeym.groups import GroupSpec, require_unitary
-from latticeym.lattice import GaugeConfig, wilson_action
+from latticeym.groups import GroupSpec, leading_unitarity_defect, require_unitary
+from latticeym.lattice import GaugeConfig, cold_start, dagger_table, wilson_action
 
 _CHUNK = 1 << 19
 ORACLE_MAX_RANK = 3
@@ -107,34 +108,76 @@ def tensor_ensemble(beta, u, n, points=96):
     return total
 
 
-def serial_sweep(u, geom, group, beta, epsilon, rngs):
+def serial_sweep(u, geom, beta, factors, thresholds):
     """Metropolis sweep of a replica batch, one bond at a time, without
     staple tables.
 
-    u is an (R, n_bonds, n, n) batch, updated in place; beta and epsilon
-    are (R,) arrays.  The random numbers come from `mc._draws` and
-    `mc._proposals` and are spent on the bonds in the order of
-    `geom.classes`, as the batched sweep spends them.  Delta A is the change
-    of the Wilson action of the whole configuration.  Returns the number of
-    accepted moves of each replica.
+    u is an (R, n_bonds, n, n) batch, updated in place; beta is an (R,)
+    array.  factors (n, n, count, R) and thresholds (count, R) are one sweep
+    of `mc._proposals` and `mc._draws`, the inputs of `mc._sweep`, spent on
+    the bonds in the order of `geom.classes`, as the batched sweep spends
+    them.  Delta A is the change of the Wilson action of the whole
+    configuration.  Returns the number of accepted moves of each replica.
     """
-    count = np.count_nonzero(~geom.fixed_mask)
-    amplitudes, directions, thresholds = mc._draws(rngs, count, group.n)
-    factors = np.moveaxis(mc._proposals(epsilon[:, None] * amplitudes, directions, group.n),
-                          (0, 1), (-2, -1))
+    factors = np.moveaxis(factors, (0, 1), (-2, -1))  # (count, R, n, n)
     order = np.concatenate(geom.classes)
-    accepted = np.zeros(len(rngs), dtype=int)
-    for r in range(len(rngs)):
+    accepted = np.zeros(len(u), dtype=int)
+    for r in range(len(u)):
         config = GaugeConfig(u[r])  # a view: updates of u[r] show in config
         for k, bond in enumerate(order):
             old_u, old_action = u[r, bond].copy(), wilson_action(config, geom)
-            u[r, bond] = factors[r, k] @ old_u
+            u[r, bond] = factors[k, r] @ old_u
             delta = wilson_action(config, geom) - old_action
-            if thresholds[r, k] < np.exp(min(0.0, -beta[r] * delta)):
+            if thresholds[k, r] < np.exp(min(0.0, -beta[r] * delta)):
                 accepted[r] += 1
             else:
                 u[r, bond] = old_u
     return accepted
+
+
+def per_sweep_replicas(geom, group, betas, seeds, params, measure):
+    """`mc._run_replicas` one sweep at a time, as it ran before blocking.
+
+    Each sweep draws its random numbers as the sampler's `_draws` then did,
+    rng.uniform(0.5, 1.5), the directions and the thresholds per replica,
+    and makes its proposal factors in one `mc._proposals` call; the step
+    sizes are tuned every 10 thermalization sweeps and the acceptance
+    rates summed sweep by sweep.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    betas = np.asarray(betas, dtype=np.float64)
+    table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
+    count, n = np.count_nonzero(~geom.fixed_mask), group.n
+    epsilon = np.full(len(rngs), mc.START_EPSILON)
+
+    def sweep():
+        draws = [(rng.uniform(0.5, 1.5, size=count),
+                  rng.random(count) if n == 1 else rng.standard_normal((count, n * n)),
+                  rng.random(count)) for rng in rngs]
+        amplitudes, directions, thresholds = (np.stack(a, axis=-1) for a in zip(*draws))
+        if n > 1:
+            directions = np.ascontiguousarray(np.moveaxis(directions, -2, 0))
+        factors = mc._proposals(epsilon * amplitudes, directions, n)
+        return mc._sweep(table, geom, betas, factors, thresholds)
+
+    window = np.zeros(len(rngs))
+    for k in range(1, params.thermalization + 1):
+        window += sweep()
+        if k % 10 == 0:
+            rate = window / 10
+            epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
+                               np.where(rate < 0.4, epsilon / 1.2, epsilon))
+            window[:] = 0.0
+    n_meas = params.sweeps - params.thermalization
+    accepted = np.zeros(len(rngs))
+    samples = []
+    for _ in range(n_meas):
+        accepted += sweep()
+        samples.append(measure(table))
+    return mc.ChainSamples(series=np.stack(samples, axis=1),
+                           accept_min=float(np.min(accepted) / n_meas),
+                           unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
+                           epsilon_range=(float(np.min(epsilon)), float(np.max(epsilon))))
 
 
 @pytest.fixture

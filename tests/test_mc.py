@@ -31,7 +31,7 @@ from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples
 from latticeym.quadrature import QuadratureSpec, weyl_integrate
 from latticeym.single_bond import CouplingSpec, z_lower, z_upper
 
-from conftest import serial_sweep
+from conftest import per_sweep_replicas, serial_sweep
 
 # ln z(1) for N = 1, d = 2 (beta = 1), from the Bessel series oracle in
 # test_single_bond.py.
@@ -146,7 +146,8 @@ def test_replica_independent_of_its_batch(n):
                                           (4, 2, "free")])
 def test_sweep_matches_serial_reference(d, L, boundary, n):
     # Two batched sweeps from a Haar-random start against the bond-by-bond
-    # reference of conftest: same acceptances, same bond matrices after each.
+    # reference of conftest on the same block of draws and factors: same
+    # acceptances, same bond matrices after each.
     # Every replica accepts and rejects some move over the two sweeps.
     geom = build_geometry(d, L, boundary)
     group = GroupSpec(n)
@@ -155,13 +156,14 @@ def test_sweep_matches_serial_reference(d, L, boundary, n):
     start = start.reshape(3, geom.n_bonds, n, n)
     table = dagger_table(start)
     u = start.copy()
-    batched_rngs, serial_rngs = ([np.random.default_rng(s) for s in (1, 2, 3)]
-                                 for _ in range(2))
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
     retained = np.count_nonzero(~geom.fixed_mask)
+    amplitudes, directions, thresholds = mc._draws(rngs, retained, n, 2)
+    factors = _proposals(epsilon * amplitudes, directions, n)
     total = 0
-    for _ in range(2):
-        rates = mc._sweep(table, geom, group, beta, epsilon, batched_rngs)
-        accepted = serial_sweep(u, geom, group, beta, epsilon, serial_rngs)
+    for k in range(2):
+        rates = mc._sweep(table, geom, beta, factors[:, :, k], thresholds[k])
+        accepted = serial_sweep(u, geom, beta, factors[:, :, k], thresholds[k])
         assert np.array_equal(np.rint(rates * retained), accepted)
         batched = np.moveaxis(table[:, :, :geom.n_bonds], (0, 1, 2), (-2, -1, -3))
         assert np.max(np.abs(batched - u)) < 1e-13
@@ -179,10 +181,14 @@ def test_sweep_independent_of_pieces(d, L, n, monkeypatch):
     beta, epsilon = np.array([0.4, 1.0, 2.5]), np.array([1.2, 0.8, 0.5])
     start = haar_sample_batch(group, np.random.default_rng(9), 3 * geom.n_bonds)
 
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+    amplitudes, directions, thresholds = mc._draws(rngs, np.count_nonzero(~geom.fixed_mask), n, 5)
+    factors = _proposals(epsilon * amplitudes, directions, n)
+
     def run():
         table = dagger_table(start.reshape(3, geom.n_bonds, n, n))
-        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        rates = [mc._sweep(table, geom, group, beta, epsilon, rngs) for _ in range(5)]
+        rates = [mc._sweep(table, geom, beta, factors[:, :, k], thresholds[k])
+                 for k in range(5)]
         return table, np.array(rates)
 
     whole = run()
@@ -193,6 +199,39 @@ def test_sweep_independent_of_pieces(d, L, n, monkeypatch):
     np.testing.assert_array_equal(pieces[1], whole[1])
 
 
+@pytest.mark.parametrize("n,d,L,boundary", [(1, 3, 2, "periodic"), (2, 3, 2, "periodic"),
+                                             (3, 3, 2, "periodic"), (4, 3, 2, "periodic"),
+                                             (2, 3, 4, "periodic")])
+def test_blocked_draws_match_per_sweep_reference(n, d, L, boundary):
+    # The draws and proposals of a block of sweeps against one _draws and one
+    # _proposals call per sweep (conftest): every step is elementwise, so
+    # the chains agree bit for bit.  58/23 sweeps end both phases in a short
+    # block; n = 4 is the eigh route; at d=3, L=4 the entry budget cuts the
+    # block below the 10-sweep window.
+    geom, group = build_geometry(d, L, boundary), GroupSpec(n)
+    params = MCParams(sweeps=58, thermalization=23, seed=6, chains=3)
+    betas, seeds = [0.3, 1.0, 2.5], _chain_seeds(params, salt=0)
+    block = mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), n, len(seeds))
+    assert 1 < block < 10 if L == 4 else block == 10
+    got, want = (run(geom, group, betas, seeds, params,
+                     lambda table: leading_action(table, geom))
+                 for run in (_run_replicas, per_sweep_replicas))
+    np.testing.assert_array_equal(got.series, want.series)
+    assert got.accept_min == want.accept_min > 0.0
+    assert got.unitarity_defect == want.unitarity_defect
+    assert got.epsilon_range == want.epsilon_range
+
+
+def test_block_falls_to_one_sweep_on_large_lattices():
+    # d=4, L=8 periodic, N=3, 34 replicas: one sweep's proposal stack alone
+    # passes the entry budget, so draws and factors come one sweep at a time.
+    # Counted from the shape, without a geometry or a table.
+    counts = lattice_counts(4, 8)
+    assert mc._block_sweeps(counts.retained_bonds + counts.extra_bonds, 3, 34) == 1
+    counts = lattice_counts(3, 4)  # the mc-genfun shape draws whole windows
+    assert mc._block_sweeps(counts.retained_bonds + counts.extra_bonds, 2, 2) == 10
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_proposal_matches_expm(n):
     # n = 2 and n = 3 are the closed forms, n = 4 the eigh route.
@@ -201,7 +240,7 @@ def test_proposal_matches_expm(n):
     x = rng.standard_normal((200, n * n))
     x[0, :-1] = 0.0  # pure phase: identity direction only
     x[1, -1] = 0.0  # traceless direction
-    got = np.moveaxis(_proposals(theta, x, n), -1, 0)  # entries first to a stack
+    got = np.moveaxis(_proposals(theta, x.T, n), -1, 0)  # entries first to a stack
     h = np.einsum("ca,aij->cij", x / np.linalg.norm(x, axis=1, keepdims=True),
                   generator_basis(n))
     for k in range(theta.size):
@@ -227,7 +266,7 @@ def test_u3_proposal_matches_mpmath():
     x[3:6, 8] = 0.0
     theta = np.concatenate([[0.0, 0.3 * np.sqrt(6.0), -0.3 * np.sqrt(6.0)],
                             rng.uniform(0.0, 1.5 * np.pi, 12)])
-    got = np.moveaxis(_proposals(theta, x, 3), -1, 0)
+    got = np.moveaxis(_proposals(theta, x.T, 3), -1, 0)
     h = np.einsum("ca,aij->cij", x / np.linalg.norm(x, axis=1, keepdims=True), basis)
     for k in range(theta.size):
         assert np.max(np.abs(got[k] - _mp_expm(theta[k] * h[k]))) < 1e-14
@@ -245,7 +284,7 @@ def test_closed_forms_call_no_eigensolver(n, monkeypatch):
     rng = np.random.default_rng(n)
     us = haar_sample_batch(GroupSpec(n), rng, 40).reshape(10, 4, n, n)
     amplitudes = rng.uniform(0.0, np.pi, (2, 5))
-    directions = rng.random((2, 5)) if n == 1 else rng.standard_normal((2, 5, n * n))
+    directions = rng.random((2, 5)) if n == 1 else rng.standard_normal((n * n, 2, 5))
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     lhs, rhs = quadratic_bound_sides(us, GroupSpec(n))
