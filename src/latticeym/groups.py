@@ -337,6 +337,13 @@ def quadratic_bound_sides(us: np.ndarray, group: GroupSpec):
     return tuple(side.reshape(us.shape[:-3]) for side in _leading_bound_sides(flat))
 
 
+def usable_cores() -> int:
+    """Cores this process may run on; platforms without CPU affinity
+    (macOS, Windows) count all."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _scan_block(re: np.ndarray, im: np.ndarray):
     """(violations, max_ratio) of the Haar quadruples of one block of
     Ginibre normals, shape (m, 4, n, n)."""
@@ -369,9 +376,7 @@ def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int)
     from concurrent.futures import ThreadPoolExecutor
 
     n = group.n
-    # Usable cores; platforms without CPU affinity (macOS, Windows) count all.
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = usable_cores()
     violations = 0
     max_ratio = 0.0
     with ThreadPoolExecutor(workers) as pool:

@@ -36,6 +36,11 @@ elementwise.  The action adds its plaquettes in index order at every
 batch size, so a replica's series is bit for bit the same whichever
 replicas share its batch and however its sweeps are blocked.
 
+So a batch of R replicas runs in min(usable cores, R // 2) processes, one
+consecutive slice each, with series joined in replica order and diagnostics
+taken as minima and maxima over slices: bit for bit one process's result.
+Forked processes, not threads: numpy holds the GIL on arrays this small.
+
 Updates are vectorized over the checkerboard classes of the geometry:
 within a class no two bonds share a plaquette, so simultaneous Metropolis
 decisions with staples gathered from the pre-update configuration are
@@ -48,6 +53,10 @@ form up to U(3); the direction law is sign-symmetric, so the proposal
 kernel is symmetric and the acceptance is min(1, e^{-beta dA}).
 """
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +64,7 @@ import numpy as np
 from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
 from .groups import (GroupSpec, leading_matmul, leading_sum, leading_unitarity_defect,
-                     traceless3_root, unitary_from_coefficients)
+                     traceless3_root, unitary_from_coefficients, usable_cores)
 from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
                       dagger_table, leading_action, leading_field_traces)
 from .quadrature import QuadratureSpec
@@ -278,6 +287,79 @@ def _sweeps(table, geom, beta, epsilon, rngs, total):
 
 
 def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
+    """`_run_batch` in consecutive slices of near-equal size, the first here
+    and one in a forked child per further worker (module docstring).  The
+    first exception in replica order is raised here; a slice that cannot be
+    forked runs here, and no child outlives the call."""
+    workers = 1  # fork copies only the calling thread
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = max(1, min(usable_cores(), len(seeds) // 2))
+    bounds = [k * len(seeds) // workers for k in range(workers + 1)]
+    parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def run(part):
+        return _run_batch(geom, group, betas[part], seeds[part], params, measure)
+
+    children, results = {}, []
+    try:
+        try:
+            for k in range(1, workers):
+                children[k] = _fork(run, parts[k])
+        except OSError:
+            pass  # the slices left unforked run here, in order
+        for k, part in enumerate(parts):
+            if k not in children:
+                results.append(run(part))
+                continue
+            pid, pipe = children[k]
+            data = b"".join(iter(lambda: os.read(pipe, 1 << 16), b""))
+            del children[k]
+            os.close(pipe)
+            status = os.waitpid(pid, 0)[1]
+            value = pickle.loads(data) if data else ChildProcessError(
+                f"replica worker ended with wait status {status} and no result")
+            if isinstance(value, BaseException):
+                raise value
+            results.append(value)
+    finally:
+        for pid, pipe in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(pipe)
+            os.waitpid(pid, 0)
+    return ChainSamples(
+        series=np.concatenate([r.series for r in results]),
+        accept_min=min(r.accept_min for r in results),
+        unitarity_defect=max(r.unitarity_defect for r in results),
+        epsilon_range=(min(r.epsilon_range[0] for r in results),
+                       max(r.epsilon_range[1] for r in results)))
+
+
+def _fork(run, part):
+    """Fork a child that pickles run(part), or the exception it raised, into
+    a pipe and leaves by os._exit; returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                payload = run(part)
+            except BaseException as exc:  # raised again by the parent
+                payload = exc
+            with os.fdopen(write, "wb") as out:
+                out.write(pickle.dumps(payload))
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """Thermalize R replicas from a cold start, tuning each step size from
     START_EPSILON, then measure once per sweep.
 

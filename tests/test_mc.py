@@ -10,6 +10,9 @@ Statistical assertions use 3-4 sigma windows on seeded chains, so they are
 deterministic in practice.
 """
 
+import os
+import threading
+
 import mpmath
 import numpy as np
 import pytest
@@ -118,12 +121,14 @@ def test_detailed_balance_chi_square():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_replica_independent_of_its_batch(n):
+def test_replica_independent_of_its_batch(n, monkeypatch):
     # Each replica draws from its own generator a fixed number of times per
     # sweep, and the action adds its plaquettes in one order at every batch
     # size, so its series must not depend on which replicas run beside it.
     # d=2, L=2 free retains one bond, a class of one member: there every
     # class sum of a lone replica runs over a single trailing element.
+    # One usable core keeps the four replicas in one table of one process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     params = MCParams(sweeps=50, thermalization=30, seed=4, chains=4)
     seeds = _chain_seeds(params, salt=1)
     betas = [0.3, 0.9, 1.4, 2.0]
@@ -138,6 +143,143 @@ def test_replica_independent_of_its_batch(n):
         for i in (0, 2):
             alone = run([i])
             np.testing.assert_array_equal(alone[0], batch[i])
+
+
+def _forks(monkeypatch, fail=None):
+    """Record the forks of the calling process; with `fail`, raise OSError
+    instead of forking from the fork of that number on (1 = the first)."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        if fail is not None and len(calls) >= fail:
+            raise OSError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _action_batch(geom, n, replicas):
+    params = MCParams(sweeps=32, thermalization=20, seed=5, chains=replicas)
+    betas = np.linspace(0.2, 2.0, replicas)
+    return lambda: _run_replicas(geom, GroupSpec(n), betas, _chain_seeds(params, salt=2),
+                                 params, lambda table: leading_action(table, geom))
+
+
+@pytest.mark.parametrize("boundary", ["free", "periodic"])
+@pytest.mark.parametrize("n,replicas,cores", [
+    (1, 4, 2), (2, 4, 2), (3, 4, 2), (4, 4, 2), (1, 5, 2), (2, 5, 3), (3, 5, 2),
+    (4, 5, 2), (1, 32, 2), (2, 32, 4), (3, 32, 3)])
+def test_forked_batch_matches_one_process(n, replicas, cores, boundary, monkeypatch):
+    # Every replica's series is independent of its batch, so the slices of
+    # W = min(cores, R // 2) processes, joined in replica order, equal one
+    # process bit for bit; R = 5 splits unevenly, n = 4 runs eigh in a child.
+    run = _action_batch(build_geometry(3, 2, boundary), n, replicas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    forks = _forks(monkeypatch)
+    forked = run()
+    assert len(forks) == min(cores, replicas // 2) - 1 and _no_children()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = run()
+    assert len(forks) == min(cores, replicas // 2) - 1
+    np.testing.assert_array_equal(forked.series, alone.series)
+    assert forked.accept_min == alone.accept_min > 0.0
+    assert forked.unitarity_defect == alone.unitarity_defect
+    assert forked.epsilon_range == alone.epsilon_range
+
+
+def test_refused_fork_runs_the_slice_here(monkeypatch):
+    # The second of three forks fails: its slice and the next run in the
+    # calling process, after the one child's, and the result is unchanged.
+    run = _action_batch(build_geometry(3, 2, "periodic"), 2, 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = run()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks = _forks(monkeypatch, fail=2)
+    forked = run()
+    assert len(forks) == 2 and _no_children()
+    np.testing.assert_array_equal(forked.series, alone.series)
+    assert (forked.accept_min, forked.unitarity_defect, forked.epsilon_range) == (
+        alone.accept_min, alone.unitarity_defect, alone.epsilon_range)
+
+
+@pytest.mark.parametrize("failing,raised", [
+    ((1,), UnconvergedChain("slice 1")), ((2, 3), MemoryError("slice 2")),
+    ((0, 1), InvalidLattice("slice 0")), ((3,), KeyError("slice 3"))])
+def test_slice_exception_reaches_caller(failing, raised, monkeypatch):
+    # Slices 1-3 of R = 8 at four workers run in children, slice 0 here.
+    # The first failing slice in replica order gives the exception, with its
+    # type and message; every child is reaped, including the ones still
+    # running when the calling process's own slice raised.
+    run, parent, batch = _action_batch(build_geometry(3, 2, "free"), 1, 8), os.getpid(), mc._run_batch
+    starts = np.linspace(0.2, 2.0, 8)[::2]
+
+    def failing_slice(geom, group, betas, seeds, *rest):
+        k = int(np.flatnonzero(starts == betas[0])[0])
+        assert (os.getpid() == parent) == (k == 0)
+        if k in failing:
+            raise type(raised)(f"slice {k}")
+        return batch(geom, group, betas, seeds, *rest)
+
+    monkeypatch.setattr(mc, "_run_batch", failing_slice)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks = _forks(monkeypatch)
+    with pytest.raises(type(raised)) as caught:
+        run()
+    assert str(caught.value) == str(raised)
+    assert len(forks) == 3 and _no_children()
+
+
+def test_child_dying_without_result_raises(monkeypatch):
+    # A child killed before it reports (as by the kernel's out-of-memory
+    # killer) leaves an empty pipe: ChildProcessError, and no zombie.
+    run, parent, batch = _action_batch(build_geometry(3, 2, "free"), 1, 4), os.getpid(), mc._run_batch
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return batch(*args)
+
+    monkeypatch.setattr(mc, "_run_batch", killed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ChildProcessError, match="no result"):
+        run()
+    assert _no_children()
+
+
+@pytest.mark.parametrize("replicas,cores", [(2, 4), (3, 4), (8, 1)])
+def test_no_fork_below_two_workers(replicas, cores, monkeypatch):
+    # R < 4, or one usable core, leaves a single worker: no fork.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    forks = _forks(monkeypatch, fail=1)
+    _action_batch(build_geometry(3, 2, "free"), 2, replicas)()
+    assert forks == [] and _no_children()
+
+
+def test_no_fork_beside_another_thread_or_without_affinity(monkeypatch):
+    # A fork copies only the calling thread, and a platform without CPU
+    # affinity (macOS, Windows) runs one process.
+    run = _action_batch(build_geometry(3, 2, "free"), 2, 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _forks(monkeypatch, fail=1)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        run()
+    finally:
+        release.set()
+        waiting.join()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run()
+    assert forks == [] and _no_children()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

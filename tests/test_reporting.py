@@ -595,6 +595,32 @@ class TestCLI:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_memory_error_in_replica_worker_exit_three(self, tmp_path, capsys, monkeypatch):
+        # Raised in a forked child's slice of the stability batch, it still
+        # reaches the CLI named after the suite, and no child outlives it.
+        import latticeym.mc as mc_module
+
+        parent, run_batch = os.getpid(), mc_module._run_batch
+
+        def exhausted(*args):
+            if os.getpid() != parent:
+                raise MemoryError("Unable to allocate 2.00 TiB")
+            return run_batch(*args)
+
+        monkeypatch.setattr(mc_module, "_run_batch", exhausted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"mc": {"sweeps": 40, "thermalization": 20}}))
+        out = tmp_path / "out"
+        assert main(["stability", "--d", "3", "--L", "2", "--N", "1", "--config", str(config),
+                     "--out", str(out)]) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: stability: Unable to allocate 2.00 TiB")
+        assert "Traceback" not in err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("below_file", [False, True])
     def test_out_not_a_directory_exit_two(self, below_file, tmp_path, capsys, monkeypatch):
         # An --out that cannot become a directory is reported before any
