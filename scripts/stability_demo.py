@@ -53,6 +53,10 @@ def main(argv=None):
     print(f"  upper bound   {report.upper:14.6f}  ({report.upper_exponent} bonds)")
     print(f"  margins       {report.lower_margin_sigma:8.1f} sigma above lower, "
           f"{report.upper_margin_sigma:8.1f} sigma below upper")
+    diag = report.diagnostics
+    print(f"  sampler       acceptance >= {diag.accept_min:.3f}, "
+          f"eps in [{diag.epsilon_min:.3f}, {diag.epsilon_max:.3f}], "
+          f"unitarity defect {diag.unitarity_defect:.1e}")
     print(f"  verdict       {'PASS' if report.passed else 'FAIL'}   ({dt:.1f}s)")
     return 0 if report.passed else 1
 

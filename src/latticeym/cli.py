@@ -193,7 +193,7 @@ def _suite_stability(config: RunConfig):
                     "d": config.d,
                     "L": config.L,
                     "boundary": config.boundary,
-                    "beta": report.beta,
+                    "beta": coupling.beta,
                 },
                 values={
                     "log_z_mc": report.mc_value,
@@ -201,10 +201,7 @@ def _suite_stability(config: RunConfig):
                     "upper": report.upper,
                     "lower_exponent": float(report.lower_exponent),
                     "upper_exponent": float(report.upper_exponent),
-                    "accept_min": report.accept_min,
-                    "unitarity_defect": report.unitarity_defect,
-                    "epsilon_min": report.epsilon_range[0],
-                    "epsilon_max": report.epsilon_range[1],
+                    **dataclasses.asdict(report.diagnostics),
                 },
                 errors={"log_z_mc": report.mc_error},
                 lhs=report.lower,
@@ -231,7 +228,7 @@ def _suite_genfun(config: RunConfig):
                 config.L, coupling, group, sources, config.quadrature, log_zeta_l=log_zeta_l)
             abs_g = abs(value)
             # A frozen chain measures its cold start with error 0.
-            passed = samples.accept_min > 0.0 and abs_g <= ceiling + 3.0 * error
+            passed = samples.diagnostics.accept_min > 0.0 and abs_g <= ceiling + 3.0 * error
             records.append(
                 _record(
                     config,
@@ -247,10 +244,7 @@ def _suite_genfun(config: RunConfig):
                     values={
                         "abs_g": abs_g,
                         "ceiling": ceiling,
-                        "accept_min": samples.accept_min,
-                        "unitarity_defect": samples.unitarity_defect,
-                        "epsilon_min": samples.epsilon_range[0],
-                        "epsilon_max": samples.epsilon_range[1],
+                        **dataclasses.asdict(samples.diagnostics),
                     },
                     errors={"abs_g": error},
                     lhs=abs_g,

@@ -37,8 +37,8 @@ batch size, so a replica's series is bit for bit the same whichever
 replicas share its batch and however its sweeps are blocked.
 
 So a batch of R replicas runs in min(usable cores, R // 2) processes, one
-consecutive slice each, with series joined in replica order and diagnostics
-taken as minima and maxima over slices: bit for bit one process's result.
+consecutive slice each, with series joined in replica order and their
+`Diagnostics` joined as minima and maxima: bit for bit one process's result.
 Forked processes, not threads: numpy holds the GIL on arrays this small.
 
 Updates are vectorized over the checkerboard classes of the geometry:
@@ -58,6 +58,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -245,45 +246,46 @@ def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
     if config.u.shape != (geom.n_bonds, group.n, group.n):
         raise ShapeMismatch("configuration does not match geometry/group")
     table = dagger_table(config.u[None])
-    rate = next(_sweeps(table, geom, np.array([beta]), np.array([epsilon]), [rng], 1))
+    amplitudes, directions, thresholds = _draws([rng], sum(c.size for c in geom.classes),
+                                                group.n, 1)
+    factors = _proposals(epsilon * amplitudes, directions, group.n)
+    rate = _sweep(table, geom, np.array([beta]), factors[:, :, 0], thresholds[0])
     config.u[...] = np.moveaxis(table[:, :, :geom.n_bonds, 0], 2, 0)
     return float(rate[0])
 
 
 @dataclass(frozen=True)
-class ChainSamples:
-    """Measurement series of a replica batch and its sampler diagnostics.
+class Diagnostics:
+    """How the chains of a replica batch behaved, under their report keys: the
+    lowest measurement-phase acceptance rate, the largest end-of-chain
+    ||U^dag U - 1||, and the lowest and highest tuned step size over replicas."""
 
-    series: (R, measurements, ...) array, one row per replica;
-    accept_min: lowest measurement-phase acceptance rate over replicas;
-    unitarity_defect: largest end-of-chain ||U^dag U - 1|| over replicas;
-    epsilon_range: lowest and highest tuned step size over replicas.
-    """
-
-    series: np.ndarray
     accept_min: float
     unitarity_defect: float
-    epsilon_range: tuple
+    epsilon_min: float
+    epsilon_max: float
+
+    def join(self, other: "Diagnostics") -> "Diagnostics":
+        """The diagnostics of this slice of replicas and the next as one batch."""
+        return Diagnostics(min(self.accept_min, other.accept_min),
+                           max(self.unitarity_defect, other.unitarity_defect),
+                           min(self.epsilon_min, other.epsilon_min),
+                           max(self.epsilon_max, other.epsilon_max))
+
+
+@dataclass(frozen=True)
+class ChainSamples:
+    """Measurement series of a replica batch, (R, measurements, ...) with one
+    row per replica, and the sampler's `Diagnostics` over those replicas."""
+
+    series: np.ndarray
+    diagnostics: Diagnostics
 
 
 def _block_sweeps(count, n, replicas):
     """Sweeps per block, a divisor of the 10-sweep window: the largest k of
     10, 5, 2 whose k n^2 count R proposal entries fit _PIECE_ENTRIES, else 1."""
     return next((k for k in (10, 5, 2) if k * n * n * count * replicas <= _PIECE_ENTRIES), 1)
-
-
-def _sweeps(table, geom, beta, epsilon, rngs, total):
-    """Yield the acceptance rates of `total` sweeps, made in blocks of one
-    `_draws` and one `_proposals` call that tile each 10-sweep window.  A
-    block reads the (R,) step sizes `epsilon` when it is drawn, so a caller
-    may retune them in place between windows."""
-    n, count = table.shape[0], sum(c.size for c in geom.classes)
-    block = _block_sweeps(count, n, len(rngs))
-    for first in range(0, total, block):
-        amplitudes, directions, thresholds = _draws(rngs, count, n, min(block, total - first))
-        factors = _proposals(epsilon * amplitudes, directions, n)
-        for j in range(thresholds.shape[0]):
-            yield _sweep(table, geom, beta, factors[:, :, j], thresholds[j])
 
 
 def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
@@ -326,12 +328,8 @@ def _run_replicas(geom, group, betas, seeds, params, measure) -> ChainSamples:
             os.kill(pid, signal.SIGKILL)
             os.close(pipe)
             os.waitpid(pid, 0)
-    return ChainSamples(
-        series=np.concatenate([r.series for r in results]),
-        accept_min=min(r.accept_min for r in results),
-        unitarity_defect=max(r.unitarity_defect for r in results),
-        epsilon_range=(min(r.epsilon_range[0] for r in results),
-                       max(r.epsilon_range[1] for r in results)))
+    return ChainSamples(series=np.concatenate([r.series for r in results]),
+                        diagnostics=reduce(Diagnostics.join, (r.diagnostics for r in results)))
 
 
 def _fork(run, part):
@@ -363,35 +361,41 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """Thermalize R replicas from a cold start, tuning each step size from
     START_EPSILON, then measure once per sweep.
 
-    Every 10 thermalization sweeps a replica's step size grows by 1.2 (at
-    most pi) if its acceptance exceeded 0.6 and shrinks by 1.2 if it fell
-    below 0.4.  `measure` maps the sampler's (n, n, 2 n_bonds + 1, R) table
-    to one row per replica.
+    Each phase runs in 10-sweep windows from its own start, each window in
+    blocks of `_block_sweeps` sweeps drawn by one `_draws` and one
+    `_proposals` call.  After each full thermalization window, a replica's
+    step size grows by 1.2 (at most pi) if its acceptance, summed sweep by
+    sweep, exceeded 0.6 and shrinks by 1.2 if it fell below 0.4.  `measure`
+    maps the (n, n, 2 n_bonds + 1, R) table to one row per replica.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
     table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
+    n, count = group.n, sum(c.size for c in geom.classes)
+    block = _block_sweeps(count, n, len(rngs))
     epsilon = np.full(len(rngs), START_EPSILON)
-    window = np.zeros(len(rngs))
-    for sweep, rate in enumerate(
-            _sweeps(table, geom, betas, epsilon, rngs, params.thermalization), 1):
-        window += rate
-        if sweep % 10 == 0:
-            rate = window / 10
-            # in place: _sweeps reads it when it draws the next block
-            epsilon[:] = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
-                                  np.where(rate < 0.4, epsilon / 1.2, epsilon))
-            window[:] = 0.0
     n_meas = params.sweeps - params.thermalization
-    accepted = np.zeros(len(rngs))
     samples = []
-    for rate in _sweeps(table, geom, betas, epsilon, rngs, n_meas):
-        accepted += rate
-        samples.append(measure(table))
-    return ChainSamples(series=np.stack(samples, axis=1),
-                        accept_min=float(np.min(accepted) / n_meas),
-                        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
-                        epsilon_range=(float(np.min(epsilon)), float(np.max(epsilon))))
+    for total, measuring in ((params.thermalization, False), (n_meas, True)):
+        accepted = np.zeros(len(rngs))
+        for window in range(0, total, 10):
+            for first in range(window, min(window + 10, total), block):
+                amplitudes, directions, thresholds = _draws(
+                    rngs, count, n, min(block, total - first))
+                factors = _proposals(epsilon * amplitudes, directions, n)
+                for j in range(thresholds.shape[0]):
+                    accepted += _sweep(table, geom, betas, factors[:, :, j], thresholds[j])
+                    if measuring:
+                        samples.append(measure(table))
+            if not measuring and window + 10 <= total:
+                rate = accepted / 10
+                epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
+                                   np.where(rate < 0.4, epsilon / 1.2, epsilon))
+                accepted[:] = 0.0
+    return ChainSamples(series=np.stack(samples, axis=1), diagnostics=Diagnostics(
+        accept_min=float(np.min(accepted) / n_meas),
+        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
+        epsilon_min=float(np.min(epsilon)), epsilon_max=float(np.max(epsilon))))
 
 
 def _blocked_se(series, n_blocks=20):
@@ -451,9 +455,7 @@ class LogZEstimate:
     grid: tuple
     action_means: tuple
     action_errors: tuple
-    accept_min: float
-    unitarity_defect: float
-    epsilon_range: tuple
+    diagnostics: Diagnostics
 
 
 def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
@@ -491,29 +493,21 @@ def estimate_log_z(geom: LatticeGeometry, coupling: CouplingSpec,
     return LogZEstimate(value=value, error=float(np.hypot(stat, grid_err)),
                         stat_error=stat, grid_error=grid_err,
                         grid=tuple(grid), action_means=tuple(means),
-                        action_errors=tuple(errors), accept_min=samples.accept_min,
-                        unitarity_defect=samples.unitarity_defect,
-                        epsilon_range=samples.epsilon_range)
+                        action_errors=tuple(errors), diagnostics=samples.diagnostics)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """ln Z estimate against the factorized single-bond sandwich."""
+    """ln Z estimate against the factorized single-bond sandwich, with the
+    `Diagnostics` of the chains behind the estimate."""
 
-    d: int
-    L: int
-    boundary: str
-    n: int
-    beta: float
     mc_value: float
     mc_error: float
     lower: float
     upper: float
     lower_exponent: int
     upper_exponent: int
-    accept_min: float
-    unitarity_defect: float
-    epsilon_range: tuple
+    diagnostics: Diagnostics
 
     @property
     def lower_margin_sigma(self) -> float:
@@ -530,7 +524,7 @@ class StabilityReport:
         A replica that never moved has a zero-width error bar, or one set by
         the beta grid alone, so its margins prove nothing.
         """
-        return (self.accept_min > 0.0
+        return (self.diagnostics.accept_min > 0.0
                 and self.lower_margin_sigma >= -3.0
                 and self.upper_margin_sigma >= -3.0)
 
@@ -553,12 +547,9 @@ def verify_stability(L: int, boundary: str, coupling: CouplingSpec,
     upper = upper_exp * log_z(log_zeta_upper(coupling, group, quad)[0], coupling, group)
     lower = lower_exp * log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)
     est = estimate_log_z(geom, coupling, group, params)
-    return StabilityReport(
-        d=coupling.d, L=L, boundary=boundary, n=group.n, beta=coupling.beta,
-        mc_value=est.value, mc_error=est.error, lower=lower, upper=upper,
-        lower_exponent=lower_exp, upper_exponent=upper_exp,
-        accept_min=est.accept_min, unitarity_defect=est.unitarity_defect,
-        epsilon_range=est.epsilon_range)
+    return StabilityReport(mc_value=est.value, mc_error=est.error, lower=lower, upper=upper,
+                           lower_exponent=lower_exp, upper_exponent=upper_exp,
+                           diagnostics=est.diagnostics)
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,10 @@ def per_sweep_replicas(geom, group, betas, seeds, params, measure):
     for _ in range(n_meas):
         accepted += sweep()
         samples.append(measure(table))
-    return mc.ChainSamples(series=np.stack(samples, axis=1),
-                           accept_min=float(np.min(accepted) / n_meas),
-                           unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
-                           epsilon_range=(float(np.min(epsilon)), float(np.max(epsilon))))
+    return mc.ChainSamples(series=np.stack(samples, axis=1), diagnostics=mc.Diagnostics(
+        accept_min=float(np.min(accepted) / n_meas),
+        unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
+        epsilon_min=float(np.min(epsilon)), epsilon_max=float(np.max(epsilon))))
 
 
 @pytest.fixture

@@ -190,9 +190,8 @@ def test_forked_batch_matches_one_process(n, replicas, cores, boundary, monkeypa
     alone = run()
     assert len(forks) == min(cores, replicas // 2) - 1
     np.testing.assert_array_equal(forked.series, alone.series)
-    assert forked.accept_min == alone.accept_min > 0.0
-    assert forked.unitarity_defect == alone.unitarity_defect
-    assert forked.epsilon_range == alone.epsilon_range
+    assert forked.diagnostics == alone.diagnostics
+    assert forked.diagnostics.accept_min > 0.0
 
 
 def test_refused_fork_runs_the_slice_here(monkeypatch):
@@ -206,8 +205,7 @@ def test_refused_fork_runs_the_slice_here(monkeypatch):
     forked = run()
     assert len(forks) == 2 and _no_children()
     np.testing.assert_array_equal(forked.series, alone.series)
-    assert (forked.accept_min, forked.unitarity_defect, forked.epsilon_range) == (
-        alone.accept_min, alone.unitarity_defect, alone.epsilon_range)
+    assert forked.diagnostics == alone.diagnostics
 
 
 @pytest.mark.parametrize("failing,raised", [
@@ -348,20 +346,22 @@ def test_blocked_draws_match_per_sweep_reference(n, d, L, boundary):
     # The draws and proposals of a block of sweeps against one _draws and one
     # _proposals call per sweep (conftest): every step is elementwise, so
     # the chains agree bit for bit.  58/23 sweeps end both phases in a short
-    # block; n = 4 is the eigh route; at d=3, L=4 the entry budget cuts the
-    # block below the 10-sweep window.
+    # block; 40/20 end both on a window edge, so the last thermalization
+    # window retunes; 2/0 has no thermalization.  n = 4 is the eigh route;
+    # at d=3, L=4 the entry budget cuts the block below the 10-sweep window.
     geom, group = build_geometry(d, L, boundary), GroupSpec(n)
-    params = MCParams(sweeps=58, thermalization=23, seed=6, chains=3)
-    betas, seeds = [0.3, 1.0, 2.5], _chain_seeds(params, salt=0)
-    block = mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), n, len(seeds))
-    assert 1 < block < 10 if L == 4 else block == 10
-    got, want = (run(geom, group, betas, seeds, params,
-                     lambda table: leading_action(table, geom))
-                 for run in (_run_replicas, per_sweep_replicas))
-    np.testing.assert_array_equal(got.series, want.series)
-    assert got.accept_min == want.accept_min > 0.0
-    assert got.unitarity_defect == want.unitarity_defect
-    assert got.epsilon_range == want.epsilon_range
+    for sweeps, thermalization in ((58, 23), (40, 20), (2, 0)):
+        params = MCParams(sweeps=sweeps, thermalization=thermalization, seed=6, chains=3)
+        betas, seeds = [0.3, 1.0, 2.5], _chain_seeds(params, salt=0)
+        block = mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), n, len(seeds))
+        assert 1 < block < 10 if L == 4 else block == 10
+        got, want = (run(geom, group, betas, seeds, params,
+                         lambda table: leading_action(table, geom))
+                     for run in (_run_replicas, per_sweep_replicas))
+        np.testing.assert_array_equal(got.series, want.series)
+        assert got.diagnostics == want.diagnostics
+        # untuned, the n = 3 replica at beta = 2.5 may not move in two sweeps
+        assert got.diagnostics.accept_min > 0.0 or thermalization == 0
 
 
 def test_block_falls_to_one_sweep_on_large_lattices():
@@ -462,8 +462,8 @@ def test_u3_chain_unitary_and_reproducible():
     second = sample_source_fields(geom, cp, GroupSpec(3), (0, 4), params)
     assert first.series.shape == (2, 20, 2)
     assert np.array_equal(first.series, second.series)
-    assert first.unitarity_defect == second.unitarity_defect < 1e-12
-    assert 0.0 < first.accept_min <= 1.0
+    assert first.diagnostics.unitarity_defect == second.diagnostics.unitarity_defect < 1e-12
+    assert 0.0 < first.diagnostics.accept_min <= 1.0
     assert np.any(first.series != 0.0)
 
 

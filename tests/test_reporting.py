@@ -1,5 +1,6 @@
 """Tests for run configuration, report serialization, and the CLI."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from latticeym import __version__
 from latticeym.cli import main, run_suite
 from latticeym.errors import ConfigInvalid
 from latticeym.groups import GroupSpec
+from latticeym.mc import Diagnostics
 from latticeym.quadrature import QuadratureSpec
 from latticeym.reporting import (
     _ANNOTATIONS,
@@ -650,8 +652,11 @@ class TestCLI:
         assert len(records) == 4 * per_point
         assert {r["inputs"]["n"] for r in records} == {1, 2}
         for record in records:
-            assert 0.0 < record["values"]["accept_min"] <= 1.0
-            assert 0.0 <= record["values"]["unitarity_defect"] < 1e-12
+            values = record["values"]
+            assert {f.name for f in dataclasses.fields(Diagnostics)} <= values.keys()
+            assert 0.0 < values["accept_min"] <= 1.0
+            assert 0.0 <= values["unitarity_defect"] < 1e-12
+            assert 0.0 < values["epsilon_min"] <= values["epsilon_max"] <= math.pi
 
     def test_config_file_with_overrides(self, tmp_path):
         config_path = tmp_path / "run.json"
