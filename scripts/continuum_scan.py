@@ -10,11 +10,14 @@ Part 2 fits the exponential decay rate of the free scalar two-point
 function at each spacing and compares it with the closed-form lattice
 mass gap (2/a) asinh(m_u a / (2 kappa_u)); both converge to m_u/kappa_u
 as a -> 0.
+Exits 0, or 1 when a Cauchy or rate check fails, or 3 on a computational
+error (``Type: message`` on stderr), as the `latticeym` console script does.
 """
 
 import argparse
 import sys
 
+from latticeym.errors import LatticeYMError
 from latticeym.factorized import free_energy_limit, moment_limit
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
@@ -71,8 +74,12 @@ def main(argv=None):
     p.add_argument("--kappa-u", type=float, default=1.0)
     args = p.parse_args(argv)
 
-    ok = gauge_part(args)
-    ok = scalar_part(args) and ok
+    try:
+        ok = gauge_part(args)
+        ok = scalar_part(args) and ok
+    except (LatticeYMError, MemoryError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if ok else 1
 
 

@@ -164,38 +164,3 @@ def gue_moment(alpha: int, group: GroupSpec) -> float:
         double_fact *= k
     return double_fact * (group.n / 2.0) ** (alpha / 2.0)
 
-
-def _limit_coupling(d: int) -> CouplingSpec:
-    # Effective-limit couplings: beta ~ 1e10 makes the 1/beta corrections
-    # to the Gaussian limit ~1e-11, far below the reporting tolerances.
-    if d == 4:
-        return CouplingSpec(d=4, a=1.0, g2=1e-10)
-    a = (1e10) ** (-1.0 / (4 - d))
-    return CouplingSpec(d=d, a=a, g2=1.0)
-
-
-@dataclass(frozen=True)
-class GaussianityReport:
-    """Second/fourth moments at effectively-zero coupling vs the Wick values."""
-
-    n: int
-    d: int
-    t2: float
-    t4: float
-    t2_gaussian: float
-    t4_gaussian: float
-
-    @property
-    def wick_gap(self) -> float:
-        """t4 - 3 t2^2; zero iff the limit is Gaussian at fourth order."""
-        return self.t4 - 3.0 * self.t2**2
-
-
-def gaussianity_report(group: GroupSpec, d: int,
-                       quad: QuadratureSpec) -> GaussianityReport:
-    cp = _limit_coupling(d)
-    t2 = plaquette_moment(2, cp, group, quad)[0]
-    t4 = plaquette_moment(4, cp, group, quad)[0]
-    return GaussianityReport(n=group.n, d=d, t2=t2, t4=t4,
-                             t2_gaussian=gue_moment(2, group),
-                             t4_gaussian=gue_moment(4, group))

@@ -201,17 +201,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return leading_unitarity_defect(np.moveaxis(np.asarray(u), (-2, -1), (0, 1)))
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    """u as a complex (..., n, n) array; raises unless every matrix is unitary to tol."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ShapeMismatch(f"expected square matrices, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise NonUnitaryInput(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
-    return u
-
-
 def unitary_from_coefficients(coeffs: np.ndarray, group: GroupSpec) -> np.ndarray:
     """exp(i X) for X = sum_a x_a T_a, coefficients (..., n**2) to matrices (..., n, n)."""
     coeffs = np.asarray(coeffs, dtype=float)

@@ -17,7 +17,8 @@ import pytest
 from latticeym import mc
 from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
                                   flat_vandermonde, vandermonde_density)
-from latticeym.groups import GroupSpec, leading_unitarity_defect, require_unitary
+from latticeym.errors import NonUnitaryInput, ShapeMismatch
+from latticeym.groups import UNITARITY_TOL, GroupSpec, leading_unitarity_defect, unitarity_defect
 from latticeym.lattice import GaugeConfig, cold_start, dagger_table, wilson_action
 
 _CHUNK = 1 << 19
@@ -82,7 +83,12 @@ def _principal_angles(eigvals):
 
 def angular_eigenvalues(u):
     """Sorted eigenvalue angles in (-pi, pi] of each unitary in a stack (..., n, n)."""
-    return np.sort(_principal_angles(np.linalg.eigvals(require_unitary(u))), axis=-1)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ShapeMismatch(f"expected square matrices, got shape {u.shape}")
+    if unitarity_defect(u) > UNITARITY_TOL:
+        raise NonUnitaryInput(f"unitarity defect above {UNITARITY_TOL:.1e}")
+    return np.sort(_principal_angles(np.linalg.eigvals(u)), axis=-1)
 
 
 def product_of(w):

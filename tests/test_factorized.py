@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeym.errors import InvalidLattice
-from latticeym.factorized import (GaussianityReport, LatticeCounts,
-                                  free_energy_limit, gaussianity_report,
+from latticeym.factorized import (LatticeCounts, free_energy_limit,
                                   gue_moment, lattice_counts,
                                   log_partition_normalized, moment_limit,
                                   normalized_free_energy, plaquette_moment)
@@ -245,9 +244,11 @@ def test_gue_moment_wick_recursion(alpha, n):
 
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 4), (3, 4)])
 def test_gaussianity_report(n, d, quad):
-    rep = gaussianity_report(GroupSpec(n), d, quad)
-    assert isinstance(rep, GaussianityReport)
-    assert rep.t2 == pytest.approx(rep.t2_gaussian, abs=1e-6)
-    assert rep.t4 == pytest.approx(rep.t4_gaussian, abs=2e-6)
-    assert np.isfinite(rep.wick_gap)
-    assert abs(rep.wick_gap) < 1e-6
+    # beta ~ 1e10 makes the 1/beta corrections to the Gaussian limit ~1e-11.
+    a, g2 = (1.0, 1e-10) if d == 4 else ((1e10) ** (-1.0 / (4 - d)), 1.0)
+    group, coupling = GroupSpec(n), CouplingSpec(d=d, a=a, g2=g2)
+    t2, t4 = (plaquette_moment(k, coupling, group, quad)[0] for k in (2, 4))
+    assert t2 == pytest.approx(gue_moment(2, group), abs=1e-6)
+    assert t4 == pytest.approx(gue_moment(4, group), abs=2e-6)
+    assert np.isfinite(t4 - 3.0 * t2**2)
+    assert abs(t4 - 3.0 * t2**2) < 1e-6

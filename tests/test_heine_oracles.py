@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from latticeym.factorized import gaussianity_report, plaquette_moment
+from latticeym.factorized import plaquette_moment
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec, i_beta
 from latticeym.single_bond import (CouplingSpec, _quadratic_scale, _wilson_scale,
@@ -140,7 +140,8 @@ def test_i_beta_matches_tensor_oracle(n, beta, u):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gaussianity_report_wick_values(n):
     # At beta = 1e10 the 1/beta corrections are ~1e-8 relative at rank 8.
-    rep = gaussianity_report(GroupSpec(n), 4, QUAD)
-    assert rep.t2 == pytest.approx(n / 2.0, rel=1e-8)
-    assert rep.t4 == pytest.approx(3.0 * (n / 2.0) ** 2, rel=1e-8)
-    assert abs(rep.wick_gap) <= 1e-8 * rep.t4_gaussian
+    coupling = CouplingSpec(d=4, a=1.0, g2=1e-10)
+    t2, t4 = (plaquette_moment(k, coupling, GroupSpec(n), QUAD)[0] for k in (2, 4))
+    assert t2 == pytest.approx(n / 2.0, rel=1e-8)
+    assert t4 == pytest.approx(3.0 * (n / 2.0) ** 2, rel=1e-8)
+    assert abs(t4 - 3.0 * t2**2) <= 1e-8 * (3.0 * (n / 2.0) ** 2)
