@@ -86,6 +86,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def leading_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of stacks with the entries leading, (n, n, ...),
     accumulated over the inner index in sequence."""
+    if a.shape[0] == 1:  # the sampler's U(1) class step is bound by calls
+        return a * b
     out = a[:, 0:1] * b[0:1, :]
     for k in range(1, a.shape[0]):
         out = out + a[:, k:k + 1] * b[k:k + 1, :]

@@ -360,7 +360,7 @@ def leading_field_traces(u: np.ndarray, geom: LatticeGeometry, coupling,
     """`scaled_field_traces` of entries-leading bond matrices (n, n, rows, ...):
     shape (..., r)."""
     legs = geom.plaq_legs[np.asarray(indices)]
-    return np.sqrt(coupling.beta) * leading_traces(u, legs).imag.T
+    return np.sqrt(coupling.beta) * np.moveaxis(leading_traces(u, legs).imag, 0, -1)
 
 
 def wilson_action(config: GaugeConfig, geom: LatticeGeometry):

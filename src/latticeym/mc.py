@@ -26,15 +26,17 @@ runs over one contiguous run of plaquettes x bonds x replicas per matrix
 entry rather than over 1 x 1 to 3 x 3 matrices.  Products and traces are
 spelled out entry by entry, and every sum adds in the order np.sum takes
 over trailing (n, n) axes, so the trajectories do not depend on the
-layout.  Measurements read the same table once per sweep, through the
-plaquette legs of `lattice.leading_traces`, the one trace route of the
-package.  Each replica has its own beta, its own tuned step size and its
+layout.  Each replica has its own beta, its own tuned step size and its
 own random generator, which it calls three times per sweep, sweep after
 sweep; the draws and proposal factors of a block of sweeps within one
 10-sweep tuning window are made in one go, and every step of them is
-elementwise.  The action adds its plaquettes in index order at every
-batch size, so a replica's series is bit for bit the same whichever
-replicas share its batch and however its sweeps are blocked.
+elementwise.  Measurements see the table after every sweep, but read it
+in one call per block, on copies of the block's tables (fewer sweeps at a
+time where the copies would pass the piece budget), through the plaquette
+legs of `lattice.leading_traces`, the one trace route of the package.
+The action adds its plaquettes in index order at every batch size, so a
+replica's series is bit for bit the same whichever replicas share its
+batch and however its sweeps and measurements are blocked.
 
 So a batch of R replicas runs in min(usable cores, R // 2) processes, one
 consecutive slice each, with series joined in replica order and their
@@ -80,7 +82,11 @@ START_EPSILON = 0.7  # every replica's step size before tuning
 # calls at N = 3.  Measured against 8192 to 65,536 entries, whole classes
 # and floors of 1 and 32 bonds.  The same budget caps the n^2 count R k
 # proposal entries of a block of k sweeps (`_block_sweeps`): it measured as
-# fast as 24,576 entries, while no cap was up to 14% slower at N = 3.
+# fast as 24,576 entries, while no cap was up to 14% slower at N = 3.  It
+# caps the w n^2 (2 n_bonds + 1) R entries of the w table copies measured
+# in one call (`_run_batch`) too: at d = 3, L = 4, N = 2, R = 4, measuring
+# two copies (12,320 entries) at once took 31-38 minor page faults per
+# sweep, against 3-4 one sweep at a time.
 _PIECE_ENTRIES = 12_288
 _PIECE_BONDS = 48
 
@@ -177,29 +183,28 @@ def _exp_traceless3(y):
 
 def _draws(rngs, count, n, sweeps):
     """The random numbers of `sweeps` sweeps, three generator calls per
-    replica and sweep, sweep after sweep.
+    replica and sweep, sweep after sweep; for n = 1 they are all uniform,
+    and one call per replica reads the same doubles.
 
     Returns amplitudes in [0.5, 1.5) and acceptance thresholds of shape
     (sweeps, count, R) and directions of shape (sweeps, count, R), uniform,
     for n = 1, else (n^2, sweeps, count, R) standard normal, the layouts
     `_proposals` and `_sweep` take.
     """
+    if n == 1:
+        # uniform(0.5, 1.5) is 0.5 + random() on the same double
+        u = np.stack([rng.random((sweeps, 3, count)) for rng in rngs], axis=-1)
+        return 0.5 + u[:, 0], u[:, 1], u[:, 2]
     shape = (sweeps, len(rngs), count)
     amplitudes, thresholds = np.empty(shape), np.empty(shape)
-    directions = np.empty(shape if n == 1 else shape + (n * n,))
+    directions = np.empty(shape + (n * n,))
     for s in range(sweeps):
         for rng, a, x, t in zip(rngs, amplitudes[s], directions[s], thresholds[s]):
             a[...] = rng.uniform(0.5, 1.5, size=count)
-            (rng.random if n == 1 else rng.standard_normal)(out=x)
+            rng.standard_normal(out=x)
             rng.random(out=t)
-    directions = np.moveaxis(directions, -1, 0) if n > 1 else directions
+    directions = np.moveaxis(directions, -1, 0)
     return tuple(np.swapaxes(a, -1, -2).copy() for a in (amplitudes, directions, thresholds))
-
-
-def _re_trace(a, b):
-    """Re tr(a b) of entries-leading stacks (n, n, ...), shape (...), summed
-    as np.sum sums over trailing (n, n) axes."""
-    return leading_sum((a * np.swapaxes(b, 0, 1)).real.reshape((-1,) + a.shape[2:]))
 
 
 def _sweep(table, geom, beta, factors, thresholds):
@@ -227,15 +232,21 @@ def _sweep(table, geom, beta, factors, thresholds):
             gather, scatter = ((rows, scatter_rows) if pieces == 1 else
                                (rows[:, bonds], scatter_rows.reshape(2, -1)[:, bonds].ravel()))
             stop = start + gather.shape[1]
-            g = np.take(table, gather, axis=2)  # (n, n, 3 P + 1, bonds, R)
+            g = table.take(gather, axis=2)  # (n, n, 3 P + 1, bonds, R)
             staples = leading_matmul(leading_matmul(g[:, :, :slots], g[:, :, slots:2 * slots]),
                                      g[:, :, 2 * slots:3 * slots])
             u_old = g[:, :, -1]
             u_new = leading_matmul(factors[:, :, start:stop], u_old)
-            exponent = two_beta * _re_trace(u_new - u_old, staples.sum(axis=2))
-            ok = accept[start:stop] = thresholds[start:stop] < np.exp(np.minimum(0.0, exponent))
-            u = np.where(ok, u_new, u_old)
-            table[:, :, scatter] = np.concatenate([u, np.conj(np.swapaxes(u, 0, 1))], axis=2)
+            # Re tr((U_new - U_old) M), summed as np.sum sums over trailing (n, n) axes
+            terms = ((u_new - u_old) * staples.sum(axis=2).swapaxes(0, 1)).real
+            terms = terms.reshape((n * n,) + terms.shape[2:])
+            exponent = terms.sum(axis=0) if n * n < 8 else leading_sum(terms)
+            exponent *= two_beta
+            np.exp(np.minimum(exponent, 0.0, out=exponent), out=exponent)
+            ok = accept[start:stop]
+            np.less(thresholds[start:stop], exponent, out=ok)
+            np.copyto(u_old, u_new, where=ok)
+            table[:, :, scatter] = np.concatenate([u_old, u_old.swapaxes(0, 1).conj()], axis=2)
             start = stop
     return accept.sum(axis=0) / count
 
@@ -359,20 +370,30 @@ def _fork(run, part):
 
 def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """Thermalize R replicas from a cold start, tuning each step size from
-    START_EPSILON, then measure once per sweep.
+    START_EPSILON, then measure after every sweep.
 
     Each phase runs in 10-sweep windows from its own start, each window in
     blocks of `_block_sweeps` sweeps drawn by one `_draws` and one
     `_proposals` call.  After each full thermalization window, a replica's
     step size grows by 1.2 (at most pi) if its acceptance, summed sweep by
-    sweep, exceeded 0.6 and shrinks by 1.2 if it fell below 0.4.  `measure`
-    maps the (n, n, 2 n_bonds + 1, R) table to one row per replica.
+    sweep, exceeded 0.6 and shrinks by 1.2 if it fell below 0.4.
+
+    A measuring block copies the table after each sweep into an (n, n,
+    2 n_bonds + 1, w, R) buffer and calls `measure` once per w sweeps, and
+    once on the block's last few; w is as many copies as fit _PIECE_ENTRIES,
+    as a gathered class piece does, at most the block.  At w = 1 `measure`
+    sees the live table, never a copy.  It maps the buffer to (w, R, ...),
+    one row per sweep and replica; every measurement is elementwise over
+    the trailing axes, so the rows are those of one call per sweep.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
     table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
     n, count = group.n, sum(c.size for c in geom.classes)
     block = _block_sweeps(count, n, len(rngs))
+    width = min(block, max(1, _PIECE_ENTRIES // table.size))
+    states = (table[:, :, :, None] if width == 1 else
+              np.empty(table.shape[:3] + (width,) + table.shape[3:], dtype=table.dtype))
     epsilon = np.full(len(rngs), START_EPSILON)
     n_meas = params.sweeps - params.thermalization
     samples = []
@@ -383,16 +404,21 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
                 amplitudes, directions, thresholds = _draws(
                     rngs, count, n, min(block, total - first))
                 factors = _proposals(epsilon * amplitudes, directions, n)
-                for j in range(thresholds.shape[0]):
+                k = thresholds.shape[0]
+                for j in range(k):
                     accepted += _sweep(table, geom, betas, factors[:, :, j], thresholds[j])
                     if measuring:
-                        samples.append(measure(table))
+                        if width > 1:
+                            states[:, :, :, j % width] = table
+                        if j % width == width - 1 or j == k - 1:
+                            samples.append(measure(states[:, :, :, :j % width + 1]))
             if not measuring and window + 10 <= total:
                 rate = accepted / 10
                 epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
                                    np.where(rate < 0.4, epsilon / 1.2, epsilon))
                 accepted[:] = 0.0
-    return ChainSamples(series=np.stack(samples, axis=1), diagnostics=Diagnostics(
+    series = np.ascontiguousarray(np.concatenate(samples).swapaxes(0, 1))
+    return ChainSamples(series=series, diagnostics=Diagnostics(
         accept_min=float(np.min(accepted) / n_meas),
         unitarity_defect=leading_unitarity_defect(table[:, :, :geom.n_bonds]),
         epsilon_min=float(np.min(epsilon)), epsilon_max=float(np.max(epsilon))))

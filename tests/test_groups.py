@@ -138,10 +138,11 @@ def test_unitary_from_coefficients_spectrum(n):
 
 
 def test_non_unitary_input_rejected():
+    # The package's own guard, not the test helper's.
     with pytest.raises(NonUnitaryInput):
-        angular_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        quadratic_bound_sides(np.array([[[1.0, 0.5], [0.0, 1.0]]]), GroupSpec(2))
     with pytest.raises(ShapeMismatch):
-        angular_eigenvalues(np.ones((2, 3)))
+        quadratic_bound_sides(np.ones((1, 2, 3)), GroupSpec(2))
     with pytest.raises(NonUnitaryInput):
         quadratic_bound_sides(2.0 * np.eye(2)[None], GroupSpec(2))
 

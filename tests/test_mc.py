@@ -24,7 +24,8 @@ from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
                               quadratic_bound_scan, quadratic_bound_sides, unitarity_defect)
-from latticeym.lattice import build_geometry, cold_start, dagger_table, leading_action
+from latticeym.lattice import (build_geometry, cold_start, dagger_table, leading_action,
+                               leading_field_traces)
 from latticeym.mc import (MCParams, SourceSpec, generating_function_from_samples,
                           correlation_from_generating, estimate_generating_function,
                           estimate_log_z, estimate_mean_action, metropolis_sweep,
@@ -343,23 +344,44 @@ def test_sweep_independent_of_pieces(d, L, n, monkeypatch):
                                              (3, 3, 2, "periodic"), (4, 3, 2, "periodic"),
                                              (2, 3, 4, "periodic")])
 def test_blocked_draws_match_per_sweep_reference(n, d, L, boundary):
-    # The draws and proposals of a block of sweeps against one _draws and one
-    # _proposals call per sweep (conftest): every step is elementwise, so
-    # the chains agree bit for bit.  58/23 sweeps end both phases in a short
-    # block; 40/20 end both on a window edge, so the last thermalization
-    # window retunes; 2/0 has no thermalization.  n = 4 is the eigh route;
-    # at d=3, L=4 the entry budget cuts the block below the 10-sweep window.
-    geom, group = build_geometry(d, L, boundary), GroupSpec(n)
+    # The draws, proposals and measurements of a block of sweeps against one
+    # _draws, one _proposals and one measure call per sweep (conftest):
+    # every step is elementwise, so the chains agree bit for bit.  58/23
+    # sweeps end both phases in a short block; 40/20 end both on a window
+    # edge, so the last thermalization window retunes; 2/0 has no
+    # thermalization.  n = 4 is the eigh route; at d=3, L=4 the entry budget
+    # cuts the block below the 10-sweep window.  The copies of the table
+    # measured at once fit the same budget: n = 3 and 4 and d=3, L=4 measure
+    # a block in two or three calls.
+    geom = build_geometry(d, L, boundary)
+    block = mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), n, 3)
+    assert 1 < block < 10 if L == 4 else block == 10
+    _assert_matches_per_sweep_reference(geom, GroupSpec(n))
+
+
+def test_one_sweep_blocks_measure_the_live_table(monkeypatch):
+    # An entry budget of 1 leaves one sweep per block, measured on the live
+    # table rather than on a copy.
+    monkeypatch.setattr(mc, "_PIECE_ENTRIES", 1)
+    geom = build_geometry(3, 2, "periodic")
+    assert mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), 2, 3) == 1
+    _assert_matches_per_sweep_reference(geom, GroupSpec(2))
+
+
+def _assert_matches_per_sweep_reference(geom, group):
+    """_run_replicas against conftest.per_sweep_replicas, bit for bit, for
+    the action and for the field traces of two plaquettes, one repeated."""
+    coupling = CouplingSpec(d=geom.d, a=1.0, g2=2.0)
+    measures = (lambda table: leading_action(table, geom),
+                lambda table: leading_field_traces(table, geom, coupling, np.array([5, 0, 5])))
     for sweeps, thermalization in ((58, 23), (40, 20), (2, 0)):
         params = MCParams(sweeps=sweeps, thermalization=thermalization, seed=6, chains=3)
         betas, seeds = [0.3, 1.0, 2.5], _chain_seeds(params, salt=0)
-        block = mc._block_sweeps(np.count_nonzero(~geom.fixed_mask), n, len(seeds))
-        assert 1 < block < 10 if L == 4 else block == 10
-        got, want = (run(geom, group, betas, seeds, params,
-                         lambda table: leading_action(table, geom))
-                     for run in (_run_replicas, per_sweep_replicas))
-        np.testing.assert_array_equal(got.series, want.series)
-        assert got.diagnostics == want.diagnostics
+        for measure in measures:
+            got, want = (run(geom, group, betas, seeds, params, measure)
+                         for run in (_run_replicas, per_sweep_replicas))
+            np.testing.assert_array_equal(got.series, want.series)
+            assert got.diagnostics == want.diagnostics
         # untuned, the n = 3 replica at beta = 2.5 may not move in two sweeps
         assert got.diagnostics.accept_min > 0.0 or thermalization == 0
 
