@@ -4,15 +4,14 @@ Setting the interior horizontal plaquette couplings to zero lets every bond
 integral be done in closed form, so the partition function collapses to a
 power of the single-bond integral, Z^n = z_n^R with R the number of retained
 (non-gauge-fixed) bonds.  Everything here is a consequence of that one
-identity: normalized log-partition functions, free energies and their
-small-spacing limits, and coincident-point moments of the scaled plaquette
-field.  The d = 2 values double as exact references for the Monte Carlo
-modules, where no approximation is involved.
+identity: bond counts, normalized free energies and coincident-point
+moments of the scaled plaquette field.  The d = 2 values double as exact
+references for the Monte Carlo modules, where no approximation is involved.
 
 Conventions.  The rank-1 free energy follows the scaled-coordinate Lebesgue
 normalization (its continuum limit is log sqrt(pi)); ranks >= 2 use the
 Haar-normalized form, whose limit is the Gaussian-ensemble mass
-N_G / N_C.  `log_partition_normalized` uses the Haar form for every rank.
+N_G / N_C.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import InvalidLattice
 from .groups import GroupSpec
 from .quadrature import QuadratureSpec, weyl_moments
-from .single_bond import CouplingSpec, _wilson_scale, log_zeta_upper, wilson_weight
+from .single_bond import CouplingSpec, _wilson_scale, wilson_weight
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,6 @@ def lattice_counts(d: int, L: int) -> LatticeCounts:
                          retained_bonds=retained, plaquettes=plaquettes)
 
 
-def log_partition_normalized(L: int, coupling: CouplingSpec, group: GroupSpec,
-                             quad: QuadratureSpec) -> float:
-    """R * log z_n after extracting the beta**(n^2/2 R) spacing singularity."""
-    return lattice_counts(coupling.d, L).retained_bonds * log_zeta_upper(coupling, group, quad)[0]
-
-
 def normalized_free_energy(log_zeta: float, group: GroupSpec) -> float:
     """Free energy per retained bond from ln zeta_u (`log_zeta_upper`).
 
@@ -73,48 +66,6 @@ def normalized_free_energy(log_zeta: float, group: GroupSpec) -> float:
     log sqrt(pi).
     """
     return log_zeta + float(np.log(2.0 * np.pi)) if group.n == 1 else log_zeta
-
-
-@dataclass(frozen=True)
-class LimitSequence:
-    """Values of a quantity along the spacing sequence a_k = 2**-k.
-
-    Never a symbolic limit: `cauchy_ok` just certifies that consecutive
-    differences shrink below `tolerance` without growing at the tail.
-    """
-
-    spacings: tuple
-    values: tuple
-    tolerance: float
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.abs(np.diff(np.asarray(self.values)))
-
-    @property
-    def final_delta(self) -> float:
-        return float(self.deltas[-1])
-
-    @property
-    def cauchy_ok(self) -> bool:
-        d = self.deltas
-        tail = d[-3:]
-        return bool(d[-1] < self.tolerance and np.all(np.diff(tail) <= self.tolerance))
-
-    @property
-    def limit(self) -> float:
-        return float(self.values[-1])
-
-
-def free_energy_limit(d: int, g2: float, group: GroupSpec, quad: QuadratureSpec,
-                      k_max: int = 10, tolerance: float = 1e-4) -> LimitSequence:
-    """normalized_free_energy along a_k = 2**-k, k = 0..k_max."""
-    spacings = tuple(2.0**-k for k in range(k_max + 1))
-    values = tuple(
-        normalized_free_energy(
-            log_zeta_upper(CouplingSpec(d=d, a=a, g2=g2), group, quad)[0], group)
-        for a in spacings)
-    return LimitSequence(spacings=spacings, values=values, tolerance=tolerance)
 
 
 def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
@@ -137,17 +88,6 @@ def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
                                    lambda lam: root_beta * np.sin(lam), alpha,
                                    group, quad, scale=scale, cutoff=cutoff)
     return float(moments[alpha]), float(errors[alpha])
-
-
-def moment_limit(alpha: int, d: int, g2: float, group: GroupSpec,
-                 quad: QuadratureSpec, k_max: int = 10,
-                 tolerance: float = 1e-4) -> LimitSequence:
-    """plaquette_moment along the spacing sequence a_k = 2**-k."""
-    spacings = tuple(2.0**-k for k in range(k_max + 1))
-    values = tuple(
-        plaquette_moment(alpha, CouplingSpec(d=d, a=a, g2=g2), group, quad)[0]
-        for a in spacings)
-    return LimitSequence(spacings=spacings, values=values, tolerance=tolerance)
 
 
 def gue_moment(alpha: int, group: GroupSpec) -> float:

@@ -98,28 +98,6 @@ def ensemble_constants(group: GroupSpec) -> EnsembleConstants:
     return EnsembleConstants(cue=float(cue), gue=float(gue), gse=float(gse))
 
 
-def vandermonde_density(lam: np.ndarray) -> np.ndarray:
-    """prod_{j<k} |e^{i lam_j} - e^{i lam_k}|^2 = prod 4 sin^2((lam_j - lam_k)/2)."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.ones(lam.shape[:-1])
-    for j in range(n):
-        for k in range(j + 1, n):
-            out = out * 4.0 * np.sin(0.5 * (lam[..., j] - lam[..., k])) ** 2
-    return out
-
-
-def flat_vandermonde(lam: np.ndarray) -> np.ndarray:
-    """prod_{j<k} (lam_j - lam_k)^2, the small-angle limit of the density."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    out = np.ones(lam.shape[:-1])
-    for j in range(n):
-        for k in range(j + 1, n):
-            out = out * (lam[..., j] - lam[..., k]) ** 2
-    return out
-
-
 @lru_cache(maxsize=None)
 def _leggauss(points: int):
     return np.polynomial.legendre.leggauss(points)

@@ -46,7 +46,6 @@ from .errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
 __all__ = [
     "ScalarSpec",
     "scaled_propagator",
-    "unscaled_propagator",
     "coincident_bound_constant",
     "derivative_correlation",
     "mass_gap",
@@ -333,11 +332,6 @@ def scaled_propagator(spec: ScalarSpec, x, y=None) -> float:
     # permutation, so a canonical key collapses the orbit.
     canonical = tuple(sorted(abs(v) for v in n))
     return _scaled_propagator_cached(spec, canonical)[0]
-
-
-def unscaled_propagator(spec: ScalarSpec, x, y=None) -> float:
-    """Covariance of the unscaled field, scaled_propagator / s^2."""
-    return scaled_propagator(spec, x, y) / spec.s2
 
 
 def coincident_bound_constant(d: int) -> float:

@@ -1,7 +1,8 @@
-"""Shared fixtures, a tensor-grid oracle for the Weyl-reduced integrals, a
-QR oracle for the Haar sampler, the angular spectra of sampled unitaries,
-a serial reference for the batched Metropolis sweep, and a per-sweep
-reference for the blocked draws of the replica sampler.
+"""Shared fixtures, the Vandermonde densities, a tensor-grid oracle for the
+Weyl-reduced integrals, a QR oracle for the Haar sampler, the angular
+spectra of sampled unitaries, a serial reference for the batched Metropolis
+sweep, and a per-sweep reference for the blocked draws of the replica
+sampler.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -15,14 +16,35 @@ import numpy as np
 import pytest
 
 from latticeym import mc
-from latticeym.quadrature import (QuadratureSpec, _panel_nodes, ensemble_constants,
-                                  flat_vandermonde, vandermonde_density)
+from latticeym.quadrature import QuadratureSpec, _panel_nodes, ensemble_constants
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import UNITARITY_TOL, GroupSpec, leading_unitarity_defect, unitarity_defect
 from latticeym.lattice import GaugeConfig, cold_start, dagger_table, wilson_action
 
 _CHUNK = 1 << 19
 ORACLE_MAX_RANK = 3
+
+
+def vandermonde_density(lam):
+    """prod_{j<k} |e^{i lam_j} - e^{i lam_k}|^2 = prod 4 sin^2((lam_j - lam_k)/2)."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    out = np.ones(lam.shape[:-1])
+    for j in range(n):
+        for k in range(j + 1, n):
+            out = out * 4.0 * np.sin(0.5 * (lam[..., j] - lam[..., k])) ** 2
+    return out
+
+
+def flat_vandermonde(lam):
+    """prod_{j<k} (lam_j - lam_k)^2, the small-angle limit of the density."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    out = np.ones(lam.shape[:-1])
+    for j in range(n):
+        for k in range(j + 1, n):
+            out = out * (lam[..., j] - lam[..., k]) ** 2
+    return out
 
 
 def _iter_tensor(x1, w1, ndim):

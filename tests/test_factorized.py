@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeym.errors import InvalidLattice
-from latticeym.factorized import (LatticeCounts, free_energy_limit,
-                                  gue_moment, lattice_counts,
-                                  log_partition_normalized, moment_limit,
+from latticeym.factorized import (LatticeCounts, gue_moment, lattice_counts,
                                   normalized_free_energy, plaquette_moment)
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec
@@ -80,9 +78,20 @@ def test_counts_rejects_bad_shapes(d, L):
 # ---------------------------------------------------------------------------
 
 
+def spacing_walk(value, d, k_max):
+    """value(coupling) along the spacing sequence a_k = 2**-k, k = 0..k_max, at g2 = 1."""
+    return np.array([value(CouplingSpec(d=d, a=2.0**-k, g2=1.0)) for k in range(k_max + 1)])
+
+
+def cauchy_ok(values, tolerance):
+    """Consecutive differences fall below `tolerance` without growing at the tail."""
+    deltas = np.abs(np.diff(values))
+    return bool(deltas[-1] < tolerance and np.all(np.diff(deltas[-3:]) <= tolerance))
+
+
 def test_log_partition_matches_bessel_power(quad):
     cp = CouplingSpec(d=2, a=1.0, g2=1.0)
-    value = log_partition_normalized(4, cp, GroupSpec(1), quad)
+    value = lattice_counts(2, 4).retained_bonds * log_zeta_upper(cp, GroupSpec(1), quad)[0]
     assert value == pytest.approx(9 * np.log(Z_N1_D2_BETA1), rel=1e-10)
 
 
@@ -90,7 +99,7 @@ def test_log_partition_scales_with_retained_bonds(quad):
     # Per-bond value must not depend on the lattice size at all.
     cp = CouplingSpec(d=3, a=0.5, g2=1.0)
     per_bond = [
-        log_partition_normalized(L, cp, GroupSpec(2), quad)
+        lattice_counts(3, L).retained_bonds * log_zeta_upper(cp, GroupSpec(2), quad)[0]
         / lattice_counts(3, L).retained_bonds
         for L in (2, 4, 6)
     ]
@@ -105,8 +114,8 @@ def test_log_partition_between_stability_bounds(n, d, quad):
     for a in (1.0, 0.25, 0.05):
         cp = CouplingSpec(d=d, a=a, g2=1.0, g0_sq=2.0)
         consts = bound_constants(cp, group, quad)
-        value = log_partition_normalized(4, cp, group, quad)
         r = lattice_counts(d, 4).retained_bonds
+        value = r * log_zeta_upper(cp, group, quad)[0]
         assert r * consts.c_lower <= value <= r * consts.c_upper
 
 
@@ -117,19 +126,21 @@ def test_free_energy_rank1_beta1(quad):
 
 
 def test_free_energy_limit_rank1_d3(quad):
-    seq = free_energy_limit(3, 1.0, GroupSpec(1), quad, k_max=10,
-                            tolerance=2e-4)
-    assert seq.cauchy_ok
-    assert seq.limit == pytest.approx(LOG_SQRT_PI, abs=2e-4)
+    group = GroupSpec(1)
+    values = spacing_walk(
+        lambda cp: normalized_free_energy(log_zeta_upper(cp, group, quad)[0], group), 3, 10)
+    assert cauchy_ok(values, 2e-4)
+    assert values[-1] == pytest.approx(LOG_SQRT_PI, abs=2e-4)
     # monotone approach from above (corrections are O(1/beta) > 0)
-    assert np.all(np.diff(seq.values) < 0)
+    assert np.all(np.diff(values) < 0)
 
 
 def test_free_energy_limit_rank2_d3(quad):
-    seq = free_energy_limit(3, 1.0, GroupSpec(2), quad, k_max=11,
-                            tolerance=1e-3)
-    assert seq.cauchy_ok
-    assert seq.limit == pytest.approx(LOG_G_INF_N2, abs=5e-4)
+    group = GroupSpec(2)
+    values = spacing_walk(
+        lambda cp: normalized_free_energy(log_zeta_upper(cp, group, quad)[0], group), 3, 11)
+    assert cauchy_ok(values, 1e-3)
+    assert values[-1] == pytest.approx(LOG_G_INF_N2, abs=5e-4)
 
 
 def test_free_energy_d4_spacing_invariant(quad):
@@ -166,9 +177,9 @@ def test_moment_rejects_bad_order(quad):
 
 
 def test_second_moment_limit_d2(quad):
-    seq = moment_limit(2, 2, 1.0, GroupSpec(1), quad, k_max=9, tolerance=2e-6)
-    assert seq.cauchy_ok
-    assert seq.limit == pytest.approx(0.5, abs=1e-6)
+    values = spacing_walk(lambda cp: plaquette_moment(2, cp, GroupSpec(1), quad)[0], 2, 9)
+    assert cauchy_ok(values, 2e-6)
+    assert values[-1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_fourth_moment_u2_weak_coupling(quad):

@@ -9,11 +9,9 @@ from scipy.special import gammaln
 from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import (EnsembleConstants, QuadratureSpec, _gaussian_moments,
-                                  ensemble_constants, flat_vandermonde,
-                                  i_beta, vandermonde_density, weyl_integrate,
-                                  weyl_moments)
+                                  ensemble_constants, i_beta, weyl_integrate, weyl_moments)
 
-from conftest import tensor_weyl
+from conftest import flat_vandermonde, tensor_weyl, vandermonde_density
 
 
 def mehta_integral(n, beta):

@@ -309,6 +309,22 @@ class TestCLI:
         summary_b = (out_b / "single-bond-summary.csv").read_bytes()
         assert summary_a == summary_b
 
+    def test_stability_report_independent_of_core_count(self, tmp_path, monkeypatch):
+        # The console-script check of the same command under `taskset -c 0`:
+        # two usable cores fork one slice per 32-replica batch (one batch per
+        # N), one core forks none, and the reports agree byte for byte.
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        reports = []
+        for cores, expected_forks in (({0, 1}, 2), ({0}, 0)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            forks.clear()
+            out = tmp_path / str(len(cores))
+            assert main(["stability", "--d", "3", "--L", "2", "--N", "1,2", "--out", str(out)]) == 0
+            assert len(forks) == expected_forks
+            reports.append((out / "stability.jsonl").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_invalid_config_exit_two(self, tmp_path, capsys):
         code = main(["stability", "--L", "5", "--out", str(tmp_path)])
         assert code == 2

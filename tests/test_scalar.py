@@ -25,7 +25,6 @@ from latticeym.scalar import (
     mass_gap,
     mass_gap_formula,
     scaled_propagator,
-    unscaled_propagator,
 )
 
 # Frozen oracles.  The decay rate at a = m_u = kappa_u = 1 is
@@ -149,15 +148,6 @@ class TestPropagator:
         with pytest.raises(ValueError):
             scaled_propagator(spec, (0.5, 0.0, 0.0))
 
-    def test_unscaled_is_definitional_ratio(self):
-        spec = spec_d3()
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            x = tuple(rng.integers(-3, 4, size=3))
-            y = tuple(rng.integers(-3, 4, size=3))
-            lhs = unscaled_propagator(spec, x, y) * spec.s2
-            assert lhs == pytest.approx(scaled_propagator(spec, x, y), rel=1e-8)
-
     def test_translation_and_reflection_invariance(self):
         spec = spec_d3()
         base = scaled_propagator(spec, (2, -1, 0), (0, 1, -1))
@@ -170,10 +160,8 @@ class TestPropagator:
         # unscaled coincident value grows like a^{-(d-2)} as a decreases
         for d in (3, 4):
             spacings = np.array([0.4, 0.2, 0.1])
-            values = [
-                unscaled_propagator(ScalarSpec(d=d, a=a, m_u=1.0, kappa_u=1.0), (0,) * d)
-                for a in spacings
-            ]
+            specs = [ScalarSpec(d=d, a=a, m_u=1.0, kappa_u=1.0) for a in spacings]
+            values = [scaled_propagator(spec, (0,) * d) / spec.s2 for spec in specs]
             slope = np.polyfit(np.log(spacings), np.log(values), 1)[0]
             assert slope == pytest.approx(-(d - 2), abs=0.1)
 
@@ -557,7 +545,7 @@ class TestFiniteLattice:
         assert np.max(np.abs(identity - np.eye(kernel.shape[0]))) < 1e-10
         center = (self.L // 2) * self.L + self.L // 2
         neighbor = center + 1
-        infinite_coincident = unscaled_propagator(spec, (0, 0))
-        infinite_neighbor = unscaled_propagator(spec, (1, 0))
+        infinite_coincident = scaled_propagator(spec, (0, 0)) / spec.s2
+        infinite_neighbor = scaled_propagator(spec, (1, 0)) / spec.s2
         assert covariance[center, center] == pytest.approx(infinite_coincident, rel=0.05)
         assert covariance[center, neighbor] == pytest.approx(infinite_neighbor, rel=0.05)

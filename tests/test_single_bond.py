@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
-from latticeym.quadrature import (RTOL, QuadratureSpec, ensemble_constants, flat_vandermonde,
-                                  vandermonde_density, weyl_integrate)
+from latticeym.quadrature import RTOL, QuadratureSpec, ensemble_constants, weyl_integrate
 from latticeym.single_bond import (BoundConstants, CouplingSpec, _quadratic_scale,
                                    _source_weight, _wilson_scale, bound_constants, log_z,
                                    log_zeta_envelope, log_zeta_lower, log_zeta_upper,
                                    quadratic_weight, wilson_weight, z_lower, z_upper,
                                    z_upper_source, z_upper_source_envelope)
+
+from conftest import flat_vandermonde, vandermonde_density
 
 U1 = GroupSpec(1)
 U2 = GroupSpec(2)
