@@ -69,9 +69,6 @@ class LatticeGeometry:
     bond_dir: np.ndarray        # (n_bonds,) direction mu
     bond_head: np.ndarray       # (n_bonds,) endpoint site index
     bond_id: np.ndarray         # (d, n_sites) bond lookup, -1 where absent
-    plaq_site: np.ndarray       # (n_plaquettes,)
-    plaq_mu: np.ndarray
-    plaq_nu: np.ndarray
     plaq_legs: np.ndarray       # (n_plaquettes, 4) bond indices
     fixed_mask: np.ndarray      # (n_bonds,) bool
     classes: list = field(default_factory=list)        # arrays of bond idx
@@ -88,22 +85,7 @@ class LatticeGeometry:
 
     @property
     def n_plaquettes(self):
-        return self.plaq_site.shape[0]
-
-    def site_index(self, coords):
-        coords = np.asarray(coords)
-        if coords.shape != (self.d,) or np.any(coords < 0) or np.any(coords >= self.L):
-            raise InvalidLattice(f"site {coords!r} outside {self.d}d lattice of side {self.L}")
-        return int(np.ravel_multi_index(tuple(coords), (self.L,) * self.d))
-
-    def plaquette_index(self, site_coords, mu, nu):
-        s = self.site_index(site_coords)
-        hits = np.flatnonzero(
-            (self.plaq_site == s) & (self.plaq_mu == mu) & (self.plaq_nu == nu))
-        if hits.size != 1:
-            raise InvalidLattice(
-                f"no plaquette at site {site_coords!r} in plane ({mu},{nu})")
-        return int(hits[0])
+        return self.plaq_legs.shape[0]
 
 
 def _site_shift(coords, mu, L, periodic):
@@ -154,7 +136,7 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
     bond_id[bond_dir, bond_site] = np.arange(bond_site.size)
 
     # Plaquettes, plane by plane in lexicographic (mu, nu) order.
-    plaq_site, plaq_mu, plaq_nu, plaq_legs = [], [], [], []
+    plaq_legs = []
     for mu in range(d):
         for nu in range(mu + 1, d):
             if periodic:
@@ -172,13 +154,7 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
             ], axis=1)
             if np.any(legs < 0):
                 raise InvalidLattice("plaquette references a missing bond")
-            plaq_site.append(sites)
-            plaq_mu.append(np.full(sites.size, mu))
-            plaq_nu.append(np.full(sites.size, nu))
             plaq_legs.append(legs)
-    plaq_site = np.concatenate(plaq_site)
-    plaq_mu = np.concatenate(plaq_mu)
-    plaq_nu = np.concatenate(plaq_nu)
     plaq_legs = np.concatenate(plaq_legs, axis=0)
 
     # Enhanced temporal gauge: fix b_k(x) iff x_j = 0 for j < k, x_k <= L-2.
@@ -197,8 +173,7 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
     geom = LatticeGeometry(
         d=d, L=L, boundary=boundary, coords=coords,
         bond_site=bond_site, bond_dir=bond_dir, bond_head=bond_head,
-        bond_id=bond_id, plaq_site=plaq_site, plaq_mu=plaq_mu,
-        plaq_nu=plaq_nu, plaq_legs=plaq_legs, fixed_mask=fixed_mask)
+        bond_id=bond_id, plaq_legs=plaq_legs, fixed_mask=fixed_mask)
     _attach_update_tables(geom)
     return geom
 

@@ -89,6 +89,7 @@ START_EPSILON = 0.7  # every replica's step size before tuning
 # sweep, against 3-4 one sweep at a time.
 _PIECE_ENTRIES = 12_288
 _PIECE_BONDS = 48
+_N_BLOCKS = 20  # block means behind a chain's standard error (`_blocked_se`)
 
 
 @dataclass(frozen=True)
@@ -372,11 +373,12 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """Thermalize R replicas from a cold start, tuning each step size from
     START_EPSILON, then measure after every sweep.
 
-    Each phase runs in 10-sweep windows from its own start, each window in
-    blocks of `_block_sweeps` sweeps drawn by one `_draws` and one
-    `_proposals` call.  After each full thermalization window, a replica's
-    step size grows by 1.2 (at most pi) if its acceptance, summed sweep by
-    sweep, exceeded 0.6 and shrinks by 1.2 if it fell below 0.4.
+    Each phase runs from its own start in blocks of `_block_sweeps` sweeps,
+    a divisor of 10, each drawn by one `_draws` and one `_proposals` call;
+    only a phase's last block may be shorter.  After each full 10-sweep
+    thermalization window, a replica's step size grows by 1.2 (at most pi)
+    if its acceptance, summed sweep by sweep, exceeded 0.6 and shrinks by
+    1.2 if it fell below 0.4.
 
     A measuring block copies the table after each sweep into an (n, n,
     2 n_bonds + 1, w, R) buffer and calls `measure` once per w sweeps, and
@@ -399,20 +401,18 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     samples = []
     for total, measuring in ((params.thermalization, False), (n_meas, True)):
         accepted = np.zeros(len(rngs))
-        for window in range(0, total, 10):
-            for first in range(window, min(window + 10, total), block):
-                amplitudes, directions, thresholds = _draws(
-                    rngs, count, n, min(block, total - first))
-                factors = _proposals(epsilon * amplitudes, directions, n)
-                k = thresholds.shape[0]
-                for j in range(k):
-                    accepted += _sweep(table, geom, betas, factors[:, :, j], thresholds[j])
-                    if measuring:
-                        if width > 1:
-                            states[:, :, :, j % width] = table
-                        if j % width == width - 1 or j == k - 1:
-                            samples.append(measure(states[:, :, :, :j % width + 1]))
-            if not measuring and window + 10 <= total:
+        for first in range(0, total, block):
+            k = min(block, total - first)
+            amplitudes, directions, thresholds = _draws(rngs, count, n, k)
+            factors = _proposals(epsilon * amplitudes, directions, n)
+            for j in range(k):
+                accepted += _sweep(table, geom, betas, factors[:, :, j], thresholds[j])
+                if measuring:
+                    if width > 1:
+                        states[:, :, :, j % width] = table
+                    if j % width == width - 1 or j == k - 1:
+                        samples.append(measure(states[:, :, :, :j % width + 1]))
+            if not measuring and (first + k) % 10 == 0:
                 rate = accepted / 10
                 epsilon = np.where(rate > 0.6, np.minimum(np.pi, epsilon * 1.2),
                                    np.where(rate < 0.4, epsilon / 1.2, epsilon))
@@ -424,9 +424,9 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
         epsilon_min=float(np.min(epsilon)), epsilon_max=float(np.max(epsilon))))
 
 
-def _blocked_se(series, n_blocks=20):
-    """Standard error of the mean of a real series from up to 20 block means."""
-    n_blocks = min(n_blocks, max(2, series.size // 5))
+def _blocked_se(series):
+    """Standard error of the mean of a real series from up to _N_BLOCKS block means."""
+    n_blocks = min(_N_BLOCKS, max(2, series.size // 5))
     usable = (series.size // n_blocks) * n_blocks
     blocks = series[:usable].reshape(n_blocks, -1).mean(axis=1)
     return float(np.std(blocks, ddof=1) / np.sqrt(blocks.size))
@@ -660,14 +660,11 @@ def correlation_from_generating(geom: LatticeGeometry, coupling: CouplingSpec,
 
 
 def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec,
-                 sources: SourceSpec, quad: QuadratureSpec, *,
-                 log_zeta_l: float | None = None) -> float:
+                                sources: SourceSpec, quad: QuadratureSpec) -> float:
     """Product bound on |G(J)| from single-bond quadrature.
 
     prod_j envelope(r J_j)^(2^d R / (r S)) / z_low^(2^d (R + E) / (r S))
     with R retained bonds, E wrap bonds, S sites of the periodic lattice.
-    z_low does not depend on the sources; a caller that evaluates several
-    sources at one (group, coupling) passes its ln zeta_l as `log_zeta_l`.
     """
     counts = lattice_counts(coupling.d, L)
     s = counts.sites
@@ -675,9 +672,7 @@ def generating_function_ceiling(L: int, coupling: CouplingSpec, group: GroupSpec
     num_exp = 2.0**coupling.d * counts.retained_bonds / (r * s)
     den_exp = (2.0**coupling.d * (counts.retained_bonds + counts.extra_bonds)
                / (r * s))
-    if log_zeta_l is None:
-        log_zeta_l = log_zeta_lower(coupling, group, quad)[0]
-    log_zl = log_z(log_zeta_l, coupling, group)
+    log_zl = log_z(log_zeta_lower(coupling, group, quad)[0], coupling, group)
     log_rhs = 0.0  # summed in logarithms: each power alone can leave float range
     for j in sources.strengths:
         log_env = log_z(log_zeta_envelope(r * complex(j), coupling, group, quad)[0],

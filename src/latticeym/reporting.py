@@ -69,9 +69,7 @@ _BOUNDS = {
     "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
     "multipleOf": (operator.mod, "not a multiple of"),
 }
-# The validation keywords RUN_CONFIG_SCHEMA uses, and its annotations.
-_KEYWORDS = ("type", "enum", *_BOUNDS, "minItems", "items", "properties", "required",
-             "additionalProperties")
+# Keywords of RUN_CONFIG_SCHEMA that carry no constraint.
 _ANNOTATIONS = ("$schema", "title")
 
 
@@ -88,8 +86,11 @@ def _is_type(value, name: str) -> bool:
 def _schema_errors(value, schema: Mapping, path: tuple = ()):
     """Yield (path, message) for each violation of ``schema`` by ``value``.
 
-    Interprets the ``_KEYWORDS`` with Draft 2020-12 semantics and jsonschema's
-    messages, in the schema's own order; any other keyword raises.
+    Interprets the validation keywords RUN_CONFIG_SCHEMA uses (type, enum,
+    the ``_BOUNDS``, minItems, items, properties, required and
+    additionalProperties: false) with Draft 2020-12 semantics and
+    jsonschema's messages, in the schema's own order; any other keyword
+    except the ``_ANNOTATIONS`` raises.
     """
     for keyword, arg in schema.items():
         if keyword == "type":

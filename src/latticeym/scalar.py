@@ -122,11 +122,6 @@ class ScalarSpec:
         )
 
     @property
-    def s(self) -> float:
-        """Field rescaling s with phi_scaled = s * phi_unscaled."""
-        return math.sqrt(self.s2)
-
-    @property
     def kappa2(self) -> float:
         """Scaled hopping weight kappa^2 = 1 / (2 d + r); note 1 - 2 d kappa^2 = r kappa^2."""
         return 1.0 / (2.0 * self.d + self.r)

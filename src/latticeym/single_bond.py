@@ -11,11 +11,10 @@ a one-matrix integral.  Two such integrals matter here:
 
 Both scale as beta^(-n^2/2) for small lattice spacing; the extracted products
 zeta = beta^(n^2/2) z stay between exp(c_lower) and exp(c_upper), with the
-constants assembled in `bound_constants`.  A source-deformed variant of
-z_upper and its modulus envelope feed the generating-function bounds.  Every
-real integral is read as (ln zeta, relative two-resolution error) from
-`log_zeta_*`, and `log_z` gives ln z = ln zeta - (n^2/2) ln beta, finite where
-z underflows; only the complex z_upper_source is formed linearly.
+constants assembled in `bound_constants`.  The modulus envelope of a
+source-deformed z_upper feeds the generating-function bounds.  Every integral
+is read as (ln zeta, relative two-resolution error) from `log_zeta_*`, and
+`log_z` gives ln z = ln zeta - (n^2/2) ln beta, finite where z underflows.
 """
 
 from dataclasses import dataclass
@@ -121,12 +120,6 @@ def _bond_integral(w, rule, coupling, group, quad):
     return float(log_zeta), float(error / value)
 
 
-def _source_weight(j, beta: float, sine):
-    """One-angle weight exp(j sqrt(beta) sine(lam) - 2 beta (1 - cos lam))."""
-    root_beta = np.sqrt(beta)
-    return lambda lam: np.exp(j * root_beta * sine(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
-
-
 def log_zeta_upper(coupling: CouplingSpec, group: GroupSpec, quad: QuadratureSpec):
     """(ln zeta_u, relative error) of the Wilson-weight integral z_upper."""
     return _bond_integral(wilson_weight(coupling.beta), _wilson_scale(coupling.beta),
@@ -144,13 +137,21 @@ def log_zeta_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec,
                       quad: QuadratureSpec):
     """(ln zeta, relative error) of the modulus envelope of the source integral.
 
-    Its source term |j| sum_j |sin lam_j| is what the generating-function
-    bound controls; it dominates |z_upper_source(j)| by the triangle
-    inequality.  The kink at lam = 0 in each angle sits where every rule splits.
+    The one-angle weight is exp(|j| sqrt(beta) |sin lam| - 2 beta (1 - cos lam)).
+    By the triangle inequality it dominates the modulus of the Haar average
+    of exp(j sqrt(beta) Im Tr U - 2 beta sum (1 - cos lam)), the
+    source-deformed z_upper, which is what the generating-function bound
+    controls.  The kink at lam = 0 in each angle sits where every rule splits.
     """
     mod_j = abs(complex(j))
-    w = _source_weight(mod_j, coupling.beta, lambda lam: np.abs(np.sin(lam)))
-    return _bond_integral(w, _wilson_scale(coupling.beta, mod_j), coupling, group, quad)
+    beta = coupling.beta
+    root_beta = np.sqrt(beta)
+
+    def w(lam):
+        return np.exp(mod_j * root_beta * np.abs(np.sin(lam))
+                      - 4.0 * beta * np.sin(0.5 * lam) ** 2)
+
+    return _bond_integral(w, _wilson_scale(beta, mod_j), coupling, group, quad)
 
 
 def log_z(log_zeta: float, coupling: CouplingSpec, group: GroupSpec) -> float:
@@ -175,32 +176,16 @@ def z_upper_source_envelope(j: complex, coupling: CouplingSpec, group: GroupSpec
                               coupling, group)))
 
 
-def z_upper_source(j: complex, coupling: CouplingSpec, group: GroupSpec,
-                   quad: QuadratureSpec) -> complex:
-    """Source-deformed single-bond integral, entire in the complex source j.
-
-    Haar average of exp(j sqrt(beta) Im Tr U - 2 beta sum (1 - cos lam));
-    Im Tr U = sum_j sin lam_j.  At j = 0 this is z_upper.  Complex, so it
-    stays linear: scale**(-n^2) times the concentrated value.
-    """
-    scale, cutoff = _wilson_scale(coupling.beta, abs(complex(j)))
-    value = weyl_integrate(_source_weight(complex(j), coupling.beta, np.sin), group, quad,
-                           scale=scale, cutoff=cutoff)[0]
-    return complex(value * scale ** -group.dim)
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Logarithmic constants of the extracted-singularity sandwich.
 
     exp(c_lower) <= beta**(n^2/2) z <= exp(c_upper) for both single-bond
-    integrals, and |z_upper_source(j)| <= beta**(-n^2/2)
-    exp(c_upper_source + (pi^2/8) n |j|^2).
+    integrals.
     """
 
     c_upper: float
     c_lower: float
-    c_upper_source: float
 
 
 def bound_constants(coupling: CouplingSpec, group: GroupSpec,
@@ -218,7 +203,4 @@ def bound_constants(coupling: CouplingSpec, group: GroupSpec,
                + 0.5 * n * (n - 1) * np.log(4.0 / np.pi**2)
                - 0.5 * n * n * np.log(rate)
                + np.log(i_ell))
-
-    c_upper_source = (n * n + 0.25 * n) * np.log(np.pi) + 0.5 * np.log(consts.gse) - log_nc
-    return BoundConstants(c_upper=float(c_upper), c_lower=float(c_lower),
-                          c_upper_source=float(c_upper_source))
+    return BoundConstants(c_upper=float(c_upper), c_lower=float(c_lower))

@@ -1,8 +1,8 @@
-"""Shared fixtures, the Vandermonde densities, a tensor-grid oracle for the
-Weyl-reduced integrals, a QR oracle for the Haar sampler, the angular
-spectra of sampled unitaries, a serial reference for the batched Metropolis
-sweep, and a per-sweep reference for the blocked draws of the replica
-sampler.
+"""Shared fixtures, the Vandermonde densities, the complex source-deformed
+single-bond integral, a tensor-grid oracle for the Weyl-reduced integrals,
+a QR oracle for the Haar sampler, the angular spectra of sampled unitaries,
+a serial reference for the batched Metropolis sweep, and a per-sweep
+reference for the blocked draws of the replica sampler.
 
 The package evaluates product class functions through n x n Heine
 determinants.  The oracle sums the same composite Gauss-Legendre rule over
@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from latticeym import mc
-from latticeym.quadrature import QuadratureSpec, _panel_nodes, ensemble_constants
+from latticeym.quadrature import QuadratureSpec, _panel_nodes, ensemble_constants, weyl_integrate
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import UNITARITY_TOL, GroupSpec, leading_unitarity_defect, unitarity_defect
 from latticeym.lattice import GaugeConfig, cold_start, dagger_table, wilson_action
+from latticeym.single_bond import _wilson_scale
 
 _CHUNK = 1 << 19
 ORACLE_MAX_RANK = 3
@@ -45,6 +46,26 @@ def flat_vandermonde(lam):
         for k in range(j + 1, n):
             out = out * (lam[..., j] - lam[..., k]) ** 2
     return out
+
+
+def source_weight(j, beta, sine):
+    """One-angle weight exp(j sqrt(beta) sine(lam) - 2 beta (1 - cos lam))."""
+    root_beta = np.sqrt(beta)
+    return lambda lam: np.exp(j * root_beta * sine(lam) - 4.0 * beta * np.sin(0.5 * lam) ** 2)
+
+
+def z_upper_source(j, coupling, group, quad):
+    """Source-deformed single-bond integral, entire in the complex source j.
+
+    Haar average of exp(j sqrt(beta) Im Tr U - 2 beta sum (1 - cos lam));
+    Im Tr U = sum_j sin lam_j.  At j = 0 this is z_upper.  Complex, so it
+    stays linear: scale**(-n^2) times the concentrated value, on the rule
+    of `log_zeta_envelope`.
+    """
+    scale, cutoff = _wilson_scale(coupling.beta, abs(complex(j)))
+    value = weyl_integrate(source_weight(complex(j), coupling.beta, np.sin), group, quad,
+                           scale=scale, cutoff=cutoff)[0]
+    return complex(value * scale ** -group.dim)
 
 
 def _iter_tensor(x1, w1, ndim):

@@ -15,6 +15,7 @@ from latticeym.errors import InvalidLattice
 from latticeym.factorized import (LatticeCounts, gue_moment, lattice_counts,
                                   normalized_free_energy, plaquette_moment)
 from latticeym.groups import GroupSpec
+from latticeym.lattice import build_geometry
 from latticeym.quadrature import QuadratureSpec
 from latticeym.single_bond import CouplingSpec, bound_constants, log_zeta_upper
 
@@ -95,15 +96,14 @@ def test_log_partition_matches_bessel_power(quad):
     assert value == pytest.approx(9 * np.log(Z_N1_D2_BETA1), rel=1e-10)
 
 
-def test_log_partition_scales_with_retained_bonds(quad):
-    # Per-bond value must not depend on the lattice size at all.
-    cp = CouplingSpec(d=3, a=0.5, g2=1.0)
-    per_bond = [
-        lattice_counts(3, L).retained_bonds * log_zeta_upper(cp, GroupSpec(2), quad)[0]
-        / lattice_counts(3, L).retained_bonds
-        for L in (2, 4, 6)
-    ]
-    assert np.ptp(per_bond) < 1e-12
+def test_log_partition_scales_with_retained_bonds():
+    # At d = 2 with free boundaries the gauge-fixed bonds are one per
+    # plaquette, so ln Z = R ln z exactly at every L, not only at C06's L = 4.
+    for L in (2, 4, 6):
+        counts = lattice_counts(2, L)
+        geom = build_geometry(2, L, "free")
+        assert counts.retained_bonds == counts.plaquettes == geom.n_plaquettes
+        assert np.count_nonzero(~geom.fixed_mask) == counts.retained_bonds
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -20,9 +20,9 @@ from latticeym.groups import GroupSpec
 from latticeym.quadrature import QuadratureSpec, i_beta
 from latticeym.single_bond import (CouplingSpec, _quadratic_scale, _wilson_scale,
                                    quadratic_weight, wilson_weight, z_lower, z_upper,
-                                   z_upper_source, z_upper_source_envelope)
+                                   z_upper_source_envelope)
 
-from conftest import product_of, tensor_ensemble, tensor_weyl
+from conftest import product_of, tensor_ensemble, tensor_weyl, z_upper_source
 
 QUAD = QuadratureSpec()
 

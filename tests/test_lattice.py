@@ -205,17 +205,6 @@ def test_build_rejects_bad_input(d, L, boundary):
         build_geometry(d, L, boundary)
 
 
-def test_plaquette_index_roundtrip():
-    geom = build_geometry(3, 4, "free")
-    p = geom.plaquette_index((1, 2, 0), 0, 2)
-    assert geom.plaq_site[p] == geom.site_index((1, 2, 0))
-    assert (geom.plaq_mu[p], geom.plaq_nu[p]) == (0, 2)
-    with pytest.raises(InvalidLattice):
-        geom.plaquette_index((3, 3, 3), 0, 1)  # corner: no such plaquette free
-    with pytest.raises(InvalidLattice):
-        geom.site_index((4, 0, 0))
-
-
 # ---------------------------------------------------------------------------
 # action
 # ---------------------------------------------------------------------------
@@ -234,7 +223,7 @@ def test_single_bond_contribution_d2():
     # containing plaquette; an interior vertical bond sits in two.
     geom = build_geometry(2, 4, "free")
     theta = 0.9
-    b = geom.bond_id[1, geom.site_index((1, 1))]
+    b = geom.bond_id[1, np.ravel_multi_index((1, 1), (4, 4))]
     assert not geom.fixed_mask[b]
     containing = int(np.sum(geom.plaq_legs == b))
     assert containing == 2

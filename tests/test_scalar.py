@@ -81,7 +81,6 @@ class TestSpecValidation:
         # a^{d-2} (m_u^2 a^2 + 2 d kappa_u^2) at d=3, a=1/2, m_u=kappa_u=1
         spec = spec_d3()
         assert spec.s2 == pytest.approx(3.125, rel=1e-15)
-        assert spec.s == pytest.approx(math.sqrt(3.125), rel=1e-15)
 
     def test_hopping_weight_massless(self):
         for d in (2, 3, 4):

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from latticeym.errors import ResolutionTooLow
 from latticeym.groups import GroupSpec
 from latticeym.quadrature import RTOL, QuadratureSpec, ensemble_constants, weyl_integrate
-from latticeym.single_bond import (BoundConstants, CouplingSpec, _quadratic_scale,
-                                   _source_weight, _wilson_scale, bound_constants, log_z,
-                                   log_zeta_envelope, log_zeta_lower, log_zeta_upper,
-                                   quadratic_weight, wilson_weight, z_lower, z_upper,
-                                   z_upper_source, z_upper_source_envelope)
+from latticeym.single_bond import (CouplingSpec, _quadratic_scale, _wilson_scale,
+                                   bound_constants, log_z, log_zeta_envelope, log_zeta_lower,
+                                   log_zeta_upper, quadratic_weight, wilson_weight, z_lower,
+                                   z_upper, z_upper_source_envelope)
 
-from conftest import flat_vandermonde, vandermonde_density
+from conftest import flat_vandermonde, source_weight, vandermonde_density, z_upper_source
 
 U1 = GroupSpec(1)
 U2 = GroupSpec(2)
@@ -32,10 +31,12 @@ def abelian_coupling(beta, d=2):
     return CouplingSpec(d=d, a=1.0, g2=1.0 / beta)
 
 
-def source_bound(j, coupling, group, quad):
-    """Closed-form ceiling for |z_upper_source(j)|."""
+def source_bound(j, coupling, group):
+    """Closed-form ceiling beta**(-n^2/2) exp(c + (pi^2/8) n |j|^2) for
+    |z_upper_source(j)|, with c = (n^2 + n/4) ln pi + (1/2) ln N_S - ln N_C."""
     n = group.n
-    c = bound_constants(coupling, group, quad).c_upper_source
+    consts = ensemble_constants(group)
+    c = (n * n + 0.25 * n) * np.log(np.pi) + 0.5 * np.log(consts.gse) - np.log(consts.cue)
     return float(np.exp(c + (np.pi**2 / 8.0) * n * abs(complex(j)) ** 2
                         - 0.5 * n * n * np.log(coupling.beta)))
 
@@ -169,7 +170,7 @@ def test_log_forms_match_linear_integrals(n, beta, quad):
         (log_zeta_lower(cp, g, quad), z_lower(cp, g, quad),
          quadratic_weight(beta, 4, g), _quadratic_scale(beta, 4, g)),
         (log_zeta_envelope(j, cp, g, quad), z_upper_source_envelope(j, cp, g, quad),
-         _source_weight(j, beta, lambda lam: np.abs(np.sin(lam))), _wilson_scale(beta, j)),
+         source_weight(j, beta, lambda lam: np.abs(np.sin(lam))), _wilson_scale(beta, j)),
     ]
     checked = 0
     for (log_zeta, err), linear, w, (scale, cutoff) in cases:
@@ -211,11 +212,6 @@ def test_bound_constants_frozen_abelian(quad):
     assert bc.c_upper == pytest.approx(-0.8139294181951906, rel=1e-12)
     assert bc.c_lower < bc.c_upper
     assert np.isfinite(bc.c_lower)
-    # c_upper_source = log(pi^(n^2 + n/4) sqrt(N_S) / N_C).
-    expected_src = (1.25 * np.log(np.pi)
-                    + 0.5 * np.log(np.sqrt(2.0 * np.pi) / 2.0)
-                    - np.log(2.0 * np.pi))
-    assert bc.c_upper_source == pytest.approx(expected_src, rel=1e-12)
 
 
 def test_lower_bound_tight_corner(quad):
@@ -242,7 +238,7 @@ def test_source_modulus_chain(j, n, quad):
     cp = CouplingSpec(d=3, a=0.5, g2=1.0)
     z = z_upper_source(j, cp, g, quad)
     env = z_upper_source_envelope(j, cp, g, quad)
-    ceiling = source_bound(j, cp, g, quad)
+    ceiling = source_bound(j, cp, g)
     assert abs(z) <= env * (1 + 1e-10)
     assert env <= ceiling
 
