@@ -18,6 +18,7 @@ Conventions used throughout the package:
 """
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,8 +39,9 @@ class GroupSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"group rank must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", operator.index(self.n))  # an int, for the JSON reports
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,5 @@
-"""Hypercubic lattice geometry and gauge-field configurations.
+"""Hypercubic lattice geometry and gauge-field configurations: complex
+arrays of bond matrices, (n_bonds, n, n), or (R, n_bonds, n, n) for R replicas.
 
 A geometry object is a bundle of integer tables: site coordinates, bonds as
 (origin site, direction) pairs, oriented plaquettes as ordered 4-tuples of
@@ -255,28 +256,8 @@ def _attach_update_tables(geom: LatticeGeometry) -> None:
         geom.scatter_rows.append(np.concatenate([members, members + n_b]))
 
 
-class GaugeConfig:
-    """Bond matrices of one configuration, shape (n_bonds, n, n) complex, or
-    of a batch of R replicas, shape (R, n_bonds, n, n)."""
-
-    __slots__ = ("u",)
-
-    def __init__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=np.complex128)
-        if u.ndim not in (3, 4) or u.shape[-1] != u.shape[-2]:
-            raise ShapeMismatch(
-                f"expected (n_bonds, n, n) or (R, n_bonds, n, n) array, got {u.shape}")
-        self.u = u
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[-1]
-
-
-def cold_start(geom: LatticeGeometry, n: int) -> GaugeConfig:
-    u = np.broadcast_to(np.eye(n, dtype=np.complex128),
-                        (geom.n_bonds, n, n)).copy()
-    return GaugeConfig(u)
+def cold_start(geom: LatticeGeometry, n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n, dtype=np.complex128), (geom.n_bonds, n, n)).copy()
 
 
 def _entries_leading(u: np.ndarray) -> np.ndarray:
@@ -300,10 +281,12 @@ def dagger_table(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table)  # concatenate keeps the inputs' memory order
 
 
-def _check_bonds(config: GaugeConfig, geom: LatticeGeometry) -> None:
-    if config.u.shape[-3] != geom.n_bonds:
-        raise ShapeMismatch(
-            f"config has {config.u.shape[-3]} bonds, geometry has {geom.n_bonds}")
+def _check_bonds(u, geom: LatticeGeometry) -> np.ndarray:
+    """`_entries_leading` view of a configuration or a batch u of `geom`."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim not in (3, 4) or u.shape[-1] != u.shape[-2] or u.shape[-3] != geom.n_bonds:
+        raise ShapeMismatch(f"expected {geom.n_bonds} bonds of square matrices, got {u.shape}")
+    return _entries_leading(u)
 
 
 def leading_traces(u: np.ndarray, legs: np.ndarray) -> np.ndarray:
@@ -338,17 +321,14 @@ def leading_field_traces(u: np.ndarray, geom: LatticeGeometry, coupling,
     return np.sqrt(coupling.beta) * np.moveaxis(leading_traces(u, legs).imag, 0, -1)
 
 
-def wilson_action(config: GaugeConfig, geom: LatticeGeometry):
+def wilson_action(u, geom: LatticeGeometry):
     """Sum over plaquettes of 2 Re tr(1 - U_p); nonnegative.
 
     A float for one configuration, an (R,) array for a batch.
     """
-    _check_bonds(config, geom)
-    return leading_action(_entries_leading(config.u), geom)
+    return leading_action(_check_bonds(u, geom), geom)
 
 
-def scaled_field_traces(config: GaugeConfig, geom: LatticeGeometry,
-                        coupling, indices) -> np.ndarray:
+def scaled_field_traces(u, geom: LatticeGeometry, coupling, indices) -> np.ndarray:
     """sqrt(beta) Im tr U_p over the given plaquette indices, shape (..., r)."""
-    _check_bonds(config, geom)
-    return leading_field_traces(_entries_leading(config.u), geom, coupling, indices)
+    return leading_field_traces(_check_bonds(u, geom), geom, coupling, indices)

@@ -68,8 +68,8 @@ from .errors import InvalidLattice, ShapeMismatch, UnconvergedChain
 from .factorized import lattice_counts
 from .groups import (GroupSpec, leading_matmul, leading_sum, leading_unitarity_defect,
                      traceless3_root, unitary_from_coefficients, usable_cores)
-from .lattice import (GaugeConfig, LatticeGeometry, build_geometry, cold_start,
-                      dagger_table, leading_action, leading_field_traces)
+from .lattice import (LatticeGeometry, build_geometry, cold_start, dagger_table,
+                      leading_action, leading_field_traces)
 from .quadrature import QuadratureSpec
 from .single_bond import (CouplingSpec, log_z, log_zeta_envelope, log_zeta_lower,
                           log_zeta_upper)
@@ -105,6 +105,8 @@ class MCParams:
     def __post_init__(self):
         # Each message starts with the field it names, so a configuration
         # error can prefix the path ("mc.sweeps: ...").
+        if self.thermalization < 0:
+            raise ValueError(f"thermalization: must be >= 0, got {self.thermalization}")
         if self.sweeps - self.thermalization < 2:
             # the fewest measurements the blocked error can use
             raise ValueError(f"sweeps: must exceed thermalization ({self.thermalization}) "
@@ -252,17 +254,18 @@ def _sweep(table, geom, beta, factors, thresholds):
     return accept.sum(axis=0) / count
 
 
-def metropolis_sweep(config: GaugeConfig, geom: LatticeGeometry, beta: float,
+def metropolis_sweep(u: np.ndarray, geom: LatticeGeometry, beta: float,
                      epsilon: float, rng, group: GroupSpec) -> float:
-    """One full update pass over all retained bonds; returns acceptance rate."""
-    if config.u.shape != (geom.n_bonds, group.n, group.n):
-        raise ShapeMismatch("configuration does not match geometry/group")
-    table = dagger_table(config.u[None])
+    """One in-place update pass over the retained bonds; returns acceptance rate."""
+    if getattr(u, "dtype", None) != np.complex128 or u.shape != (geom.n_bonds, group.n, group.n):
+        raise ShapeMismatch(f"expected complex128 {(geom.n_bonds, group.n, group.n)} bonds, "
+                            f"got {getattr(u, 'dtype', type(u).__name__)} {np.shape(u)}")
+    table = dagger_table(u[None])
     amplitudes, directions, thresholds = _draws([rng], sum(c.size for c in geom.classes),
                                                 group.n, 1)
     factors = _proposals(epsilon * amplitudes, directions, group.n)
     rate = _sweep(table, geom, np.array([beta]), factors[:, :, 0], thresholds[0])
-    config.u[...] = np.moveaxis(table[:, :, :geom.n_bonds, 0], 2, 0)
+    u[...] = np.moveaxis(table[:, :, :geom.n_bonds, 0], 2, 0)
     return float(rate[0])
 
 
@@ -390,7 +393,7 @@ def _run_batch(geom, group, betas, seeds, params, measure) -> ChainSamples:
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
-    table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
+    table = dagger_table(np.repeat(cold_start(geom, group.n)[None], len(rngs), axis=0))
     n, count = group.n, sum(c.size for c in geom.classes)
     block = _block_sweeps(count, n, len(rngs))
     width = min(block, max(1, _PIECE_ENTRIES // table.size))

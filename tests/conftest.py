@@ -19,7 +19,7 @@ from latticeym import mc
 from latticeym.quadrature import QuadratureSpec, _panel_nodes, ensemble_constants, weyl_integrate
 from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import UNITARITY_TOL, GroupSpec, leading_unitarity_defect, unitarity_defect
-from latticeym.lattice import GaugeConfig, cold_start, dagger_table, wilson_action
+from latticeym.lattice import cold_start, dagger_table, wilson_action
 from latticeym.single_bond import _wilson_scale
 
 _CHUNK = 1 << 19
@@ -172,11 +172,10 @@ def serial_sweep(u, geom, beta, factors, thresholds):
     order = np.concatenate(geom.classes)
     accepted = np.zeros(len(u), dtype=int)
     for r in range(len(u)):
-        config = GaugeConfig(u[r])  # a view: updates of u[r] show in config
         for k, bond in enumerate(order):
-            old_u, old_action = u[r, bond].copy(), wilson_action(config, geom)
+            old_u, old_action = u[r, bond].copy(), wilson_action(u[r], geom)
             u[r, bond] = factors[k, r] @ old_u
-            delta = wilson_action(config, geom) - old_action
+            delta = wilson_action(u[r], geom) - old_action
             if thresholds[k, r] < np.exp(min(0.0, -beta[r] * delta)):
                 accepted[r] += 1
             else:
@@ -195,7 +194,7 @@ def per_sweep_replicas(geom, group, betas, seeds, params, measure):
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     betas = np.asarray(betas, dtype=np.float64)
-    table = dagger_table(np.repeat(cold_start(geom, group.n).u[None], len(rngs), axis=0))
+    table = dagger_table(np.repeat(cold_start(geom, group.n)[None], len(rngs), axis=0))
     count, n = np.count_nonzero(~geom.fixed_mask), group.n
     epsilon = np.full(len(rngs), mc.START_EPSILON)
 

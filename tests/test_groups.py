@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import threading
 
@@ -11,9 +12,19 @@ from latticeym.errors import NonUnitaryInput, ShapeMismatch
 from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch, leading_sum,
                               quadratic_bound_scan, quadratic_bound_sides,
                               unitary_from_coefficients, unitarity_defect)
-from latticeym.lattice import GaugeConfig, build_geometry, wilson_action
+from latticeym.lattice import build_geometry, wilson_action
 
 from conftest import angular_eigenvalues, qr_haar_sample, tensor_weyl
+
+
+def test_group_rank_is_a_positive_int():
+    # numpy integers are ranks too, stored as int so reports stay JSON
+    g = GroupSpec(np.int64(2))
+    assert g == GroupSpec(2) and type(g.n) is int
+    assert json.dumps({"n": g.n}) == '{"n": 2}'
+    for bad in (2.0, 0, np.int64(0), -1):
+        with pytest.raises(ValueError, match="group rank must be a positive integer"):
+            GroupSpec(bad)
 
 
 def test_haar_sample_deterministic():
@@ -153,7 +164,7 @@ def plaquette_action(*us):
     geom = build_geometry(2, 2, "free")
     u = np.empty((geom.n_bonds,) + np.shape(us[0]), dtype=complex)
     u[geom.plaq_legs[0]] = us
-    return wilson_action(GaugeConfig(u), geom)
+    return wilson_action(u, geom)
 
 
 def test_plaquette_action_matches_hs_norm(rng):

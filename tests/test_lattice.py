@@ -7,9 +7,9 @@ import pytest
 from latticeym.errors import InvalidLattice, NonUnitaryInput, ShapeMismatch
 from latticeym.factorized import lattice_counts
 from latticeym.groups import GroupSpec, haar_sample_batch, unitarity_defect
-from latticeym.lattice import (GaugeConfig, _check_spanning_tree, build_geometry,
-                               cold_start, dagger_table, leading_action,
-                               leading_field_traces, scaled_field_traces, wilson_action)
+from latticeym.lattice import (_check_spanning_tree, build_geometry, cold_start, dagger_table,
+                               leading_action, leading_field_traces, scaled_field_traces,
+                               wilson_action)
 from latticeym.single_bond import CouplingSpec
 
 GRID = [(d, L) for d in (2, 3, 4) for L in (2, 4)]
@@ -19,14 +19,14 @@ def random_config(geom, n, rng, include_fixed=False):
     cfg = cold_start(geom, n)
     bonds = range(geom.n_bonds) if include_fixed else np.flatnonzero(~geom.fixed_mask)
     for b in bonds:
-        cfg.u[b] = haar_sample_batch(GroupSpec(n), rng, 1)[0]
+        cfg[b] = haar_sample_batch(GroupSpec(n), rng, 1)[0]
     return cfg
 
 
 def plaquette_oracle(cfg, geom):
     """U_p = U_1 U_2 U_3^dag U_4^dag of every plaquette by np.matmul,
     shape (..., n_plaquettes, n, n)."""
-    g = cfg.u[..., geom.plaq_legs, :, :]
+    g = cfg[..., geom.plaq_legs, :, :]
     dag = np.conj(np.swapaxes(g, -1, -2))
     return g[..., 0, :, :] @ g[..., 1, :, :] @ dag[..., 2, :, :] @ dag[..., 3, :, :]
 
@@ -35,12 +35,12 @@ def gauge_transform(config, geom, site, v):
     """Apply U_b -> V U_b (b leaving `site`) and U_b -> U_b V^dag (b entering)."""
     if unitarity_defect(v) > 1e-10:
         raise NonUnitaryInput("unitarity defect above 1e-10")
-    out = config.u.copy()
+    out = config.copy()
     leaving = np.flatnonzero(geom.bond_site == site)
     entering = np.flatnonzero(geom.bond_head == site)
     out[leaving] = v @ out[leaving]
     out[entering] = out[entering] @ np.conj(v.T)
-    return GaugeConfig(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +176,16 @@ def test_staple_tables_reproduce_plaquette_traces(boundary, rng):
     # address U_b and U_b^dag.
     geom = build_geometry(3, 4, boundary)
     cfg = random_config(geom, 2, rng, include_fixed=True)
-    table = dagger_table(cfg.u)
+    table = dagger_table(cfg)
     re_tr = np.trace(plaquette_oracle(cfg, geom), axis1=-2, axis2=-1).real
     for members, gather, scatter in zip(geom.classes, geom.gather_rows,
                                         geom.scatter_rows):
         g = np.moveaxis(table[:, :, gather], (0, 1), (-2, -1))
         slots = (gather.shape[0] - 1) // 3
-        assert np.array_equal(g[-1], cfg.u[members])
+        assert np.array_equal(g[-1], cfg[members])
         assert np.array_equal(scatter, np.concatenate([members, members + geom.n_bonds]))
         t = (g[:slots] @ g[slots:2 * slots] @ g[2 * slots:3 * slots]).sum(axis=0)
-        got = np.trace(cfg.u[members] @ t, axis1=-2, axis2=-1).real
+        got = np.trace(cfg[members] @ t, axis1=-2, axis2=-1).real
         want = [re_tr[np.any(geom.plaq_legs == b, axis=1)].sum() for b in members]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -215,7 +215,7 @@ def test_identity_config_zero_action(boundary):
     geom = build_geometry(3, 2, boundary)
     cfg = cold_start(geom, 2)
     assert wilson_action(cfg, geom) == 0.0
-    assert unitarity_defect(cfg.u) == 0.0
+    assert unitarity_defect(cfg) == 0.0
 
 
 def test_single_bond_contribution_d2():
@@ -228,7 +228,7 @@ def test_single_bond_contribution_d2():
     containing = int(np.sum(geom.plaq_legs == b))
     assert containing == 2
     cfg = cold_start(geom, 1)
-    cfg.u[b] = np.exp(1j * theta)
+    cfg[b] = np.exp(1j * theta)
     assert wilson_action(cfg, geom) == pytest.approx(
         containing * 2 * (1 - np.cos(theta)), rel=1e-13)
 
@@ -261,8 +261,11 @@ def test_gauge_transform_rejects_nonunitary():
 def test_config_shape_validation():
     geom = build_geometry(2, 4, "free")
     with pytest.raises(ShapeMismatch):
-        GaugeConfig(np.zeros((5, 2, 3)))
-    short = GaugeConfig(np.stack([np.eye(2, dtype=complex)] * 5))
+        wilson_action(np.zeros((geom.n_bonds, 2, 3)), geom)
+    with pytest.raises(ShapeMismatch):
+        scaled_field_traces(np.zeros((geom.n_bonds, 2)), geom,
+                            CouplingSpec(d=2, a=1.0, g2=1.0), [0])
+    short = np.stack([np.eye(2, dtype=complex)] * 5)
     with pytest.raises(ShapeMismatch):
         wilson_action(short, geom)
 
@@ -270,8 +273,8 @@ def test_config_shape_validation():
 def test_require_unitary_flags_drift():
     geom = build_geometry(2, 2, "free")
     cfg = cold_start(geom, 1)
-    cfg.u[0] *= 1.0 + 1e-6
-    assert unitarity_defect(cfg.u) > 1e-10
+    cfg[0] *= 1.0 + 1e-6
+    assert unitarity_defect(cfg) > 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def field_variants(cfg, geom, cp):
     m = scaled_field_traces(cfg, geom, cp, np.arange(geom.n_plaquettes))
     f = cp.a ** (-cp.d / 2.0) * m
     tr = np.trace(plaquette_oracle(cfg, geom), axis1=-2, axis2=-1)
-    s = cp.a ** (cp.d - 4) * 2.0 * (cfg.n - tr.real) / np.sqrt(cp.g2)
+    s = cp.a ** (cp.d - 4) * 2.0 * (cfg.shape[-1] - tr.real) / np.sqrt(cp.g2)
     return m, f, s, tr
 
 
@@ -316,7 +319,7 @@ def test_abelian_field_is_root_beta_sine():
     geom = build_geometry(2, 2, "free")
     cfg = cold_start(geom, 1)
     theta = 0.37
-    cfg.u[int(np.flatnonzero(~geom.fixed_mask)[0])] = np.exp(1j * theta)
+    cfg[int(np.flatnonzero(~geom.fixed_mask)[0])] = np.exp(1j * theta)
     cp = CouplingSpec(d=2, a=0.5, g2=0.9)
     expected = np.sqrt(cp.beta) * np.sin(theta)
     assert scaled_field_traces(cfg, geom, cp, [0])[0] == pytest.approx(expected, rel=1e-13)
@@ -325,7 +328,7 @@ def test_abelian_field_is_root_beta_sine():
 def test_batched_config_matches_each_replica(rng):
     geom = build_geometry(3, 2, "periodic")
     cfgs = [random_config(geom, 2, rng, include_fixed=True) for _ in range(3)]
-    batch = GaugeConfig(np.stack([c.u for c in cfgs]))
+    batch = np.stack(cfgs)
     cp = CouplingSpec(d=3, a=1.0, g2=1.0)
     actions = wilson_action(batch, geom)
     traces = scaled_field_traces(batch, geom, cp, [0, 5])
@@ -334,7 +337,7 @@ def test_batched_config_matches_each_replica(rng):
         assert actions[r] == pytest.approx(wilson_action(cfg, geom), rel=1e-14)
         assert np.allclose(traces[r], scaled_field_traces(cfg, geom, cp, [0, 5]),
                            rtol=1e-14, atol=0)
-    assert unitarity_defect(batch.u) < 1e-12
+    assert unitarity_defect(batch) < 1e-12
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 4])
@@ -358,13 +361,13 @@ def test_sampler_table_layout_contract(n, replicas):
     assert np.array_equal(single, table[..., 0])
 
     actions = leading_action(table, geom)
-    assert np.array_equal(wilson_action(GaugeConfig(u), geom), actions)
+    assert np.array_equal(wilson_action(u, geom), actions)
     cp = CouplingSpec(d=3, a=1.0, g2=1.0)
     indices = [0, 5, 5, geom.n_plaquettes - 1]
     traces = leading_field_traces(table, geom, cp, indices)
     assert traces.shape == (replicas, len(indices))
-    assert np.array_equal(scaled_field_traces(GaugeConfig(u), geom, cp, indices), traces)
+    assert np.array_equal(scaled_field_traces(u, geom, cp, indices), traces)
     for r in range(replicas):
-        alone = GaugeConfig(u[r])
+        alone = u[r]
         assert wilson_action(alone, geom) == actions[r]
         assert np.array_equal(scaled_field_traces(alone, geom, cp, indices), traces[r])

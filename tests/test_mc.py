@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.stats import chi2
 
 from latticeym import mc
-from latticeym.errors import InvalidLattice, ResolutionTooLow, UnconvergedChain
+from latticeym.errors import InvalidLattice, ResolutionTooLow, ShapeMismatch, UnconvergedChain
 from latticeym.factorized import lattice_counts, plaquette_moment
 from latticeym.groups import (GroupSpec, generator_basis, haar_sample_batch,
                               quadratic_bound_scan, quadratic_bound_sides, unitarity_defect)
@@ -53,6 +53,9 @@ def test_mcparams_validation():
     with pytest.raises(ValueError, match="^sweeps: "):
         MCParams(sweeps=21, thermalization=20)  # one measurement: no blocked error
     assert MCParams(sweeps=22, thermalization=20).sweeps == 22
+    with pytest.raises(ValueError, match="^thermalization: must be >= 0"):
+        MCParams(sweeps=5, thermalization=-3, chains=1)  # would measure 8 sweeps
+    assert MCParams(sweeps=2, thermalization=0).thermalization == 0
     with pytest.raises(ValueError):
         MCParams(chains=0)
     with pytest.raises(ValueError):
@@ -65,6 +68,21 @@ def test_beta_zero_accepts_everything():
     rng = np.random.default_rng(0)
     for _ in range(5):
         assert metropolis_sweep(cfg, geom, 0.0, 0.7, rng, GroupSpec(1)) == 1.0
+
+
+def test_sweep_refuses_foreign_configurations():
+    # The sweep writes into its argument, so it takes only a complex128
+    # array of the exact shape; numpy would drop imaginary parts silently.
+    geom = build_geometry(2, 2, "free")
+    rng, group = np.random.default_rng(0), GroupSpec(2)
+    cfg = cold_start(geom, 2)
+    for bad in (cfg.real.copy(), cfg.astype(np.complex64), cfg.tolist()):
+        with pytest.raises(ShapeMismatch, match="got (float64|complex64|list)"):
+            metropolis_sweep(bad, geom, 1.0, 0.7, rng, group)
+    for bad in (cfg[:-1], cfg[None], cold_start(geom, 1)):
+        with pytest.raises(ShapeMismatch):
+            metropolis_sweep(bad, geom, 1.0, 0.7, rng, group)
+    assert np.all(cfg == cold_start(geom, 2))
 
 
 def test_fixed_seed_reproducible():
@@ -83,7 +101,7 @@ def test_sweep_preserves_unitarity(n):
     rng = np.random.default_rng(7)
     for _ in range(200):
         metropolis_sweep(cfg, geom, 0.8, 0.9, rng, GroupSpec(n))
-    assert unitarity_defect(cfg.u) < 1e-12
+    assert unitarity_defect(cfg) < 1e-12
 
 
 def test_mean_action_matches_quadrature():
@@ -109,7 +127,7 @@ def test_detailed_balance_chi_square():
     for k in range(angles.size):
         for _ in range(5):
             metropolis_sweep(cfg, geom, beta, epsilon, rng, group)
-        angles[k] = np.angle(cfg.u[bond, 0, 0])
+        angles[k] = np.angle(cfg[bond, 0, 0])
     edges = np.linspace(-np.pi, np.pi, 21)
     observed, _ = np.histogram(angles, bins=edges)
     theta = np.linspace(-np.pi, np.pi, 40001)
@@ -121,7 +139,7 @@ def test_detailed_balance_chi_square():
     assert stat < chi2.ppf(0.99, df=edges.size - 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_replica_independent_of_its_batch(n, monkeypatch):
     # Each replica draws from its own generator a fixed number of times per
     # sweep, and the action adds its plaquettes in one order at every batch
