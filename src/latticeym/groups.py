@@ -28,8 +28,7 @@ import numpy as np
 from .errors import NonUnitaryInput, ShapeMismatch
 
 UNITARITY_TOL = 1e-8
-_SCAN_BATCH = 50_000
-_SCAN_BLOCK = 120_000  # largest pooled block of the scan, in stack entries (4 n**2 per quadruple)
+_SCAN_BLOCK = 60_000  # real normals per block of the scan, 4 n**2 per quadruple
 
 
 @dataclass(frozen=True)
@@ -354,38 +353,38 @@ def quadratic_bound_scan(group: GroupSpec, rng: np.random.Generator, count: int)
     """Sample `count` random quadruples of Haar matrices and count violations (k = 4).
 
     Returns (violations, max_ratio) where max_ratio is the largest observed
-    lhs/rhs; the bound holds when max_ratio <= 1.  The quadruples are
-    `haar_sample_batch` draws laid out (n, n, 4, count), one contiguous
-    block per leg, and checked for unitarity like any other input.
+    lhs/rhs; the bound holds when max_ratio <= 1.  The quadruples are checked
+    for unitarity like any other input.
 
-    Each batch of _SCAN_BATCH quadruples draws its normals on the calling
-    thread, in the order of `leading_haar`: all real parts, then the
-    imaginary parts block by block.  Each block goes to one of a pool of
-    worker threads, one per usable core, as soon as its normals are drawn;
-    the worker orthonormalizes, checks and bounds it (`_scan_block`).  Every
-    step after the draws works sample by sample, so the result does not
-    depend on the block size or the number of workers.
+    The scan streams blocks of _SCAN_BLOCK // (4 n**2) quadruples, the last
+    one shorter.  For each block of m the calling thread draws the real and
+    then the imaginary normals, those of `haar_sample_batch(group, rng, 4 m)`,
+    and submits the block to a pool of worker threads, one per usable core;
+    the worker lays it out (n, n, 4, m), orthonormalizes, checks and bounds it
+    (`_scan_block`).  Once workers + 1 blocks are in flight the calling thread
+    waits on the oldest, so the scan holds at most workers + 1 blocks of
+    normals and the workers' temporaries, however large `count` is.  The
+    blocks depend only on `count` and n, and every step after the draws works
+    sample by sample, so the result does not depend on the number of workers.
     """
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     n = group.n
     workers = usable_cores()
+    block = max(1, _SCAN_BLOCK // (4 * n * n))
     violations = 0
     max_ratio = 0.0
+    in_flight = deque()
     with ThreadPoolExecutor(workers) as pool:
-        remaining = count
-        while remaining > 0:
-            m = min(_SCAN_BATCH, remaining)
-            remaining -= m
-            # The fewest blocks of at most _SCAN_BLOCK entries, in a multiple of
-            # the worker count, so that the workers finish together.
-            blocks = workers * -(-4 * n * n * m // (workers * _SCAN_BLOCK))
-            block = -(-m // blocks)
-            re = rng.standard_normal((m, 4, n, n))
-            parts = [re[s:s + block] for s in range(0, m, block)]
-            # map submits each block as soon as its imaginary parts are drawn.
-            ims = (rng.standard_normal(part.shape) for part in parts)
-            for v, r in pool.map(_scan_block, parts, ims):
+        for start in range(0, count, block):
+            shape = (min(block, count - start), 4, n, n)
+            # Arguments are evaluated in order: the real parts, then the imaginary.
+            in_flight.append(pool.submit(_scan_block, rng.standard_normal(shape),
+                                         rng.standard_normal(shape)))
+            # Wait on the oldest at workers + 1 in flight, and on all after the last.
+            while len(in_flight) > (workers if start + block < count else 0):
+                v, r = in_flight.popleft().result()
                 violations += v
                 max_ratio = max(max_ratio, r)
     return violations, max_ratio

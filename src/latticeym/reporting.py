@@ -156,8 +156,10 @@ CONFIG_FIELDS = (
     ConfigField("a", "a_values", float, True, "--a", "comma-separated lattice spacings"),
     ConfigField("g2", "g2_values", float, True, "--g2", "comma-separated couplings"),
     ConfigField("g0_sq", "g0_sq", float),
-    ConfigField("mc", "mc", lambda value: MCParams(**value)),
-    ConfigField("quadrature", "quadrature", lambda value: QuadratureSpec(**value)),
+    # Every key of mc and quadrature is a JSON integer, which may be written 60.0.
+    ConfigField("mc", "mc", lambda value: MCParams(**{k: int(v) for k, v in value.items()})),
+    ConfigField("quadrature", "quadrature",
+                lambda value: QuadratureSpec(**{k: int(v) for k, v in value.items()})),
     ConfigField("out", "out", str, False, "--out", "output directory for report files"),
     ConfigField("seed", "seed", int, False, "--seed", "root RNG seed"),
 )

@@ -294,12 +294,15 @@ def test_quadratic_bound_scan_no_violations(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_bound_scan_matches_oracle(n):
-    # The scan's quadruples are haar_sample_batch draws, so the QR oracle
-    # rebuilds them from the same seed; np.matmul holonomies and the
-    # eigenvalue angles then give both sides independently.
+    # Each block of the scan draws the normals of haar_sample_batch, so the
+    # QR oracle rebuilds the quadruples from the same seed, block by block in
+    # scan order; np.matmul holonomies and the eigenvalue angles then give
+    # both sides independently.
     g, count = GroupSpec(n), 20_000
     violations, max_ratio = quadratic_bound_scan(g, np.random.default_rng(31), count)
-    us = qr_haar_sample(g, np.random.default_rng(31), 4 * count).reshape(count, 4, n, n)
+    rng, block = np.random.default_rng(31), groups_module._SCAN_BLOCK // (4 * n * n)
+    us = np.concatenate([qr_haar_sample(g, rng, 4 * min(block, count - start))
+                         for start in range(0, count, block)]).reshape(count, 4, n, n)
     u1, u2, u3, u4 = (us[:, j] for j in range(4))
     holonomy = u1 @ u2 @ np.conj(np.swapaxes(u3, -1, -2)) @ np.conj(np.swapaxes(u4, -1, -2))
     lhs = 2.0 * (n - np.trace(holonomy, axis1=-2, axis2=-1).real)
@@ -308,24 +311,42 @@ def test_quadratic_bound_scan_matches_oracle(n):
     assert max_ratio == pytest.approx(np.max(lhs / np.maximum(rhs, 1e-30)), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("n,count", [(1, 20_000), (2, 7_777), (3, 5_001), (4, 3_333),
-                                     (1, groups_module._SCAN_BATCH + 123)])
+@pytest.mark.parametrize("n,count", [(1, 20_000), (2, 7_777), (3, 5_001), (4, 3_333)])
 def test_quadratic_bound_scan_independent_of_blocks_and_workers(n, count, monkeypatch):
-    # Every step after the serial draws works sample by sample, so every
-    # usable core, one core, more workers than cores and many small ragged
-    # blocks all give the same bits.
+    # The blocks depend on count and n alone, the last one ragged here, and
+    # every step after the serial draws works sample by sample, so however
+    # the blocks fall on workers (every usable core, one core, more workers
+    # than cores, no CPU affinity) the bits are the same.
+    assert count % (groups_module._SCAN_BLOCK // (4 * n * n))
+
     def scan():
         return quadratic_bound_scan(GroupSpec(n), np.random.default_rng(23), count)
 
     all_cores = scan()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert scan() == all_cores
-    monkeypatch.setattr(groups_module, "_SCAN_BLOCK", 4 * n * n * 997)
-    assert scan() == all_cores
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert scan() == all_cores
     monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
     assert scan() == all_cores
+
+
+def test_quadratic_bound_scan_memory_bounded(monkeypatch):
+    # At most workers + 1 blocks are in flight, so the traced peak does not
+    # grow with the number of quadruples (about 9.5 MB at N = 3 on two workers).
+    import tracemalloc
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    peaks = []
+    for count in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            quadratic_bound_scan(GroupSpec(3), np.random.default_rng(5), count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+    assert peaks[1] < 16e6
 
 
 def test_quadratic_bound_scan_raises_from_worker(monkeypatch):

@@ -359,6 +359,23 @@ class TestCLI:
             assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "stability.jsonl").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("mc", "sweeps", 60.0), ("mc", "thermalization", 20.0), ("mc", "chains", 2.0),
+        ("mc", "beta_grid_points", 5.0), ("quadrature", "points", 96.0),
+    ])
+    def test_whole_number_float_runs(self, section, key, value, tmp_path):
+        # An integral float is a JSON integer, so the schema accepts it, and
+        # the spec must hold it as an int: 96.0 hashes as 96, so a cached
+        # 96-point rule alone would let the run pass.
+        config = {"mc": {"sweeps": 60, "thermalization": 20}}
+        config.setdefault(section, {})[key] = value
+        spec = getattr(RunConfig.from_mapping({"suite": "stability", **config}), section)
+        assert type(getattr(spec, key)) is int
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        args = ["--d", "3", "--L", "2", "--N", "1", "--config", str(config_path)]
+        assert main(["stability", *args, "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("suite", ["single-bond", "approx", "stability", "genfun", "all"])
     def test_coupling_above_ceiling_exit_two(self, suite, tmp_path, capsys):
         # The default g0_sq is 4; g2 above it is rejected before any suite
