@@ -22,13 +22,13 @@ exactly gives the equivalent Laplace representation
 where ``ive`` is the exponentially scaled modified Bessel function.  The
 Laplace form is the only route: it is exact for every mass (including
 m_u = 0, d >= 3, where the momentum integrand has an integrable singularity
-that defeats fixed-order quadrature).  Every covariance value -- a
-propagator, the coincident constant, each point of a decay-fit window -- is
-the integral of a Bessel product on [0, inf) by one fixed exp-sinh
-(double-exponential) rule, evaluated as a single array expression on its
-nodes and cached per separation; a derivative correlation is one such
-integral of a four-term combination.  Each value carries the relative gap
-between the rule at two steps, and a gap above 1e-10 raises.  The tensor
+that defeats fixed-order quadrature).  Every covariance value is the
+integral of a Bessel product on [0, inf) by one fixed exp-sinh
+(double-exponential) rule, evaluated as an array expression on its nodes:
+a propagator cached per separation, a derivative correlation as one
+four-term combination, the twelve covariances of a decay-fit window as one
+stack on shared nodes.  Each value carries the relative gap between the
+rule at two steps, and a gap above 1e-10 raises.  The tensor
 Gauss-Legendre evaluation of the momentum form is kept only as an
 independent oracle for the tests.
 """
@@ -108,6 +108,14 @@ class ScalarSpec:
             raise ValueError(f"mass must be finite and >= 0, got {self.m_u}")
         if not (self.kappa_u > 0.0 and math.isfinite(self.kappa_u)):
             raise ValueError(f"hopping coefficient must be > 0, got {self.kappa_u}")
+        for name in ("r", "s2"):
+            try:
+                value = getattr(self, name)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite float, got {value} from "
+                                 f"m_u={self.m_u}, kappa_u={self.kappa_u}, a={self.a}")
 
     @property
     def r(self) -> float:
@@ -224,9 +232,10 @@ def _centre(spec: ScalarSpec, n: tuple) -> float:
     stays exact at r = 0 (T_s = |n|^2 / (2 d kappa^2)).  Near the origin at
     small mass the integrand reaches on to the mass cutoff
     t_c = 1 / (r kappa^2) far beyond T_s (a plateau in ln t at d = 2), so T
-    is the geometric mean of T_s and t_c when t_c is the larger.
+    is the geometric mean of T_s and t_c when t_c is the larger.  The
+    separation is squared in floats; it may be fractional (a window's middle).
     """
-    n2 = sum(v * v for v in n)
+    n2 = sum(float(v) * v for v in n)
     root = math.sqrt(spec.d**2 + 4.0 * spec.r * n2)
     saddle = max(1.0, n2 / (spec.kappa2 * (spec.d + root)))
     if spec.r == 0.0:
@@ -234,32 +243,37 @@ def _centre(spec: ScalarSpec, n: tuple) -> float:
     return saddle * math.sqrt(max(1.0, 1.0 / (spec.r * spec.kappa2 * saddle)))
 
 
-def _exp_sinh(integrand, quantity: str, spec: ScalarSpec, n) -> tuple:
-    """Integral over [0, inf) of an integrand on arrays of t by the exp-sinh rule.
+def _exp_sinh(integrand, quantity: str, spec: ScalarSpec, *separations) -> tuple:
+    """Integrals over [0, inf) of a stack of integrands by the exp-sinh rule.
 
-    The nodes are centred on T = `_centre` of separation ``n``.  Returns the
-    step-1/64 value and its relative gap to the step-1/32 value.
+    ``integrand`` maps the array of nodes t to one row per separation, a
+    (rows, nodes) stack or, for one separation, a single row.  All rows share
+    the nodes centred on T = `_centre` of the mean separation.  Returns the
+    arrays of the rows' step-1/64 values and of their relative gaps to the
+    step-1/32 values.
 
     Raises
     ------
     ResolutionTooLow
-        If the value is not finite or the two steps disagree beyond 1e-10
-        relative.
+        Naming the first separation whose value is not finite or whose two
+        steps disagree beyond 1e-10 relative.
     """
-    centre = _centre(spec, n)
-    samples = integrand(centre * _NODES) * _WEIGHTS
-    fine = centre * float(np.sum(samples))
-    coarse = 2.0 * centre * float(np.sum(samples[::2]))
-    diff = abs(fine - coarse)
-    if not (math.isfinite(fine) and diff <= _TOLERANCE * abs(fine)):
-        reason = (f"non-finite value {fine}" if not math.isfinite(fine)
+    centre = _centre(spec, [sum(c) / len(separations) for c in zip(*separations)])
+    samples = np.atleast_2d(integrand(centre * _NODES)) * _WEIGHTS
+    fine = centre * samples.sum(axis=1)
+    coarse = 2.0 * centre * samples[:, ::2].sum(axis=1)
+    diff = np.abs(fine - coarse)
+    failed = ~(np.isfinite(fine) & (diff <= _TOLERANCE * np.abs(fine)))
+    if failed.any():
+        row = int(np.argmax(failed))
+        reason = (f"non-finite value {fine[row]}" if not math.isfinite(fine[row])
                   else f"steps 1/{1 / _STEP:g} and 1/{0.5 / _STEP:g} give "
-                       f"{fine:.6e} and {coarse:.6e}")
+                       f"{fine[row]:.6e} and {coarse[row]:.6e}")
         raise ResolutionTooLow(
-            f"{quantity} at d={spec.d}, a={spec.a}, separation {tuple(n)} "
+            f"{quantity} at d={spec.d}, a={spec.a}, separation {tuple(separations[row])} "
             f"did not converge: {reason}"
         )
-    return fine, (diff / abs(fine) if diff else 0.0)
+    return fine, np.divide(diff, np.abs(fine), out=np.zeros_like(diff), where=diff > 0.0)
 
 
 def _laplace_combination(spec: ScalarSpec, terms, quantity: str, n) -> tuple:
@@ -286,13 +300,38 @@ def _laplace_combination(spec: ScalarSpec, terms, quantity: str, n) -> tuple:
         out[live] = damping[live] * (coefficients @ table[index].prod(axis=1))
         return out
 
-    return _exp_sinh(integrand, quantity, spec, n)
+    (value,), (gap,) = _exp_sinh(integrand, quantity, spec, n)
+    return float(value), float(gap)
 
 
 def _laplace_value(spec: ScalarSpec, n: tuple) -> tuple:
     """(value, gap) of the scaled covariance by its Laplace-Bessel form; exact for all m_u >= 0."""
     orders = tuple(abs(int(v)) for v in n)
     return _laplace_combination(spec, [(orders, 1.0)], "scaled propagator", n)
+
+
+def _window(spec: ScalarSpec, ns: np.ndarray) -> tuple:
+    """(values, gaps) of the covariances at consecutive on-axis separations ``ns`` e_{d-1}.
+
+    The rows share the nodes, the damping and ive(0, z)^(d-1).  Below the two
+    highest orders, ive(nu-1, z) = ive(nu+1, z) + (2 nu / z) ive(nu, z) (DLMF
+    10.29.1), stable downward for the minimal solution I_nu (Gautschi, SIAM
+    Rev. 9, 24 (1967)).
+    """
+    def integrand(t):
+        damping = np.exp(-spec.r * spec.kappa2 * t)
+        live = damping > 0.0
+        z = 2.0 * spec.kappa2 * t[live]
+        table = np.empty((len(ns), z.size))
+        table[-2:] = _ive(ns[-2:, None], z)
+        for k in range(len(ns) - 3, -1, -1):
+            table[k] = table[k + 2] + (2.0 * ns[k + 1] / z) * table[k + 1]
+        out = np.zeros((len(ns), t.size))
+        out[:, live] = damping[live] * _ive(np.zeros((1, 1)), z)[0] ** (spec.d - 1) * table
+        return out
+
+    return _exp_sinh(integrand, "scaled propagator", spec,
+                     *[(0,) * (spec.d - 1) + (int(n),) for n in ns])
 
 
 @lru_cache(maxsize=4096)
@@ -410,26 +449,31 @@ class DecayFit:
 def fit_decay_rate(spec: ScalarSpec) -> DecayFit:
     """Fit the exponential decay rate of the on-axis two-point function (m_u > 0).
 
-    A window of ``_FIT_POINTS`` separations n e_0 starts near five
+    A window of ``_FIT_POINTS`` separations n e_{d-1} starts near five
     correlation lengths and is pushed outward until the fit residual drops
-    below ``_FIT_RESIDUAL``.  Each covariance is a cached scaled propagator,
-    so windows that overlap during escalation share their values.
+    below ``_FIT_RESIDUAL``.  Each window is one stack of integrals
+    (`_window`) that neither reads nor fills the propagator cache.
 
     Raises
     ------
     RangeTooNoisy
-        If covariances in the window fall below the reliable floor or the
-        residual target cannot be met.
+        If the mass gap puts the window beyond 2**53 separations, covariances
+        in the window fall below the reliable floor or the residual target
+        cannot be met.
     ResolutionTooLow
         If a covariance in the window does not converge.
     """
     if spec.m_u <= 0.0:
         raise ValueError("decay-rate fit requires m_u > 0")
-    n_start = max(2, math.ceil(5.0 / (mass_gap(spec) * spec.a)))
+    gap = mass_gap(spec)
+    start = 5.0 / (gap * spec.a) if gap * spec.a > 0.0 else math.inf
+    if not start < 2.0**53:  # beyond it, consecutive separations share one float
+        raise RangeTooNoisy(f"mass gap {gap:g} at a={spec.a} puts the fit window start at "
+                            f"{start:g}, beyond 2**53")
+    n_start = max(2, math.ceil(start))
     for _ in range(7):
         ns = np.arange(n_start, n_start + _FIT_POINTS, dtype=float)
-        values, gaps = np.array([_scaled_propagator_cached(spec, (0,) * (spec.d - 1) + (int(n),))
-                                 for n in ns]).T
+        values, gaps = _window(spec, ns)
         if np.any(values < _DECAY_FLOOR):
             raise RangeTooNoisy(
                 f"covariance below {_DECAY_FLOOR:g} in window [{ns[0]}, {ns[-1]}]"

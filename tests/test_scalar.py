@@ -1,6 +1,7 @@
 """Tests for the free scalar field: propagators, derivatives, decay rates."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -15,8 +16,10 @@ from latticeym.scalar import (
     DecayFit,
     ScalarSpec,
     _exp_sinh,
+    _laplace_value,
     _momentum_value,
     _scaled_propagator_cached,
+    _window,
     coincident_bound_constant,
     derivative_correlation,
     fit_decay_rate,
@@ -76,6 +79,19 @@ class TestSpecValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ScalarSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(m_u=1e300, kappa_u=1.0), "r"),
+            (dict(m_u=1.0, kappa_u=1e-300), "r"),
+            (dict(m_u=1e160, kappa_u=1e160), "s2"),
+            (dict(m_u=1.0, kappa_u=1e300), "s2"),
+        ],
+    )
+    def test_rejects_overflowing_derived_fields(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite float, got inf"):
+            ScalarSpec(d=3, a=1.0, **kwargs)
 
     def test_variance_normalizer(self):
         # a^{d-2} (m_u^2 a^2 + 2 d kappa_u^2) at d=3, a=1/2, m_u=kappa_u=1
@@ -395,6 +411,70 @@ class TestDecayRate:
         # at m_u = 8 the first window already falls below the floor
         spec = ScalarSpec(d=3, a=1.0, m_u=8.0, kappa_u=1.0)
         with pytest.raises(RangeTooNoisy, match=r"covariance below 1e-14 in window \[2.0, 13.0\]"):
+            fit_decay_rate(spec)
+
+
+class TestWindow:
+    """One decay-fit window: twelve on-axis covariances on one node set."""
+
+    @staticmethod
+    def starts(spec):
+        first = max(2, math.ceil(5.0 / (mass_gap(spec) * spec.a)))
+        return first, max(first + 1, math.ceil(1.5 * first))
+
+    @pytest.mark.parametrize("m_u", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("a", [1.0, 0.37, 0.05, 0.001])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_one_integral_per_separation(self, d, a, m_u):
+        # oracle: each covariance on its own node set, every Bessel order from scipy
+        spec = ScalarSpec(d=d, a=a, m_u=m_u, kappa_u=1.0)
+        for start in self.starts(spec):
+            ns = np.arange(start, start + 12, dtype=float)
+            try:
+                expected = [_laplace_value(spec, (0,) * (d - 1) + (int(n),))[0] for n in ns]
+            except ResolutionTooLow as exc:
+                # scipy's ive is NaN at high orders beyond z ~ 1.1e9 (a = 0.001, m_u = 0.5)
+                separation = re.search(r"separation \([^)]*\)", str(exc)).group(0)
+                with pytest.raises(ResolutionTooLow, match=re.escape(separation)):
+                    _window(spec, ns)
+                continue
+            values, gaps = _window(spec, ns)
+            assert np.max(np.abs(values / np.array(expected) - 1.0)) <= 1e-12
+            assert np.all((gaps >= 0.0) & (gaps <= 1e-10))
+
+    def test_far_window_raises_like_the_single_integral(self):
+        spec = ScalarSpec(d=3, a=0.001, m_u=0.5, kappa_u=1.0)
+        assert self.starts(spec)[1] == 15002
+        with pytest.raises(ResolutionTooLow, match=r"separation \(0, 0, 15002\)"):
+            _window(spec, np.arange(15002, 15014, dtype=float))
+
+    def test_two_bessel_calls_per_window(self, monkeypatch):
+        calls, ive = [], scalar._ive
+
+        def counted(orders, z):
+            calls.append(np.shape(orders))
+            return ive(orders, z)
+
+        monkeypatch.setattr(scalar, "_ive", counted)
+        _window(ScalarSpec(d=4, a=0.25, m_u=1.0, kappa_u=1.0), np.arange(30, 42, dtype=float))
+        assert sorted(calls) == [(1, 1), (2, 1)]
+
+    def test_fit_ignores_the_propagator_cache(self):
+        spec = ScalarSpec(d=3, a=0.25, m_u=1.0, kappa_u=1.0)
+        _scaled_propagator_cached.cache_clear()
+        cold = fit_decay_rate(spec)
+        assert _scaled_propagator_cached.cache_info().currsize == 0
+        for n in range(cold.n_start, cold.n_stop + 1):
+            scaled_propagator(spec, (n, 0, 0))
+        warm = fit_decay_rate(spec)
+        assert warm == cold  # exact float equality, field by field
+
+    @pytest.mark.parametrize("m_u,start", [(5e-324, "inf"), (1e-300, r"5e\+300")])
+    def test_window_start_beyond_floats_raises(self, m_u, start):
+        # a zero or vanishing mass gap leaves no window of distinct float separations
+        spec = ScalarSpec(d=3, a=1.0, m_u=m_u, kappa_u=1.0)
+        with pytest.raises(RangeTooNoisy,
+                           match=rf"mass gap .* window start at {start}, beyond 2\*\*53"):
             fit_decay_rate(spec)
 
 
