@@ -88,19 +88,3 @@ def plaquette_moment(alpha: int, coupling: CouplingSpec, group: GroupSpec,
                                    lambda lam: root_beta * np.sin(lam), alpha,
                                    group, quad, scale=scale, cutoff=cutoff)
     return float(moments[alpha]), float(errors[alpha])
-
-
-def gue_moment(alpha: int, group: GroupSpec) -> float:
-    """Closed form for the zero-coupling limit T_alpha of <(tr M)^alpha>.
-
-    In the limit the eigenvalue sum becomes the trace of a Gaussian Hermitian
-    matrix, a centered Gaussian of variance n/2, so even moments follow the
-    Wick chain (alpha-1)!! (n/2)^(alpha/2) and odd moments are zero.
-    """
-    if alpha % 2 == 1:
-        return 0.0
-    double_fact = 1.0
-    for k in range(alpha - 1, 0, -2):
-        double_fact *= k
-    return double_fact * (group.n / 2.0) ** (alpha / 2.0)
-

@@ -89,18 +89,14 @@ class LatticeGeometry:
         return self.plaq_legs.shape[0]
 
 
-def _site_shift(coords, mu, L, periodic):
-    """Index of coords + e_mu, or -1 if it leaves a free lattice."""
+def _site_shift(coords, mu, L):
+    """Index of coords + e_mu, wrapped mod L.
+
+    Free lattices shift only sites with x_mu <= L - 2, where the wrap is idle.
+    """
     out = coords.copy()
-    out[:, mu] += 1
-    if periodic:
-        out[:, mu] %= L
-        valid = np.ones(len(out), dtype=bool)
-    else:
-        valid = out[:, mu] < L
-        out[~valid, mu] = 0  # placeholder, masked out below
-    idx = np.ravel_multi_index(tuple(out.T), (L,) * coords.shape[1])
-    return np.where(valid, idx, -1)
+    out[:, mu] = (out[:, mu] + 1) % L
+    return np.ravel_multi_index(tuple(out.T), (L,) * coords.shape[1])
 
 
 def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
@@ -131,7 +127,7 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
     bond_head = np.empty(bond_site.size, dtype=np.int64)
     for mu in range(d):
         sel = bond_dir == mu
-        bond_head[sel] = _site_shift(coords[bond_site[sel]], mu, L, True)
+        bond_head[sel] = _site_shift(coords[bond_site[sel]], mu, L)
 
     bond_id = np.full((d, n_sites), -1, dtype=np.int64)
     bond_id[bond_dir, bond_site] = np.arange(bond_site.size)
@@ -145,8 +141,8 @@ def build_geometry(d: int, L: int, boundary: str = "free") -> LatticeGeometry:
             else:
                 sites = np.flatnonzero(
                     (coords[:, mu] <= L - 2) & (coords[:, nu] <= L - 2))
-            x_mu = _site_shift(coords[sites], mu, L, periodic)
-            x_nu = _site_shift(coords[sites], nu, L, periodic)
+            x_mu = _site_shift(coords[sites], mu, L)
+            x_nu = _site_shift(coords[sites], nu, L)
             legs = np.stack([
                 bond_id[mu, sites],
                 bond_id[nu, x_mu],

@@ -33,7 +33,7 @@ sweep; the draws and proposal factors of a block of sweeps within one
 elementwise.  Measurements see the table after every sweep, but read it
 in one call per block, on copies of the block's tables (fewer sweeps at a
 time where the copies would pass the piece budget), through the plaquette
-legs of `lattice.leading_traces`, the one trace route of the package.
+legs of `lattice.leading_traces`, the sampler's trace route.
 The action adds its plaquettes in index order at every batch size, so a
 replica's series is bit for bit the same whichever replicas share its
 batch and however its sweeps and measurements are blocked.

@@ -260,8 +260,6 @@ class ReportRecord:
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return "%.17g" % value
     if value is None:
         return ""

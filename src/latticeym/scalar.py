@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfraredDivergent, RangeTooNoisy, ResolutionTooLow
+from .quadrature import _panel_nodes
 
 __all__ = [
     "ScalarSpec",
@@ -154,12 +155,6 @@ def _separation(spec: ScalarSpec, x, y=None) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _gl_rule(points: int):
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return np.pi * nodes, np.pi * weights
-
-
 def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
     """Tensor Gauss-Legendre evaluation of the scaled momentum integral.
 
@@ -167,11 +162,8 @@ def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
     the Laplace-Bessel values at positive mass.
     """
     d = len(n)
-    q, w = _gl_rule(points)
+    q, w = _panel_nodes(points, (-np.pi, np.pi))
     cos_q = np.cos(q)
-    if d == 1:
-        integrand = np.cos(q * n[0]) / (1.0 - 2.0 * kappa_sq * cos_q)
-        return float(np.sum(w * integrand) / (2.0 * np.pi))
     # Materialize the trailing d-1 axes once and accumulate over the first
     # axis to keep memory flat (48^4 doubles would otherwise be avoidable
     # but 128^4 would not).
@@ -197,23 +189,24 @@ def _momentum_value(kappa_sq: float, n: tuple, points: int) -> float:
 def _ive(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Scaled Bessel function ive(order, z) on the grid of ``orders`` (k, 1) by ``z`` (m,).
 
-    Where z > 1e8 and z >= 10 order^2, the eleven-term Hankel series
+    Where z > 1e8 and order <= sqrt(z / 10), the eleven-term Hankel series
     ive(nu, z) = (2 pi z)^{-1/2} sum_k (-1)^k a_k(nu) z^{-k} (DLMF 10.40.1)
     replaces scipy's ive, which is NaN beyond z ~ 1.1e9.  There the k-th
     term is at most (nu^2 / 2z)^k / k! <= 20^{-k} / k!, so the series is
     exact to rounding.  Elsewhere scipy's value stands, NaN included (high
-    orders at z > 1.1e9, which the convergence check then reports).
+    orders at z > 1.1e9, which the convergence check then reports).  Orders
+    are squared only on the Hankel rows, so huge orders cannot overflow.
     scipy.special is imported here, on the first Bessel value, so that the
     other suites start without it.
     """
     from scipy import special
 
-    hankel = (z > _HANKEL_Z) & (z >= 10.0 * orders**2)
+    hankel = (z > _HANKEL_Z) & (orders <= np.sqrt(z / 10.0))
     values = special.ive(orders, np.where(hankel, 0.0, z))
     if not hankel.any():
         return values
     big_z = np.where(hankel, z, _HANKEL_Z)
-    four_nu2 = 4.0 * orders**2
+    four_nu2 = 4.0 * np.where(hankel, orders, 0.0) ** 2
     term = np.ones(hankel.shape)
     series = term
     for k in range(1, _HANKEL_TERMS):

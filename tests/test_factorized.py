@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeym.errors import InvalidLattice
-from latticeym.factorized import (LatticeCounts, gue_moment, lattice_counts,
-                                  normalized_free_energy, plaquette_moment)
+from latticeym.factorized import (LatticeCounts, lattice_counts, normalized_free_energy,
+                                  plaquette_moment)
 from latticeym.groups import GroupSpec
 from latticeym.lattice import build_geometry
 from latticeym.quadrature import QuadratureSpec
@@ -233,33 +233,15 @@ def test_scaled_moment_bounded_in_spacing(quad):
 # ---------------------------------------------------------------------------
 
 
-def test_gue_moment_closed_forms():
-    assert gue_moment(2, GroupSpec(1)) == 0.5
-    assert gue_moment(4, GroupSpec(1)) == 0.75
-    assert gue_moment(2, GroupSpec(2)) == 1.0
-    assert gue_moment(4, GroupSpec(2)) == 3.0
-    assert gue_moment(4, GroupSpec(3)) == 6.75
-    assert gue_moment(1, GroupSpec(2)) == 0.0
-    assert gue_moment(3, GroupSpec(3)) == 0.0
-
-
-@given(alpha=st.sampled_from([2, 4, 6]), n=st.integers(min_value=1, max_value=4))
-@settings(max_examples=20)
-def test_gue_moment_wick_recursion(alpha, n):
-    # T_{alpha} = (alpha - 1) * (n/2) * T_{alpha-2}
-    group = GroupSpec(n)
-    lower = gue_moment(alpha - 2, group) if alpha > 2 else 1.0
-    assert gue_moment(alpha, group) == pytest.approx(
-        (alpha - 1) * (n / 2) * lower, rel=1e-12)
-
-
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 4), (3, 4)])
 def test_gaussianity_report(n, d, quad):
     # beta ~ 1e10 makes the 1/beta corrections to the Gaussian limit ~1e-11.
     a, g2 = (1.0, 1e-10) if d == 4 else ((1e10) ** (-1.0 / (4 - d)), 1.0)
     group, coupling = GroupSpec(n), CouplingSpec(d=d, a=a, g2=g2)
     t2, t4 = (plaquette_moment(k, coupling, group, quad)[0] for k in (2, 4))
-    assert t2 == pytest.approx(gue_moment(2, group), abs=1e-6)
-    assert t4 == pytest.approx(gue_moment(4, group), abs=2e-6)
+    # In the limit tr M is a centred Gaussian of variance n/2 (the trace of
+    # a GUE matrix), so T_2 = n/2 and T_4 = 3 (n/2)^2 by Wick's theorem.
+    assert t2 == pytest.approx(n / 2, abs=1e-6)
+    assert t4 == pytest.approx(3 * (n / 2) ** 2, abs=2e-6)
     assert np.isfinite(t4 - 3.0 * t2**2)
     assert abs(t4 - 3.0 * t2**2) < 1e-6

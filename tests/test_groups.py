@@ -156,6 +156,8 @@ def test_non_unitary_input_rejected():
         quadratic_bound_sides(np.ones((1, 2, 3)), GroupSpec(2))
     with pytest.raises(NonUnitaryInput):
         quadratic_bound_sides(2.0 * np.eye(2)[None], GroupSpec(2))
+    with pytest.raises(ShapeMismatch, match="expected 4 coefficients"):
+        unitary_from_coefficients(np.zeros(3), GroupSpec(2))
 
 
 def plaquette_action(*us):

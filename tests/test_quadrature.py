@@ -119,6 +119,11 @@ def test_cue_character_moments(quad):
         assert m2 == pytest.approx(2.0, abs=1e-12)
 
 
+def test_negative_moment_order_rejected(quad):
+    with pytest.raises(ValueError, match="moment order must be >= 0"):
+        weyl_moments(np.ones_like, np.cos, -1, GroupSpec(1), quad)
+
+
 def test_monte_carlo_agrees_with_tensor(quad):
     # Haar average of exp(Re Tr U) = prod_j e^{cos lam_j}.
     g = GroupSpec(2)

@@ -196,6 +196,10 @@ class TestSchemaValidator:
         assert all(isinstance(arg, str) for keyword, arg in used if keyword == "type")
         assert all(arg is False for keyword, arg in used if keyword == "additionalProperties")
 
+    def test_unknown_keyword_raises(self):
+        with pytest.raises(ValueError, match="schema keyword pattern: 'x' is not implemented"):
+            list(_schema_errors("x", {"type": "string", "pattern": "x"}))
+
     @pytest.mark.parametrize(
         "mapping",
         MALFORMED + [mapping for mapping, _ in NON_FINITE] + [
@@ -351,6 +355,11 @@ class TestCLI:
             code = main(["stability", "--config", str(path), "--out", str(tmp_path)])
             assert code == 2
             assert "invalid configuration -- config: " in capsys.readouterr().err
+        # A JSON array is read but is no configuration.
+        config_path.write_text(json.dumps([{"suite": "stability"}]))
+        assert main(["stability", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert ("invalid configuration -- <root>: config file must hold a JSON object"
+                in capsys.readouterr().err)
         # argparse rejects a malformed list flag by name.
         for flag, value in [("--N", "1,x"), ("--a", "0.5,abc"), ("--g2", ",1")]:
             with pytest.raises(SystemExit) as exit_info:

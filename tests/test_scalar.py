@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -407,6 +408,13 @@ class TestDecayRate:
         with pytest.raises(RangeTooNoisy):
             fit_decay_rate(spec_d3())
 
+    def test_residual_never_met(self, monkeypatch):
+        # no window passes and none underflows: the seventh one gives up
+        monkeypatch.setattr(scalar, "_FIT_RESIDUAL", -1.0)
+        monkeypatch.setattr(scalar, "_DECAY_FLOOR", 0.0)
+        with pytest.raises(RangeTooNoisy, match="still exceeds -1 after window escalation"):
+            fit_decay_rate(spec_d3())
+
     def test_deep_range_underflows(self):
         # at m_u = 8 the first window already falls below the floor
         spec = ScalarSpec(d=3, a=1.0, m_u=8.0, kappa_u=1.0)
@@ -479,6 +487,18 @@ class TestWindow:
 
 
 class TestConvergenceChecks:
+    def test_huge_separations_do_not_overflow(self):
+        # 4 nu^2 leaves the float range at nu = 1e160; at nu = 1e100 the
+        # Hankel terms built from it would.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for m_u, exponent in [(1.0, 160), (0.0, 100)]:
+                spec = ScalarSpec(d=3, a=0.5, m_u=m_u, kappa_u=1.0)
+                with pytest.raises(ResolutionTooLow,
+                                   match=rf"separation \(0, 0, 1{'0' * exponent}\) did not"):
+                    scaled_propagator(spec, (10**exponent, 0, 0))
+            assert scaled_propagator(spec_d3(), (10**100, 0, 0)) == 0.0
+
     def test_unconverged_integral_names_quantity(self):
         # a constant integrand has no finite integral on [0, inf)
         with pytest.raises(

@@ -23,7 +23,6 @@ ENTRY = "main"  # [project.scripts] latticeym = "latticeym.cli:main"
 
 # Definitions that no entry point reaches and that stay in the package.
 KEEP = {
-    "factorized.gue_moment": "closed-form oracle of the Gaussian limit (ROADMAP)",
     "mc.correlation_from_generating": "the README's order-r plaquette correlations",
     "mc.CorrelationEstimate": "the record correlation_from_generating returns",
     "groups.quadratic_bound_sides": "the README's k-tuple quadratic bound",
